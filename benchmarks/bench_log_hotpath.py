@@ -6,15 +6,20 @@ implementation that produces them.  It appends 10k–100k records, then
 point-reads and tail-scans, asserting that the read path is indexed:
 ``bytes_read`` must grow with the number of records actually read, not
 with the size of the log — i.e. a point read fetches one frame, a tail
-scan fetches one suffix, regardless of history length.
+scan fetches one suffix, regardless of history length.  A second
+guardrail pins the kind-filtered scan recovery's analysis pass rides on:
+asking a 100k-record log for its handful of creation records decodes
+exactly those, in a small fraction of the unfiltered scan's time.
 
 Run via ``make perf`` (with the Table 7 recovery benchmark) or::
 
     pytest benchmarks/bench_log_hotpath.py --benchmark-only -s
 """
 
+from time import perf_counter
+
 from repro.common.messages import MessageKind, MethodCallMessage
-from repro.log import LogManager, MessageRecord
+from repro.log import CreationRecord, LogManager, MessageRecord, log_manager
 from repro.sim import Cluster
 
 from conftest import run_experiment
@@ -22,6 +27,10 @@ from conftest import run_experiment
 SIZES = (10_000, 100_000)
 POINT_READS = 1_000
 TAIL_RECORDS = 1_000
+CREATIONS = 8
+#: The filtered scan may cost at most this share of the unfiltered one
+#: (measured: under 1 %; a ratio, so the machine's speed cancels out).
+FILTERED_SCAN_MAX_SHARE = 0.1
 
 
 def _record(n: int) -> MessageRecord:
@@ -34,10 +43,21 @@ def _record(n: int) -> MessageRecord:
     )
 
 
-def _build_log(n_records: int) -> tuple[LogManager, list[int]]:
+def _build_log(
+    n_records: int, creations: int = 0
+) -> tuple[LogManager, list[int]]:
+    """A log of ``n_records`` message records (whose LSNs are returned)
+    with ``creations`` creation records spread evenly among them."""
     machine = Cluster().machine("alpha")
     log = LogManager("p1", machine.disk, machine.stable_store)
-    lsns = [log.append(_record(i)) for i in range(n_records)]
+    every = n_records // creations if creations else n_records + 1
+    lsns = []
+    for i in range(n_records):
+        if i % every == every // 2:
+            log.append(
+                CreationRecord(context_id=i, component_lid=i, class_name="C")
+            )
+        lsns.append(log.append(_record(i)))
     log.force()
     return log, lsns
 
@@ -104,3 +124,53 @@ def bench_log_hotpath(benchmark):
     small, large = results[SIZES[0]], results[SIZES[-1]]
     assert large["point_bytes"] <= 1.1 * small["point_bytes"]
     assert large["tail_bytes"] <= 1.1 * small["tail_bytes"]
+
+
+def _filtered_scan_experiment() -> dict[str, float]:
+    log, __ = _build_log(SIZES[-1], creations=CREATIONS)
+    # Count decodes at the name the log manager imported: the scan's
+    # own work, with no counter added to LogStats for it.
+    decodes = []
+    real_decode = log_manager.decode_record
+    log_manager.decode_record = lambda payload: (
+        decodes.append(1) or real_decode(payload)
+    )
+    try:
+        started = perf_counter()
+        found = list(log.scan(kinds={CreationRecord}))
+        filtered_s = perf_counter() - started
+        filtered_decodes = len(decodes)
+        started = perf_counter()
+        total = sum(1 for __ in log.scan())
+        full_s = perf_counter() - started
+    finally:
+        log_manager.decode_record = real_decode
+    return {
+        "records": total,
+        "found": len(found),
+        "all_creations": all(
+            isinstance(rec, CreationRecord) for __, rec in found
+        ),
+        "filtered_decodes": filtered_decodes,
+        "full_decodes": len(decodes) - filtered_decodes,
+        "filtered_s": filtered_s,
+        "full_s": full_s,
+    }
+
+
+def bench_filtered_scan(benchmark):
+    r = benchmark.pedantic(_filtered_scan_experiment, iterations=1, rounds=1)
+
+    print()
+    print(
+        f"{r['records']:>7} records: scan(kinds={{CreationRecord}}) "
+        f"{r['filtered_s'] * 1e3:.1f} ms / {r['filtered_decodes']} decodes, "
+        f"unfiltered {r['full_s'] * 1e3:.1f} ms / {r['full_decodes']} decodes"
+    )
+
+    assert r["records"] == SIZES[-1] + CREATIONS
+    assert r["found"] == CREATIONS and r["all_creations"]
+    # one decode per record asked for, none for the frames skipped
+    assert r["filtered_decodes"] == CREATIONS
+    assert r["full_decodes"] == r["records"]
+    assert r["filtered_s"] <= FILTERED_SCAN_MAX_SHARE * r["full_s"]

@@ -19,13 +19,15 @@ Both hot paths avoid materializing the log:
   volatile buffer (``Writer(out=...)`` plus in-place framing), and
   ``_flush`` hands the stable store a ``memoryview`` of the buffer, so
   no intermediate ``bytes`` object is built per record or per flush.
-* **Read path** — the manager maintains an LSN → frame-length index
-  over the stable log, built lazily for pre-existing bytes and kept
-  current on append/flush/truncate/repair.  ``read_record`` reads only
-  its own frame and ``scan(from_lsn)`` reads only the byte suffix from
-  ``from_lsn``, instead of re-materializing the whole stable file per
-  call.  ``LogStats.reads`` / ``bytes_read`` / ``index_hits`` make the
-  saved work observable.
+* **Read path** — the manager maintains an LSN → (frame length,
+  record kind) index over the stable log, built lazily for pre-existing
+  bytes and kept current on append/flush/truncate/repair.
+  ``read_record`` reads only its own frame, ``scan(from_lsn)`` reads
+  only the byte suffix from ``from_lsn``, and ``scan(from_lsn,
+  kinds=...)`` decodes only the frames whose kind was asked for,
+  instead of re-materializing the whole stable file per call.
+  ``LogStats.reads`` / ``bytes_read`` / ``index_hits`` make the saved
+  work observable.
 
 The well-known file (Section 4.3) is a tiny per-process stable file that
 holds the LSN of the last flushed begin-checkpoint record.
@@ -35,8 +37,9 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
+from itertools import compress
 
 from ..errors import (
     InvariantViolationError,
@@ -46,7 +49,13 @@ from ..errors import (
 from ..faults import plane as faultplane
 from ..sim.disk import RotationalDisk
 from ..sim.stable_store import StableFile, StableStore
-from .records import LogRecord, decode_record, encode_record_into
+from .records import (
+    LogRecord,
+    decode_record,
+    encode_record_into,
+    payload_kind,
+    record_kind,
+)
 from .serialization import (
     Writer,
     any_frame_after,
@@ -137,8 +146,9 @@ class LogManager:
         self._base_lsn = 0
         self._buffer_start_lsn = self._stable.size
 
-        # LSN index over the *stable* log: sorted frame-start LSNs and
-        # their frame lengths, covering the physical prefix
+        # LSN index over the *stable* log: sorted frame-start LSNs,
+        # their frame lengths and their record kinds (three parallel
+        # columns), covering the physical prefix
         # [0, _indexed_upto).  Buffered records wait in _pending_entries
         # until a flush makes them stable.  Pre-existing stable bytes
         # (a manager opened over an old file) are indexed lazily on the
@@ -146,8 +156,9 @@ class LogManager:
         # hit undecodable bytes so it is not retried on every read.
         self._index_lsns: list[int] = []
         self._index_lengths: list[int] = []
+        self._index_kinds = bytearray()
         self._indexed_upto = 0
-        self._pending_entries: list[tuple[int, int]] = []
+        self._pending_entries: list[tuple[int, int, int]] = []
         self._index_stale_block: tuple[int, int] | None = None
 
         # Per-component chains (on-demand recovery): context_id → sorted
@@ -201,7 +212,9 @@ class LogManager:
         framed_len = end_frame(buf, header_at)
         self.stats.appends += 1
         self.stats.bytes_appended += framed_len
-        self._pending_entries.append((lsn, framed_len))
+        self._pending_entries.append(
+            (lsn, framed_len, record_kind(type(record)))
+        )
         self._comp_pending.append((record.context_id, lsn))
         if len(buf) >= self.buffer_capacity:
             self._flush(count_as_force=False)
@@ -251,10 +264,10 @@ class LogManager:
         if self._indexed_upto != flush_offset:
             self._ensure_index(upto=flush_offset)
         if self._indexed_upto == flush_offset:
-            self._index_lsns.extend(lsn for lsn, __ in self._pending_entries)
-            self._index_lengths.extend(
-                length for __, length in self._pending_entries
-            )
+            for lsn, length, kind in self._pending_entries:
+                self._index_lsns.append(lsn)
+                self._index_lengths.append(length)
+                self._index_kinds.append(kind)
             self._indexed_upto = flush_offset + nbytes
         # Same promotion for the per-component chains: they only ever
         # reference stable LSNs, so buffered entries join their chains
@@ -331,6 +344,7 @@ class LogManager:
                 break
             self._index_lsns.pop()
             self._index_lengths.pop()
+            self._index_kinds.pop()
         self._indexed_upto = (
             self._index_lsns[-1] - self._base_lsn + self._index_lengths[-1]
             if self._index_lsns
@@ -354,17 +368,20 @@ class LogManager:
         while True:
             try:
                 result = read_frame(suffix, offset)
+                if result is None:
+                    break
+                payload, next_offset = result
+                kind = payload_kind(payload)
             except LogCorruptionError:
                 # Unindexable bytes: a torn tail awaiting repair_tail,
-                # or interior corruption a read will surface.
+                # or interior corruption (an unknown record kind
+                # included) a read will surface.
                 self._indexed_upto = start + offset
                 self._index_stale_block = (self._indexed_upto, size)
                 return
-            if result is None:
-                break
-            __, next_offset = result
             self._index_lsns.append(self._base_lsn + start + offset)
             self._index_lengths.append(next_offset - offset)
+            self._index_kinds.append(kind)
             offset = next_offset
         self._indexed_upto = start + offset
         self._index_stale_block = None
@@ -386,15 +403,18 @@ class LogManager:
         the first torn frame.  Interior corruption (a bad frame followed
         by good data) raises :class:`LogCorruptionError` instead of being
         silently dropped.  The walk revalidates every surviving frame, so
-        the LSN index is rebuilt from it as a side effect.  Returns the
-        repaired stable end LSN.
+        the LSN index — kind column included, which is how it comes back
+        after a restart — is rebuilt from it as a side effect.  Returns
+        the repaired stable end LSN.
         """
         data = self._stable.read()
         self.stats.reads += 1
         self.stats.bytes_read += len(data)
         offset = 0
         last_good = 0
-        entries: list[tuple[int, int]] = []
+        lsns: list[int] = []
+        lengths: list[int] = []
+        kinds = bytearray()
         torn = False
         while True:
             try:
@@ -408,14 +428,21 @@ class LogManager:
                 break
             if result is None:
                 break
-            __, next_offset = result
-            entries.append(
-                (self._base_lsn + offset, next_offset - offset)
-            )
+            payload, next_offset = result
+            lsn = self._base_lsn + offset
+            # Outside the try above: a CRC-valid frame of an unknown
+            # kind is not a torn write, so it is never truncated away.
+            try:
+                kinds.append(payload_kind(payload))
+            except LogCorruptionError as exc:
+                raise self._corruption(lsn, exc) from None
+            lsns.append(lsn)
+            lengths.append(next_offset - offset)
             offset = next_offset
             last_good = offset
-        self._index_lsns = [lsn for lsn, __ in entries]
-        self._index_lengths = [length for __, length in entries]
+        self._index_lsns = lsns
+        self._index_lengths = lengths
+        self._index_kinds = kinds
         self._indexed_upto = last_good
         self._index_stale_block = None
         if torn:
@@ -438,13 +465,51 @@ class LogManager:
         self._comp_upto_lsn = min(self._comp_upto_lsn, end_lsn)
         return end_lsn
 
-    def scan(self, from_lsn: int = 0) -> Iterator[tuple[int, LogRecord]]:
+    def _corruption(self, lsn: int, cause: object) -> LogCorruptionError:
+        """``cause`` with its position: which log (the name carries the
+        process and the stream) and which LSN."""
+        return LogCorruptionError(
+            f"log {self.process_name!r}, LSN {lsn}: {cause}"
+        )
+
+    def _decode_frame(
+        self,
+        lsn: int,
+        data: bytes,
+        offset: int,
+        selected: bytes | None = None,
+    ) -> tuple[LogRecord | None, int]:
+        """Decode the frame at ``data[offset:]`` (``offset`` inside
+        ``data``), which starts at ``lsn``; return the record and the
+        next frame's offset.  With ``selected`` (a truth table over kind
+        bytes) a frame of an unselected kind is checked but not decoded
+        and comes back as ``None``."""
+        try:
+            payload, next_offset = read_frame(data, offset)
+            if selected is not None and not selected[payload_kind(payload)]:
+                return None, next_offset
+            return decode_record(payload), next_offset
+        except LogCorruptionError as exc:
+            raise self._corruption(lsn, exc) from None
+
+    def scan(
+        self,
+        from_lsn: int = 0,
+        kinds: Collection[type[LogRecord]] | None = None,
+    ) -> Iterator[tuple[int, LogRecord]]:
         """Yield ``(lsn, record)`` for every stable record from
         ``from_lsn`` (clamped to the truncation base) to the end of the
-        stable log.
+        stable log — or, with ``kinds``, only for the records of those
+        classes.
 
         Reads only the byte suffix from ``from_lsn`` — a tail scan of a
-        long log no longer pays for the log's full history.
+        long log no longer pays for the log's full history.  A filtered
+        scan seeks from one selected frame to the next through the
+        index's kind column: the frames in between are neither
+        CRC-checked again nor decoded (``repair_tail`` and the lazy
+        index build validated them, kind byte included).  A record of a
+        skipped kind whose *payload* is malformed therefore surfaces
+        from the first reader that selects it, not from this scan.
         """
         self._ensure_index()
         size = self._stable.size
@@ -453,23 +518,40 @@ class LogManager:
         if physical >= size:
             if physical == size:
                 return
-            raise LogCorruptionError(
-                f"torn frame header at offset {physical}"
+            raise self._corruption(
+                start, f"torn frame header at offset {physical}"
             )
-        if self._index_lookup(start) is not None:
+        first = bisect_left(self._index_lsns, start)
+        on_boundary = (
+            first < len(self._index_lsns)
+            and self._index_lsns[first] == start
+        )
+        if on_boundary:
             self.stats.index_hits += 1
         suffix = self._read_range(physical, size - physical)
         offset = 0
-        while True:
-            result = read_frame(suffix, offset)
-            if result is None:
-                return
-            payload, next_offset = result
-            yield (
-                self._base_lsn + physical + offset,
-                decode_record(payload),
-            )
-            offset = next_offset
+        selected = None
+        if kinds is not None:
+            wanted = {record_kind(cls) for cls in kinds}
+            selected = bytes(kind in wanted for kind in range(256))
+            if on_boundary:
+                # The columns are copied: the caller may append, flush
+                # or truncate while this generator is suspended.
+                chosen = compress(
+                    self._index_lsns[first:],
+                    self._index_kinds[first:].translate(selected),
+                )
+                # Whatever the index could not vouch for (bytes past a
+                # frame it refused) is walked below, like any scan.
+                offset = self._indexed_upto - physical
+                for lsn in chosen:
+                    record, __ = self._decode_frame(lsn, suffix, lsn - start)
+                    yield lsn, record
+        while offset < len(suffix):
+            lsn = start + offset
+            record, offset = self._decode_frame(lsn, suffix, offset, selected)
+            if record is not None:
+                yield lsn, record
 
     def read_record(self, lsn: int) -> LogRecord:
         """Read the single record whose frame starts at ``lsn``.
@@ -491,17 +573,18 @@ class LogManager:
         if length is not None:
             self.stats.index_hits += 1
             chunk = self._read_range(physical, length)
-            result = read_frame(chunk, 0)
-        else:
-            # Not indexed (corrupt region, or an offset that is not a
-            # record boundary): read incrementally — header, then
-            # payload — with the same failure modes a full-file read
-            # would surface.
+            return self._decode_frame(lsn, chunk, 0)[0]
+        # Not indexed (corrupt region, or an offset that is not a
+        # record boundary): read incrementally — header, then
+        # payload — with the same failure modes a full-file read
+        # would surface.
+        try:
             result = read_frame_incremental(self._read_range, physical, size)
-        if result is None:
-            raise InvariantViolationError(f"no record at LSN {lsn}")
-        payload, __ = result
-        return decode_record(payload)
+            if result is None:
+                raise InvariantViolationError(f"no record at LSN {lsn}")
+            return decode_record(result[0])
+        except LogCorruptionError as exc:
+            raise self._corruption(lsn, exc) from None
 
     def component_chains(self, from_lsn: int = 0) -> dict[int, list[int]]:
         """Per-component frame chains over the stable log from
@@ -589,6 +672,7 @@ class LogManager:
         cut = bisect_left(self._index_lsns, keep_from_lsn)
         del self._index_lsns[:cut]
         del self._index_lengths[:cut]
+        del self._index_kinds[:cut]
         self._indexed_upto = max(0, self._indexed_upto - nbytes)
         self._index_stale_block = None
         self._base_lsn = keep_from_lsn

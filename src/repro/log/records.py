@@ -168,6 +168,44 @@ _TAG_CHECKPOINT_REMOTE_TYPES = 7
 _TAG_CHECKPOINT_LAST_CALLS = 8
 _TAG_END_CHECKPOINT = 9
 
+# The payload's first byte names the record's class.  The log manager
+# keeps it as a column of its frame index, so a reader can select
+# records by class without decoding the ones it does not want.
+_KIND_BY_CLASS: dict[type[LogRecord], int] = {
+    MessageRecord: _TAG_MESSAGE,
+    CreationRecord: _TAG_CREATION,
+    ContextStateRecord: _TAG_CONTEXT_STATE,
+    LastCallReplyRecord: _TAG_LAST_CALL_REPLY,
+    BeginCheckpointRecord: _TAG_BEGIN_CHECKPOINT,
+    CheckpointContextTableRecord: _TAG_CHECKPOINT_CONTEXTS,
+    CheckpointRemoteTypeRecord: _TAG_CHECKPOINT_REMOTE_TYPES,
+    CheckpointLastCallRecord: _TAG_CHECKPOINT_LAST_CALLS,
+    EndCheckpointRecord: _TAG_END_CHECKPOINT,
+}
+_KNOWN_KINDS = frozenset(_KIND_BY_CLASS.values())
+
+
+def record_kind(record_class: type[LogRecord]) -> int:
+    """The kind byte every payload of ``record_class`` starts with."""
+    try:
+        return _KIND_BY_CLASS[record_class]
+    except KeyError:
+        raise LogCorruptionError(
+            f"unknown record class {record_class.__name__}"
+        ) from None
+
+
+def payload_kind(payload: bytes) -> int:
+    """The kind byte of a frame payload, without decoding the rest.
+
+    A payload whose first byte names no record class is corrupt even
+    when its CRC holds, and says so here: indexing a frame by kind (and
+    later skipping it unread) must never be what hides it."""
+    if not payload or payload[0] not in _KNOWN_KINDS:
+        tag = payload[0] if payload else "missing"
+        raise LogCorruptionError(f"unknown record tag {tag}")
+    return payload[0]
+
 
 def encode_record(record: LogRecord) -> bytes:
     """Serialize a record into a frame payload."""

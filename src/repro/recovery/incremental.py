@@ -34,19 +34,14 @@ RECOVERED the table detaches itself from the process.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
 from ..core.tables import NO_LSN
-from ..errors import CrashSignal, RecoveryError
+from ..errors import CrashSignal, LogCorruptionError, RecoveryError
 from ..faults import plane as faultplane
 from ..log.records import (
-    BeginCheckpointRecord,
-    CheckpointContextTableRecord,
-    CheckpointLastCallRecord,
-    CheckpointRemoteTypeRecord,
-    ContextStateRecord,
     CreationRecord,
-    EndCheckpointRecord,
     LastCallReplyRecord,
     MessageRecord,
 )
@@ -58,15 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
 PENDING = "pending"
 REPLAYING = "replaying"
 RECOVERED = "recovered"
-
-_SKIP_KINDS = (
-    BeginCheckpointRecord,
-    EndCheckpointRecord,
-    CheckpointContextTableRecord,
-    CheckpointRemoteTypeRecord,
-    CheckpointLastCallRecord,
-    ContextStateRecord,
-)
 
 
 class ComponentWatermark:
@@ -132,10 +118,11 @@ class PendingRecovery:
         for info in discoveries.values():
             restored = info.state is not None
             chain = chains_by_stream[info.stream].get(info.context_id, [])
+            # Chains are sorted: cut at the first LSN still to apply.
             if restored:
-                tail = [lsn for lsn in chain if lsn > info.state_lsn]
+                tail = chain[bisect_right(chain, info.state_lsn):]
             else:
-                tail = [lsn for lsn in chain if lsn >= info.creation_lsn]
+                tail = chain[bisect_left(chain, info.creation_lsn):]
             mark = ComponentWatermark(
                 info.context_id, restored, info.state_lsn, tail
             )
@@ -243,29 +230,36 @@ class PendingRecovery:
         )
         manager = RecoveryManager(process)
         manager._reply_watermarks = self.reply_watermarks
-        for lsn in mark.chain:
-            record = log.read_record(lsn)
-            if isinstance(record, _SKIP_KINDS):
-                continue
-            if isinstance(record, CreationRecord):
-                if mark.restored:
-                    continue
-                manager._pending[context_id] = _Pending(
-                    order=manager._next_order(), creation=record
-                )
-            elif isinstance(record, LastCallReplyRecord):
-                if reply_floor != NO_LSN and lsn <= reply_floor:
-                    continue  # the checkpoint's table already covers it
-                process.last_calls.seed(
-                    record.caller_key,
-                    record.call_id,
-                    record.context_id,
-                    reply=record.reply,
-                    reply_lsn=lsn,
-                )
-            elif isinstance(record, MessageRecord):
-                manager._scan_message(context_id, lsn, record)
-        manager.drain_context(context_id)
+        try:
+            for lsn in mark.chain:
+                record = log.read_record(lsn)
+                if isinstance(record, CreationRecord):
+                    if mark.restored:
+                        continue
+                    manager._pending[context_id] = _Pending(
+                        order=manager._next_order(), creation=record
+                    )
+                elif isinstance(record, LastCallReplyRecord):
+                    if reply_floor != NO_LSN and lsn <= reply_floor:
+                        continue  # the checkpoint's table covers it
+                    process.last_calls.seed(
+                        record.caller_key,
+                        record.call_id,
+                        record.context_id,
+                        reply=record.reply,
+                        reply_lsn=lsn,
+                    )
+                elif isinstance(record, MessageRecord):
+                    manager._scan_message(context_id, lsn, record)
+            manager.drain_context(context_id)
+        except LogCorruptionError:
+            # The chain cannot be read, so this component is half
+            # replayed and its mark would stay REPLAYING, which later
+            # touches take for their own re-entrant replay and execute
+            # against.  Same rule as RecoveryService.restart: the
+            # process stays crashed and every retry gets this error.
+            process.crash()
+            raise
         # Replay effects (regenerated records of live-continued calls)
         # become stable before the component is declared recovered —
         # the per-component equivalent of eager recovery's final force.

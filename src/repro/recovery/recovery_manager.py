@@ -39,20 +39,30 @@ from ..core.tables import ContextTableEntry, NO_LSN
 from ..errors import RecoveryError
 from ..faults import plane as faultplane
 from ..log.records import (
-    BeginCheckpointRecord,
     CheckpointContextTableRecord,
     CheckpointLastCallRecord,
     CheckpointRemoteTypeRecord,
     ContextStateRecord,
     CreationRecord,
-    EndCheckpointRecord,
     LastCallReplyRecord,
-    LogRecord,
     MessageRecord,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.process import AppProcess
+
+# What each pass consumes (Section 4.4).  The scans ask the log for
+# these kinds only; every other frame is skipped through the log's kind
+# index without being decoded.  Begin/end checkpoint records are read by
+# neither pass.
+_PASS_ONE_KINDS = (
+    CreationRecord,
+    ContextStateRecord,
+    CheckpointContextTableRecord,
+    CheckpointRemoteTypeRecord,
+    CheckpointLastCallRecord,
+)
+_PASS_TWO_KINDS = (CreationRecord, LastCallReplyRecord, MessageRecord)
 
 
 @dataclass
@@ -302,7 +312,7 @@ class RecoveryManager:
                 discoveries[context_id] = _ContextDiscovery(context_id)
             return discoveries[context_id]
 
-        for lsn, record in log.scan(start):
+        for lsn, record in log.scan(start, kinds=_PASS_ONE_KINDS):
             if isinstance(record, CreationRecord):
                 info = discovery(record.context_id)
                 info.stream = index
@@ -333,8 +343,6 @@ class RecoveryManager:
                         NO_LSN,
                         reply_lsn=entry.reply_lsn,
                     )
-            # Message, last-call-reply and begin/end checkpoint records
-            # are pass-2 material.
 
     def _materialize_pointers(
         self, discoveries: dict[int, _ContextDiscovery]
@@ -428,23 +436,11 @@ class RecoveryManager:
             info.context_id: info.state_lsn for info in discoveries.values()
         }
 
-        for lsn, record in process.log.scan(start):
+        for lsn, record in process.log.scan(start, kinds=_PASS_TWO_KINDS):
             context_id = record.context_id
             threshold = skip_before.get(context_id, NO_LSN)
             if threshold != NO_LSN and lsn <= threshold:
                 continue  # earlier than the restored state record
-            if isinstance(
-                record,
-                (
-                    BeginCheckpointRecord,
-                    EndCheckpointRecord,
-                    CheckpointContextTableRecord,
-                    CheckpointRemoteTypeRecord,
-                    CheckpointLastCallRecord,
-                    ContextStateRecord,
-                ),
-            ):
-                continue
             if isinstance(record, CreationRecord):
                 info = discoveries.get(context_id)
                 if info is not None and info.state is not None:
@@ -683,7 +679,9 @@ def recover_context(context: Context) -> None:
         restored = True
 
     manager = RecoveryManager(process)
-    for lsn, record in log.scan(start):
+    # The process is live, so its last-call table is intact: only this
+    # context's creation and message records are replayed.
+    for lsn, record in log.scan(start, kinds=(CreationRecord, MessageRecord)):
         if record.context_id != context.context_id:
             continue
         if restored and lsn <= entry.state_record_lsn:

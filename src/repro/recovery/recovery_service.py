@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..errors import InvariantViolationError
+from ..errors import InvariantViolationError, LogCorruptionError
 from ..log.serialization import (
     Reader,
     Writer,
@@ -118,6 +118,13 @@ class RecoveryService:
             return
         process.begin_restart()
         process.logical_pid = self.logical_pid_of(process.name)
-        RecoveryManager(process).recover()
+        try:
+            RecoveryManager(process).recover()
+        except LogCorruptionError:
+            # A log that cannot be read leaves the process crashed: the
+            # next call retries recovery and gets the same typed error,
+            # never a half-recovered process to execute against.
+            process.crash()
+            raise
         process.finish_recovery()
         self._crashed.discard(process.name)

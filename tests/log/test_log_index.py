@@ -8,14 +8,36 @@ reads fetch only their own frame, never the whole log.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common import MessageKind, MethodCallMessage
+from repro.common import (
+    GlobalCallId,
+    MessageKind,
+    MethodCallMessage,
+    ReplyMessage,
+)
 from repro.errors import (
     InvariantViolationError,
     LogCorruptionError,
     SerializationError,
 )
-from repro.log import LogManager, MessageRecord
+from repro.log import (
+    BeginCheckpointRecord,
+    CheckpointContextEntry,
+    CheckpointContextTableRecord,
+    CheckpointLastCallRecord,
+    CheckpointRemoteTypeRecord,
+    ContextStateRecord,
+    CreationRecord,
+    EndCheckpointRecord,
+    LastCallReplyRecord,
+    LogManager,
+    MessageRecord,
+    frame,
+    iter_frames,
+    log_manager,
+)
 from repro.sim import Cluster
 
 
@@ -163,3 +185,212 @@ class TestAppendExceptionSafety:
         log.force()
         assert [payload_of(r) for _, r in log.scan()] == [0, 1]
         assert payload_of(log.read_record(lsn)) == 1
+
+
+# ----------------------------------------------------------------------
+# the kind column: scan(from_lsn, kinds=...)
+# ----------------------------------------------------------------------
+CALL = GlobalCallId("alpha", 1, 1, 1)
+
+#: One constructor per record class, each taking a small integer.
+MAKERS = (
+    record,
+    lambda n: CreationRecord(
+        context_id=n, component_lid=n, class_name="C", args=(n,)
+    ),
+    lambda n: ContextStateRecord(context_id=n, incoming_calls_handled=n),
+    lambda n: LastCallReplyRecord(
+        context_id=n,
+        caller_key=CALL.caller_key,
+        call_id=CALL,
+        reply=ReplyMessage(call_id=CALL, value=n),
+    ),
+    lambda n: BeginCheckpointRecord(context_id=-1),
+    lambda n: CheckpointContextTableRecord(
+        context_id=-1, entries=(CheckpointContextEntry(n, "u", -1, n),)
+    ),
+    lambda n: CheckpointRemoteTypeRecord(context_id=-1),
+    lambda n: CheckpointLastCallRecord(context_id=-1),
+    lambda n: EndCheckpointRecord(context_id=-1, begin_lsn=n),
+)
+KINDS = tuple(type(make(0)) for make in MAKERS)
+
+
+def _fresh(records, machine):
+    log = LogManager("p1", machine.disk, machine.stable_store, 256)
+    for rec in records:
+        log.append(rec)
+    log.force()
+    return log
+
+
+def _truncated(records, machine):
+    log = _fresh(records, machine)
+    lsns = [lsn for lsn, __ in log.scan()]
+    log.truncate_prefix(lsns[len(lsns) // 3])
+    return log
+
+
+def _repaired(records, machine):
+    log = _fresh(records, machine)
+    stable = machine.stable_store.open("p1.log")
+    stable.truncate(stable.size - 3)  # tear the last frame
+    log.repair_tail()
+    return log
+
+
+def _shrunk(records, machine):
+    """The file lost its last frame under the index (no repair yet)."""
+    log = _fresh(records, machine)
+    lsns = [lsn for lsn, __ in log.scan()]
+    machine.stable_store.open("p1.log").truncate(lsns[-1])
+    return log
+
+
+def _reopened(records, machine):
+    _fresh(records, machine)
+    return LogManager("p1", machine.disk, machine.stable_store)
+
+
+def _flushed_onto_unindexed(records, machine):
+    half = len(records) // 2
+    _fresh(records[:half], machine)
+    second = LogManager("p1", machine.disk, machine.stable_store)
+    for rec in records[half:]:
+        second.append(rec)
+    second.force()
+    return second
+
+
+INDEX_WRITERS = (
+    _fresh,
+    _truncated,
+    _repaired,
+    _shrunk,
+    _reopened,
+    _flushed_onto_unindexed,
+)
+
+
+def assert_filtered_scans_agree(log, kinds, pick=None):
+    """``scan(kinds=K)`` is the unfiltered scan filtered by type, from
+    every record boundary (or only the ``pick``-th one)."""
+    everything = list(log.scan())
+    end = log.base_lsn + log.stable_store.open("p1.log").size
+    starts = [0] + [lsn for lsn, __ in everything] + [end]
+    if pick is not None:
+        starts = [starts[pick % len(starts)]]
+    for start in starts:
+        expected = [
+            (lsn, rec)
+            for lsn, rec in everything
+            if lsn >= start and type(rec) in kinds
+        ]
+        assert list(log.scan(start, kinds=kinds)) == expected
+    # the three index columns stay parallel
+    assert (
+        len(log._index_lsns)
+        == len(log._index_lengths)
+        == len(log._index_kinds)
+    )
+
+
+class TestFilteredScan:
+    @given(
+        mix=st.lists(
+            st.tuples(st.integers(0, len(MAKERS) - 1), st.integers(0, 300)),
+            min_size=3,
+            max_size=40,
+        ),
+        kinds=st.sets(st.sampled_from(KINDS)),
+        pick=st.integers(0, 100),
+        build=st.sampled_from(INDEX_WRITERS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_unfiltered_scan_filtered_by_type(
+        self, mix, kinds, pick, build
+    ):
+        records = [MAKERS[which](n) for which, n in mix]
+        log = build(records, Cluster().machine("alpha"))
+        assert_filtered_scans_agree(log, kinds, pick)
+
+    def test_every_index_writer_from_every_boundary(self):
+        records = [MAKERS[i % len(MAKERS)](i) for i in range(30)]
+        for build in INDEX_WRITERS:
+            log = build(records, Cluster().machine("alpha"))
+            for kind in KINDS:
+                assert_filtered_scans_agree(log, {kind})
+            assert_filtered_scans_agree(log, set(KINDS))
+            assert_filtered_scans_agree(log, set())
+
+    def test_unselected_frames_are_not_decoded(self, log, monkeypatch):
+        for i in range(50):
+            log.append(record(i))
+        creation_lsn = log.append(MAKERS[1](7))
+        for i in range(50):
+            log.append(record(i))
+        log.force()
+        decoded = []
+        real = log_manager.decode_record
+        monkeypatch.setattr(
+            log_manager,
+            "decode_record",
+            lambda payload: decoded.append(1) or real(payload),
+        )
+        assert list(log.scan(kinds={CreationRecord})) == [
+            (creation_lsn, MAKERS[1](7))
+        ]
+        assert len(decoded) == 1
+
+    def test_start_inside_a_frame_is_still_an_error(self, log):
+        lsns = [log.append_and_force(MAKERS[i](i)) for i in range(3)]
+        with pytest.raises(LogCorruptionError, match=f"LSN {lsns[1] + 1}"):
+            list(log.scan(lsns[1] + 1, kinds={CreationRecord}))
+
+    def test_kind_column_across_two_crashes(self, log):
+        """crash -> recover -> crash -> recover: the column survives
+        ``wipe_volatile``, is rebuilt by ``repair_tail``, and a reused
+        LSN takes the kind of the record that now lives there."""
+        for i in range(6):
+            log.append(MAKERS[i % 3](i))
+        log.force()
+        reused = log.append(MAKERS[1](99))  # a creation record, buffered
+        log.wipe_volatile()
+        assert_filtered_scans_agree(log, {CreationRecord})
+        log.repair_tail()
+        assert_filtered_scans_agree(log, {CreationRecord})
+        # the next incarnation writes a *message* record at that LSN
+        assert log.append_and_force(record("second life")) == reused
+        log.append_and_force(MAKERS[1](100))
+        stable = log.stable_store.open("p1.log")
+        stable.truncate(stable.size - 2)  # the second crash tears the tail
+        log.wipe_volatile()
+        log.repair_tail()
+        assert [lsn for lsn, __ in log.scan(kinds={CreationRecord})] == [
+            lsn
+            for lsn, rec in log.scan()
+            if isinstance(rec, CreationRecord)
+        ]
+        assert reused in [lsn for lsn, __ in log.scan(kinds={MessageRecord})]
+        assert_filtered_scans_agree(log, {CreationRecord, MessageRecord})
+
+    def test_unknown_kind_is_never_filtered_out(self, machine):
+        """A CRC-valid frame whose kind byte names no record class
+        raises from the kind lookup wherever the index meets it."""
+        first = _fresh([MAKERS[1](1), record(2), MAKERS[1](3)], machine)
+        bad_lsn = [lsn for lsn, __ in first.scan()][1]
+        stable = machine.stable_store.open("p1.log")
+        frames = [payload for __, payload, ___ in iter_frames(stable.read())]
+        frames[1] = b"\xee" + frames[1][1:]
+        stable.overwrite(b"".join(frame(payload) for payload in frames))
+        # lazily indexed by a fresh manager, filtered or not
+        for kinds in (None, {CreationRecord}):
+            reopened = LogManager("p1", machine.disk, machine.stable_store)
+            with pytest.raises(LogCorruptionError) as raised:
+                list(reopened.scan(kinds=kinds))
+            assert "unknown record tag 238" in str(raised.value)
+            assert f"log 'p1', LSN {bad_lsn}:" in str(raised.value)
+        # and by the validating walk of a restart
+        with pytest.raises(LogCorruptionError, match=f"LSN {bad_lsn}:"):
+            first.repair_tail()
+        assert stable.size == first.stable_lsn  # nothing was cut off
