@@ -100,12 +100,16 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Hot-path guardrails: the log read/write microbenchmark, the Table 7
-# recovery benchmark that exercises replay end to end, and the smoke
-# sizes of the on-demand recovery latency benchmark (run the latter
-# with REPRO_BENCH_FULL=1 to regenerate BENCH_recovery.json).
+# recovery benchmark that exercises replay end to end, the smoke sizes
+# of the on-demand recovery latency benchmark (run the latter with
+# REPRO_BENCH_FULL=1 to regenerate BENCH_recovery.json), and the
+# concurrent-throughput benchmark with its bookkeeping guardrail:
+# scheduler-loop self time per step at N=64 over N=8 as a ratio, and
+# vector-clock bytes per traced event.
 perf:
 	pytest benchmarks/bench_log_hotpath.py benchmarks/bench_table7_recovery.py \
-		benchmarks/bench_recovery_latency.py --benchmark-only -s
+		benchmarks/bench_recovery_latency.py \
+		benchmarks/bench_concurrent_throughput.py --benchmark-only -s
 
 # The perf/ benchmark at 1/20 size plus its self-test: a refactor that
 # renames an entry point perf/README.md lists under "What the benchmark

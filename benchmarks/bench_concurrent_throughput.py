@@ -17,13 +17,19 @@ call fall further and throughput rises.
 runs the full N=1..64 series and rewrites the committed
 ``BENCH_concurrent.json`` (simulated clocks make the numbers
 deterministic, so the file is byte-stable across machines).
+
+``bench_bookkeeping_does_not_grow_with_sessions`` guards the wall-clock
+side: what the scheduler loop and the trace's vector clocks cost per
+step and per event must not track the session count.
 """
 
 import json
 import os
 from pathlib import Path
+from time import perf_counter_ns
 
-from repro.concurrency.bench import _run
+from repro.concurrency import DeterministicScheduler
+from repro.concurrency.bench import _run, clock_bytes_per_traced_event
 from repro.concurrency.bench import bench_concurrent_throughput as experiment
 
 from conftest import run_experiment
@@ -146,6 +152,77 @@ def bench_concurrent_throughput(benchmark):
             )
             + "\n"
         )
+
+
+def _loop_self_us_per_step(sessions: int, repeats: int = 5) -> float:
+    """The main loop's own wall time per scheduling step — time inside
+    ``_loop`` minus time inside ``_resume`` (where the sessions run) —
+    over a pipelined run.  Pinned to one core like ``perf/`` (exactly
+    one turnstile thread is runnable at a time; unpinned, where the OS
+    puts the woken thread doubles the spread); best of ``repeats``,
+    because interference only ever adds time."""
+    loop, resume = DeterministicScheduler._loop, DeterministicScheduler._resume
+    spent = {}
+
+    def timed_loop(self):
+        started = perf_counter_ns()
+        try:
+            loop(self)
+        finally:
+            spent["loop"] += perf_counter_ns() - started
+            spent["steps"] += self._step_index
+
+    def timed_resume(self, session):
+        started = perf_counter_ns()
+        try:
+            resume(self, session)
+        finally:
+            spent["resume"] += perf_counter_ns() - started
+
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if allowed:
+        os.sched_setaffinity(0, {max(allowed)})
+    DeterministicScheduler._loop = timed_loop
+    DeterministicScheduler._resume = timed_resume
+    try:
+        best = float("inf")
+        for __ in range(repeats):
+            spent.update(loop=0, resume=0, steps=0)
+            _run(
+                sessions, group_commit=True,
+                calls_per_session=CALLS_PER_SESSION, pipelined=True,
+            )
+            self_ns = spent["loop"] - spent["resume"]
+            best = min(best, self_ns / spent["steps"] / 1e3)
+        return best
+    finally:
+        DeterministicScheduler._loop = loop
+        DeterministicScheduler._resume = resume
+        if allowed:
+            os.sched_setaffinity(0, allowed)
+
+
+#: Loop self time per step at N=64 over N=8.  Flat it is not: most of 64
+#: sessions wait on a commit window and each blocked predicate is still
+#: polled every step (O(blocked)).  This loop measures 1.42-1.46 (7.1 ->
+#: 10.2 us); the four-walks-over-every-session loop it replaced
+#: 2.09-2.17 (9.4 -> 20.3 us).
+LOOP_SELF_RATIO_MAX = 1.75
+
+
+def bench_bookkeeping_does_not_grow_with_sessions(benchmark):
+    small, big = benchmark.pedantic(
+        lambda: (_loop_self_us_per_step(8), _loop_self_us_per_step(64)),
+        iterations=1, rounds=1,
+    )
+    per_event = clock_bytes_per_traced_event(64)
+    print(
+        f"\nloop self time per step: N=8 {small:.2f} us, N=64 {big:.2f} us "
+        f"(ratio {big / small:.2f}); vector-clock bytes per traced event "
+        f"at N=64: {per_event:.0f}"
+    )
+    assert big / small <= LOOP_SELF_RATIO_MAX, (small, big)
+    assert per_event <= 1024, per_event
 
 
 if __name__ == "__main__":

@@ -73,9 +73,10 @@ class TraceEvent:
     #: TRC101 checks stability against this rather than ``end_lsn``
     commit_lsn: int | None = None
     #: the serving session's vector clock at the decision, frozen as a
-    #: sorted ``((session, ticks), ...)`` tuple (``None`` under the
-    #: serial runtime); TRC107/TRC108 derive happens-before from it
-    vc: tuple[tuple[int, int], ...] | None = None
+    #: dense tuple of ticks indexed by session number, zero = nothing
+    #: observed (``None`` under the serial runtime); TRC107/TRC108
+    #: derive happens-before from it
+    vc: tuple[int, ...] | None = None
     #: the decision happened while the context was replaying logged
     #: calls during recovery — a reconstruction of pre-crash history,
     #: exempt from the causal invariants (the CrashMark already

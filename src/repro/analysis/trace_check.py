@@ -289,9 +289,10 @@ class _CausalIndex:
         """Max record LSN among surviving appends happens-before a
         decision observed at snapshot ``vc``."""
         best = self._serial_max
-        for session, view in vc:
+        for session, view in enumerate(vc):
             comps = self._comps.get(session)
-            if not comps:
+            # view 0: this decision never heard from that session
+            if not view or not comps:
                 continue
             idx = bisect_right(comps, view)
             if idx and self._maxes[session][idx - 1] > best:

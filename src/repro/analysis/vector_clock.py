@@ -14,9 +14,13 @@ Two representations are used:
 
 * **live clocks** are plain ``dict[int, int]`` (session index -> tick
   count), mutated in place by the scheduler;
-* **snapshots** are sorted ``tuple[tuple[int, int], ...]`` frozen onto
-  ``TraceEvent.vc`` at the moment a logging decision is traced.  A
-  missing session entry means zero ticks observed.
+* **snapshots** are dense ``tuple[int, ...]`` indexed by session
+  number, frozen onto ``TraceEvent.vc`` at the moment a logging decision
+  is traced.  Zero — or an index past the end — means nothing observed
+  of that session; the last entry is never zero, so equal clocks freeze
+  to equal snapshots.  One flat tuple per event holds only references
+  to the live clock's own ints: no per-session pair objects for the
+  collector to track, and ``component`` is an index, not a scan.
 
 The happens-before rule is the standard one, with a trace-order
 tiebreak: for events ``f`` (earlier in trace order) and ``e``,
@@ -29,7 +33,7 @@ because the main thread only runs while no scheduler run is active.
 
 from __future__ import annotations
 
-Snapshot = tuple[tuple[int, int], ...]
+Snapshot = tuple[int, ...]
 
 
 def fresh_clock() -> dict[int, int]:
@@ -51,15 +55,17 @@ def merge_into(dst: dict[int, int], src: dict[int, int]) -> None:
 
 def snapshot(clock: dict[int, int]) -> Snapshot:
     """Freeze a live clock into the form stored on ``TraceEvent.vc``."""
-    return tuple(sorted(clock.items()))
+    if not clock:
+        return ()
+    dense = [0] * (max(clock) + 1)
+    for session, count in clock.items():
+        dense[session] = count
+    return tuple(dense)
 
 
 def component(vc: Snapshot, session: int) -> int:
     """``session``'s entry in a snapshot (zero when absent)."""
-    for who, count in vc:
-        if who == session:
-            return count
-    return 0
+    return vc[session] if session < len(vc) else 0
 
 
 def happens_before(f_vc: Snapshot | None, f_session: int | None,

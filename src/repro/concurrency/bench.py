@@ -33,8 +33,11 @@ large N).
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from dataclasses import dataclass
 
+from ..analysis import vector_clock
 from ..bench.reporting import Cell, ExperimentTable
 from ..core import PersistentComponent, PhoenixRuntime, persistent
 from ..core.config import RuntimeConfig
@@ -138,14 +141,15 @@ class _Run:
         return self.calls / (self.elapsed_ms / 1000.0)
 
 
-def _run(
+def _deploy(
     sessions: int,
     group_commit: bool,
     calls_per_session: int,
     pipelined: bool = False,
-    seed: int = BENCH_SEED,
     sharded: bool = False,
-) -> _Run:
+):
+    """The two-tier deployment and its session programs: ``(runtime,
+    (front, back), session functions)``."""
     config = RuntimeConfig.optimized(
         group_commit=group_commit,
         pipelined_commit=pipelined,
@@ -184,7 +188,47 @@ def _run(
 
         return session
 
-    processes = (front, back)
+    return runtime, (front, back), [make_session(i) for i in range(sessions)]
+
+
+def clock_bytes_per_traced_event(
+    sessions: int = 64, calls_per_session: int = 6
+) -> float:
+    """What vector clocks leave allocated per traced logging decision:
+    bytes ``tracemalloc`` attributes to ``analysis/vector_clock.py``
+    (each event's frozen snapshot, plus the live clocks' ints) once a
+    pipelined run has finished, over the run's trace length."""
+    runtime, processes, session_fns = _deploy(
+        sessions, group_commit=True, calls_per_session=calls_per_session,
+        pipelined=True,
+    )
+    scheduler = DeterministicScheduler(runtime, seed=BENCH_SEED)
+    tracemalloc.start()
+    try:
+        scheduler.run(session_fns)
+        gc.collect()
+        retained = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, vector_clock.__file__)]
+        )
+    finally:
+        tracemalloc.stop()
+    events = sum(
+        len(stream.trace.entries) for p in processes for stream in p.streams
+    )
+    return sum(trace.size for trace in retained.traces) / events
+
+
+def _run(
+    sessions: int,
+    group_commit: bool,
+    calls_per_session: int,
+    pipelined: bool = False,
+    seed: int = BENCH_SEED,
+    sharded: bool = False,
+) -> _Run:
+    runtime, processes, session_fns = _deploy(
+        sessions, group_commit, calls_per_session, pipelined, sharded
+    )
     # All streams of both processes (flag-off: exactly the two legacy
     # logs) — sharded runs force the shard streams, so the stats delta
     # must sum across them.
@@ -192,7 +236,7 @@ def _run(
     stats_before = [log.stats.snapshot() for log in logs]
     started = runtime.clock.now
     scheduler = DeterministicScheduler(runtime, seed=seed)
-    scheduler.run([make_session(i) for i in range(sessions)])
+    scheduler.run(session_fns)
     stats = [log.stats for log in logs]
     from ..analysis.trace_check import check_runtime
 

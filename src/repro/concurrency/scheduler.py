@@ -50,7 +50,9 @@ then possibly recovered) process.
 from __future__ import annotations
 
 import threading
+from bisect import insort
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..analysis import vector_clock
@@ -76,12 +78,24 @@ _BLOCKED = "blocked"
 _DONE = "done"
 _FAILED = "failed"
 
+_INDEX = attrgetter("index")
+#: How long run() waits for each finished session thread to exit.
+_JOIN_TIMEOUT_S = 30.0
+
+
+def _held_lock():
+    """One half of a turnstile: a raw lock its waiter acquires to park
+    and the other side releases to hand over the turn."""
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
 
 class Session:
     """One client session: a function running on its own (parked) thread."""
 
     __slots__ = (
-        "index", "fn", "state", "event", "thread", "result", "error",
+        "index", "fn", "state", "turn", "thread", "result", "error",
         "predicate", "block_tag", "frames", "system", "step_touches",
     )
 
@@ -89,7 +103,7 @@ class Session:
         self.index = index
         self.fn = fn
         self.state = _READY
-        self.event = threading.Event()
+        self.turn = _held_lock()
         self.thread: threading.Thread | None = None
         self.result: object = None
         self.error: BaseException | None = None
@@ -172,7 +186,7 @@ class DeterministicScheduler:
         )
         self.sessions: list[Session] = []
         self._by_thread: dict[int, Session] = {}
-        self._main_event = threading.Event()
+        self._main_turn = _held_lock()
         self._abort = False
         self.active = False
         self._batches: dict["ForceCoalescer", GroupCommitBatch] = {}
@@ -344,29 +358,46 @@ class DeterministicScheduler:
             self._by_thread.clear()
             for session in self.sessions:
                 if session.thread is not None:
-                    session.thread.join(timeout=30)
+                    session.thread.join(timeout=_JOIN_TIMEOUT_S)
         for session in self.sessions:
             if session.state == _FAILED and session.error is not None:
                 raise session.error
+        # Reached only with no error propagating: nothing to mask.  A
+        # thread that outlives run() would act on the next run's state.
+        for session in self.sessions:
+            if session.thread is not None and session.thread.is_alive():
+                raise InvariantViolationError(  # repr names the block_tag
+                    f"{session!r}: session thread still alive "
+                    f"{_JOIN_TIMEOUT_S:g}s after run() tore it down"
+                )
         return [s.result for s in self.sessions if not s.system]
 
     def _loop(self) -> None:
+        # ``ready`` (sorted by session index: what a full rescan would
+        # hand the policy) and ``blocked`` live across iterations.  A
+        # step changes only the chosen session's state and only blocked
+        # sessions have a predicate to re-poll, so the per-step cost is
+        # O(blocked), not O(sessions).
+        ready: list[Session] = []
+        blocked: list[Session] = []
+        joined = 0
+        enabled: tuple[int, ...] | None = None
         while True:
-            live = [
-                s for s in self.sessions
-                if s.state not in (_DONE, _FAILED)
-            ]
-            if not live:
+            if joined < len(self.sessions):
+                # run()'s sessions, then spawn()ed ones: indices only grow.
+                ready.extend(self.sessions[joined:])
+                joined = len(self.sessions)
+                enabled = None
+            if not ready and not blocked:
                 return
             self._close_due_batches()
-            for session in live:
-                if (
-                    session.state == _BLOCKED
-                    and session.predicate is not None
-                    and session.predicate()
-                ):
+            woken = [s for s in blocked if s.predicate()]
+            if woken:
+                for session in woken:
                     session.state = _READY
-            ready = [s for s in live if s.state == _READY]
+                    insort(ready, session, key=_INDEX)
+                blocked = [s for s in blocked if s.state == _BLOCKED]
+                enabled = None
             if not ready:
                 # Everyone is blocked.  If a group-commit window is
                 # still open, the only missing event is simulated time:
@@ -375,7 +406,7 @@ class DeterministicScheduler:
                     continue
                 raise InvariantViolationError(
                     "scheduler deadlock: all sessions blocked: "
-                    + ", ".join(repr(s) for s in live)
+                    + ", ".join(repr(s) for s in sorted(blocked, key=_INDEX))
                 )
             chosen = self.policy.choose(ready, self)
             if chosen not in ready:
@@ -384,7 +415,8 @@ class DeterministicScheduler:
                 )
             park_tag = chosen.block_tag
             self._seed_touches(chosen, park_tag)
-            enabled = tuple(s.index for s in ready)
+            if enabled is None:
+                enabled = tuple(s.index for s in ready)
             self._resume(chosen)
             step = ScheduleStep(
                 index=self._step_index,
@@ -397,6 +429,11 @@ class DeterministicScheduler:
             )
             self._step_index += 1
             chosen.step_touches.clear()
+            if chosen.state != _READY:
+                ready.remove(chosen)
+                if chosen.state == _BLOCKED:
+                    blocked.append(chosen)
+                enabled = None
             self.policy.observe(step)
             if chosen.state == _FAILED:
                 return
@@ -451,8 +488,7 @@ class DeterministicScheduler:
 
     def _session_body(self, session: Session) -> None:
         self._by_thread[threading.get_ident()] = session
-        session.event.wait()
-        session.event.clear()
+        session.turn.acquire()
         try:
             if self._abort:
                 raise SchedulerAbort()
@@ -464,24 +500,18 @@ class DeterministicScheduler:
             session.error = exc
             session.state = _FAILED
         finally:
-            self._main_event.set()
+            self._main_turn.release()
 
     def _resume(self, session: Session) -> None:
         session.state = _RUNNING
-        self._main_event.clear()
-        session.event.set()
-        self._main_event.wait()
+        session.turn.release()
+        self._main_turn.acquire()
 
     def _switch_to_main(self, session: Session, state: str, tag: str) -> None:
         session.state = state
         session.block_tag = tag
-        # Clear our own event BEFORE waking the main thread: the main
-        # loop resumes us by setting it, and a clear after that set
-        # would swallow the resume.
-        session.event.clear()
-        self._main_event.set()
-        session.event.wait()
-        session.event.clear()
+        self._main_turn.release()
+        session.turn.acquire()
         session.block_tag = None
         if self._abort:
             raise SchedulerAbort()

@@ -233,7 +233,7 @@ class LoggingPolicy:
             log = self._log(context)
             scheduler = getattr(context.process.runtime, "scheduler", None)
             session: int | None = None
-            vc: tuple[tuple[int, int], ...] | None = None
+            vc: tuple[int, ...] | None = None
             if scheduler is not None and scheduler.active:
                 session = scheduler.current_session_id()
                 vc = scheduler.current_vc()

@@ -1,14 +1,24 @@
 """Deterministic cooperative scheduler: determinism, interleaving,
 failure semantics (docs/internals.md section 11)."""
 
+import json
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro import PhoenixRuntime, RuntimeConfig
+from repro.analysis import vector_clock
 from repro.analysis.trace_check import record_signature
 from repro.concurrency import DeterministicScheduler
+from repro.concurrency.bench import clock_bytes_per_traced_event
+from repro.concurrency.explore import derive_crash_specs, run_ledger
+from repro.concurrency.policies import ControlledPolicy, SeededRandomPolicy
 from repro.errors import InvariantViolationError
+from repro.faults.plane import CrashSpec
+from repro.faults.workloads import run_bookstore_concurrent_ondemand
 
 from ..conftest import Counter
 
@@ -250,5 +260,279 @@ class TestSpawn:
             if event.session == 1
         ]
         assert worker_events, "worker must reach the server trace"
-        first_vc = dict(worker_events[0].vc)
-        assert first_vc.get(0, 0) > 0, first_vc
+        first_vc = worker_events[0].vc
+        assert vector_clock.component(first_vc, 0) > 0, first_vc
+
+    def test_spawned_worker_traces_a_zero_own_component_before_its_first_tick(
+        self,
+    ):
+        """Until its first yield a spawned worker has never ticked: the
+        snapshot it would trace carries the spawner's components and
+        zero for itself (the dense form's "nothing observed")."""
+        runtime, __, counters = _deploy(1)
+        scheduler = DeterministicScheduler(runtime, seed=7)
+        seen = {}
+
+        def worker():
+            seen["worker"] = scheduler.current_vc()
+
+        def spawner():
+            counters[0].increment()
+            seen["index"] = scheduler.spawn(worker).index
+            seen["spawner"] = scheduler.current_vc()
+
+        scheduler.run([spawner])
+        assert seen["worker"] == seen["spawner"]
+        assert vector_clock.component(seen["worker"], 0) > 0
+        assert vector_clock.component(seen["worker"], seen["index"]) == 0
+
+
+@pytest.fixture
+def lingering_threads(monkeypatch):
+    """Make ``scheduler``'s session threads outlive their sessions (and
+    a shortened join timeout) until the test is over."""
+    release = threading.Event()
+    held = []
+
+    def hold(scheduler):
+        body = scheduler._session_body
+
+        def lingering_body(session):
+            body(session)
+            release.wait(30)
+
+        monkeypatch.setattr(scheduler, "_session_body", lingering_body)
+        held.append(scheduler)
+
+    monkeypatch.setattr("repro.concurrency.scheduler._JOIN_TIMEOUT_S", 0.05)
+    yield hold
+    release.set()
+    for scheduler in held:
+        for session in scheduler.sessions:
+            session.thread.join(30)
+            assert not session.thread.is_alive()
+
+
+class TestTeardown:
+    def test_leaked_session_thread_fails_the_run(self, lingering_threads):
+        """A session thread still alive after the join timeout would
+        survive into the next run() with ``_by_thread`` cleared under
+        it: run() must fail loudly, not return."""
+        runtime, __, counters = _deploy(1)
+        scheduler = DeterministicScheduler(runtime, seed=0)
+        lingering_threads(scheduler)
+        with pytest.raises(
+            InvariantViolationError,
+            match=r"Session\(#0, done\).*still alive",
+        ):
+            scheduler.run([counters[0].increment])
+        assert not scheduler.active
+
+    def test_a_session_error_outranks_the_leak_report(
+        self, lingering_threads
+    ):
+        runtime, __, counters = _deploy(1)
+        scheduler = DeterministicScheduler(runtime, seed=0)
+        lingering_threads(scheduler)
+
+        def bad():
+            counters[0].increment()
+            raise ValueError("session exploded")
+
+        with pytest.raises(ValueError, match="session exploded"):
+            scheduler.run([bad])
+
+
+class TestTurnstile:
+    def test_exactly_one_thread_runs_under_a_short_switch_interval(self):
+        """Stress the two-lock handoff: 32 session threads on a 2 us
+        switch interval, each doing preemptible Python work between
+        yields.  If a release ever let two threads through, two would be
+        inside at once; if a handoff were ever swallowed, the run would
+        never finish."""
+        runtime, __, __ = _deploy(1)
+        scheduler = DeterministicScheduler(runtime, seed=13)
+        inside = []
+        overlaps = []
+
+        def session():
+            for __ in range(200):
+                inside.append(None)
+                for __ in range(50):
+                    if len(inside) != 1:
+                        overlaps.append(len(inside))
+                inside.pop()
+                runtime.sched_yield("log.append:server")
+            return True
+
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.extend(scheduler.run([session] * 32)),
+            daemon=True,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(2e-6)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "turnstile wedged"
+        assert results == [True] * 32
+        assert overlaps == []
+
+
+class TestTraceFootprint:
+    def test_vector_clocks_stay_under_1_kib_per_traced_event_at_n64(self):
+        """One flat tuple per traced decision (64 x 8 bytes + header,
+        plus the live clocks' ints).  The pair-tuple form retained
+        ~3.4 KiB here: a 2-tuple per observed session per event."""
+        assert clock_bytes_per_traced_event(sessions=64) <= 1024
+
+
+# ----------------------------------------------------------------------
+# the incremental ready/blocked sets against a full rescan
+# ----------------------------------------------------------------------
+class _RescanCheck:
+    """Policy mixin: at every decision recompute the READY set the way
+    the loop used to (a scan of every session) and require the ``ready``
+    handed to ``choose`` — and the ``enabled`` on the resulting step —
+    to be exactly that."""
+
+    decisions = 0
+
+    def choose(self, ready, scheduler):
+        rescan = [s for s in scheduler.sessions if s.state == "ready"]
+        assert list(ready) == rescan, (ready, rescan)
+        self._rescan_enabled = tuple(s.index for s in rescan)
+        type(self).decisions += 1
+        return super().choose(ready, scheduler)
+
+    def observe(self, step):
+        assert step.enabled == self._rescan_enabled, step
+        super().observe(step)
+
+
+def _checking(base):
+    return type(f"Checking{base.__name__}", (_RescanCheck, base), {})
+
+
+class TestReadySetMatchesARescan:
+    def test_ledger_fault_free_and_crashed(self):
+        policy_cls = _checking(ControlledPolicy)
+        for specs in [(), *((spec,) for spec in derive_crash_specs())]:
+            result = run_ledger(2, policy_cls(), specs=specs)
+            assert result.error is None, result.error
+            assert not result.violations
+            assert result.fired == [spec.render() for spec in specs]
+        assert policy_cls.decisions > 0
+
+    def test_concurrent_bookstore_crash_with_drain_workers(
+        self, monkeypatch
+    ):
+        """Ghost unwinds after the crash, spawn()ed drain workers and
+        group-commit windows, all under the seeded draw."""
+        policy_cls = _checking(SeededRandomPolicy)
+        monkeypatch.setattr(
+            "repro.concurrency.scheduler.SeededRandomPolicy", policy_cls
+        )
+        golden = run_bookstore_concurrent_ondemand(record=True)
+        force_hits = [
+            hit
+            for hit in golden.journal
+            if hit.site.startswith("log.force.before:beta-bookstore-app")
+        ]
+        chosen = force_hits[len(force_hits) // 2]
+        armed = run_bookstore_concurrent_ondemand(
+            specs=(CrashSpec(chosen.site, chosen.occurrence),), record=True
+        )
+        assert armed.fired and armed.replies == golden.replies
+        assert not armed.violations
+        sites = {hit.site.split(":")[0] for hit in armed.journal}
+        assert "recovery.drain_worker" in sites
+        assert policy_cls.decisions > 0
+
+    def test_group_commit_sleep_to_deadline(self):
+        """A lone session under group commit has nobody to close its
+        window: every force ends with READY empty and a sleep to the
+        batch deadline."""
+        runtime, process, counters = _deploy(1, group_commit=True)
+        policy = _checking(SeededRandomPolicy)(3)
+        scheduler = DeterministicScheduler(runtime, policy=policy)
+        assert scheduler.run(
+            [lambda: [counters[0].increment() for __ in range(3)]]
+        ) == [[1, 2, 3]]
+        assert process.log.stats.group_commit_batches > 0
+        assert policy.decisions > 0
+
+    def test_deadlock_message_lists_every_blocked_session(self):
+        runtime, __, counters = _deploy(3)
+        policy = _checking(SeededRandomPolicy)(5)
+        scheduler = DeterministicScheduler(runtime, policy=policy)
+
+        def stuck(index):
+            def session():
+                counters[index].increment()
+                scheduler.block_until(lambda: False, tag=f"never-{index}")
+
+            return session
+
+        with pytest.raises(InvariantViolationError) as excinfo:
+            scheduler.run([stuck(i) for i in range(3)])
+        assert str(excinfo.value) == (
+            "scheduler deadlock: all sessions blocked: "
+            "Session(#0, blocked at never-0), "
+            "Session(#1, blocked at never-1), "
+            "Session(#2, blocked at never-2)"
+        )
+
+
+# ----------------------------------------------------------------------
+# the schedule itself is pinned
+# ----------------------------------------------------------------------
+PINNED_STEPS = Path(__file__).parent / "fixtures" / "steps_seed11.json"
+
+
+class _RecordingPolicy(SeededRandomPolicy):
+    def begin_run(self, scheduler):
+        self.steps = []
+
+    def observe(self, step):
+        self.steps.append(step)
+
+
+def _pinned_steps() -> list:
+    """Seed 11 over four group-commit sessions, one of which spawns a
+    worker: every ScheduleStep, as JSON-comparable rows."""
+    runtime, __, counters = _deploy(5, group_commit=True)
+    policy = _RecordingPolicy(11)
+    scheduler = DeterministicScheduler(runtime, policy=policy)
+
+    def make_session(index):
+        def session():
+            counters[index].increment()
+            if index == 0:
+                scheduler.spawn(
+                    lambda: [counters[4].increment() for __ in range(2)]
+                )
+            return [counters[index].increment() for __ in range(2)]
+
+        return session
+
+    scheduler.run([make_session(i) for i in range(4)])
+    return [
+        [
+            step.index, step.chosen, list(step.enabled),
+            sorted(step.touched), step.park_tag, step.end_tag,
+            step.final_state,
+        ]
+        for step in policy.steps
+    ]
+
+
+class TestPinnedSchedule:
+    def test_same_seed_steps_equal_the_recorded_sequence(self):
+        """Recorded before the ready set became incremental and the
+        turnstile two raw locks: same seed, same READY order, same
+        draws, same steps."""
+        assert _pinned_steps() == json.loads(PINNED_STEPS.read_text())
