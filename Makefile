@@ -39,9 +39,9 @@ lint:
 infer:
 	PYTHONPATH=src python -m repro.analysis infer --check src/repro/apps
 
-# Shard-placement & logging-strategy plan gate (docs/internals.md
+# Shard plan gate (PHX015–016 + byte identity; docs/internals.md
 # section 15): rebuilds the plan from the deploy wiring and fails on
-# PHX014-016 findings or a byte-stale plans/apps.logplan.json.
+# findings or a byte-stale plans/apps.logplan.json.
 # `plan-write` regenerates the committed artifact after wiring changes.
 plan:
 	PYTHONPATH=src python -m repro.analysis plan --check

@@ -18,12 +18,12 @@ Subcommands:
   scheduler yield point (or carry an exemption) so the schedule
   explorer can reach it; also flags unregistered yield-tag literals.
 * ``plan [paths...] [--check] [--write] [--format json|text|sarif]``
-  — the static shard-placement & logging-strategy planner: build the
-  priced component-interaction graph, partition it into log shards,
-  assign each component its cheapest safe logging strategy and emit
-  the deterministic ``LogPlan`` JSON artifact.  ``--check`` is the CI
+  — the static shard-placement planner: build the priced
+  component-interaction graph, partition it into log shards and emit
+  the deterministic ``LogPlan`` JSON artifact (placement plus the
+  per-span force budgets TRC109 checks).  ``--check`` is the CI
   gate: rebuild the plan under the committed plan's configuration,
-  byte-compare, and report PHX014/PHX015/PHX016.  ``--write`` commits
+  byte-compare, and report PHX015/PHX016.  ``--write`` commits
   the rebuilt plan to ``--against`` (default
   ``plans/apps.logplan.json``).
 * ``rules`` — list every PHX lint rule and TRC trace invariant with its
@@ -49,7 +49,7 @@ _DEFAULT_TARGETS = ("src/repro/apps", "src/repro/core")
 _DEFAULT_INFER_TARGETS = ("src/repro/apps",)
 #: the PHX013 site scan covers everything that can hit a crash site
 _DEFAULT_SITES_TARGETS = ("src/repro",)
-#: the committed shard/strategy plan artifact
+#: the committed shard plan artifact
 DEFAULT_PLAN_PATH = "plans/apps.logplan.json"
 
 
@@ -240,43 +240,20 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_overrides(raw: list[str]) -> dict[str, str] | None:
-    from .plan import ASSIGNABLE
-
-    overrides: dict[str, str] = {}
-    for item in raw:
-        name, _, strategy = item.partition("=")
-        if not name or strategy not in ASSIGNABLE:
-            print(
-                f"repro-analyze plan: bad --force-strategy {item!r} "
-                f"(want NAME={'|'.join(ASSIGNABLE)})",
-                file=sys.stderr,
-            )
-            return None
-        overrides[name] = strategy
-    return overrides
-
-
 def _plan_text(plan) -> None:
-    header = (
-        f"{'component':28s} {'type':12s} {'strategy':9s} "
-        f"{'planner':9s} {'forces':>7s} shard"
-    )
+    header = f"{'component':28s} {'type':12s} shard"
     print(header)
     print("-" * len(header))
     for entry in plan.components:
         print(
             f"{entry['name']:28s} {entry['type']:12s} "
-            f"{entry['strategy']:9s} {entry['planner_strategy']:9s} "
-            f"{entry['predicted']['forces']:>7g} "
             f"{entry['shard'] or '-'}"
         )
     print()
     for shard in plan.shards:
         print(
             f"shard {shard['id']}: {len(shard['components'])} "
-            f"component(s), message load {shard['force_load']:g}, "
-            f"planned budget {shard['planned_force_budget']:g}"
+            f"component(s), message load {shard['force_load']:g}"
         )
     cut = [e for e in plan.edges if e["cross_shard"]]
     print(
@@ -298,9 +275,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     paths = _resolve_paths(args.paths, _DEFAULT_INFER_TARGETS)
     if paths is None:
         return 2
-    overrides = _parse_overrides(args.force_strategy or [])
-    if overrides is None:
-        return 2
 
     against = Path(args.against)
     committed: LogPlan | None = None
@@ -315,15 +289,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         committed_text = against.read_text()
         committed = LogPlan.loads(committed_text)
         # rebuild under the committed configuration so the comparison
-        # is apples-to-apples; CLI strategy overrides stack on top
+        # is apples-to-apples
         config = committed.config
-        config.overrides.update(overrides)
     else:
         config = PlanConfig(
             shards=args.shards,
             loop_weight=args.loop_weight,
             cut_threshold=args.cut_threshold,
-            overrides=overrides,
         )
 
     model = ProgramModel.from_paths(list(iter_py_files(paths)))
@@ -340,14 +312,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.format == "sarif":
         return _emit_findings(findings, "sarif", "")
     if args.check:
-        byte_identical = (
-            committed is not None
-            and not overrides
-            and plan.dumps() == committed_text
-        )
+        byte_identical = plan.dumps() == committed_text
         for finding in findings:
             print(finding.render())
-        if findings or not (byte_identical or overrides or args.write):
+        if findings or not (byte_identical or args.write):
             if not findings:
                 print(
                     f"plan --check: {against} is stale (byte diff vs "
@@ -490,14 +458,14 @@ def main(argv: list[str] | None = None) -> int:
     cost_parser.set_defaults(func=_cmd_cost)
 
     plan_parser = sub.add_parser(
-        "plan", help="static shard-placement & logging-strategy planner"
+        "plan", help="static shard-placement planner"
     )
     plan_parser.add_argument("paths", nargs="*", help="files or dirs")
     plan_parser.add_argument(
         "--check",
         action="store_true",
         help="CI gate: rebuild under the committed plan's config, "
-             "byte-compare, and report PHX014/PHX015/PHX016",
+             "byte-compare, and report PHX015/PHX016",
     )
     plan_parser.add_argument(
         "--write",
@@ -534,14 +502,6 @@ def main(argv: list[str] | None = None) -> int:
         default=8.0,
         help="PHX015 fires on cuttable cross-shard edges pricing more "
              "forces per sweep than this (default: 8.0)",
-    )
-    plan_parser.add_argument(
-        "--force-strategy",
-        action="append",
-        metavar="NAME=STRATEGY",
-        help="declare a component's strategy (message|state|command); "
-             "PHX014 prices disagreements with the planner's choice "
-             "and TRC109 budgets take the declaration at its word",
     )
     plan_parser.set_defaults(func=_cmd_plan)
 

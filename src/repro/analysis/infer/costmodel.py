@@ -125,7 +125,8 @@ class CallPathCost:
 
 @dataclass(frozen=True)
 class SpanBound:
-    """Per-(process, entry-method) force bound for TRC106."""
+    """Per-(process, entry-method) force bound for TRC106 (and, once
+    committed in a LogPlan's ``span_budgets``, TRC109)."""
 
     process: str
     method: str
@@ -143,6 +144,16 @@ class SpanBound:
             "ratio_ro_on": self.ratio_ro_on,
             "ratio_ro_off": self.ratio_ro_off,
         }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SpanBound":
+        return cls(
+            process=data["process"],
+            method=data["method"],
+            classes=tuple(data["classes"]),
+            ratio_ro_on=data["ratio_ro_on"],
+            ratio_ro_off=data["ratio_ro_off"],
+        )
 
 
 class ForceBounds:

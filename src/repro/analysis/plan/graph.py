@@ -6,9 +6,9 @@ which inherit their parents' process signature); directed edges are the
 callee)`` pair and priced by the PR-4 force-cost model
 (:class:`~repro.analysis.infer.costmodel.CostModel`):
 
-* every edge carries the per-call record/force cost split into its
-  client (message 3/4) and server (message 1/2) sides, so the planner
-  can attribute savings to whichever end a strategy changes;
+* every edge carries the per-call force cost split into its client
+  (message 3) and server (message 2) sides: the caller's pre-send force
+  lands on the caller's load, the pre-reply force on the callee's;
 * edges sitting inside loops are priced per-iteration and multiplied by
   a configurable ``loop_weight`` (static analysis cannot know the trip
   count; the weight is the planner's assumed iterations);
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..model import ProgramModel
-from ..infer.costmodel import _RATIO, CostModel, Edge
+from ..infer.costmodel import CostModel, Edge
 from ..infer.engine import Engine
 
 
@@ -47,38 +47,14 @@ class GraphNode:
     processes: tuple[str, ...]
     path: str
     line: int
-    #: persisted ``self`` attributes — the state-record size proxy
-    attr_count: int
-    entry_methods: tuple[str, ...] = ()
-    #: Algorithm 3 cost of one external invocation of each entry method
+    #: Algorithm 3 forces of one external invocation of each entry method
     entry_forces: int = 0
-    entry_records: int = 0
     #: Section 3.5 forces saved per sweep across this node's fan-out
     multicall_saved: int = 0
     subordinate_parents: tuple[str, ...] = ()
-    #: intercepted calls whose target never resolved (Section 3.4:
-    #: priced persistent; they block command logging)
-    unknown_out_calls: int = 0
+    #: pre-send forces of intercepted calls whose target never resolved
+    #: (Section 3.4: priced persistent)
     unknown_out_forces: float = 0.0
-    unknown_out_records: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "type": self.ctype,
-            "processes": list(self.processes),
-            "path": self.path,
-            "line": self.line,
-            "attr_count": self.attr_count,
-            "entry_methods": list(self.entry_methods),
-            "entry_forces": self.entry_forces,
-            "entry_records": self.entry_records,
-            "multicall_saved": self.multicall_saved,
-            "subordinate_parents": list(self.subordinate_parents),
-            "unknown_out_calls": self.unknown_out_calls,
-            "unknown_out_forces": self.unknown_out_forces,
-            "unknown_out_records": self.unknown_out_records,
-        }
 
 
 @dataclass
@@ -89,9 +65,7 @@ class GraphEdge:
     dst: str
     calls: int = 0  #: loop-weighted intercepted call count per sweep
     client_forces: float = 0.0
-    client_records: float = 0.0
     server_forces: float = 0.0
-    server_records: float = 0.0
     #: zero-weight new_subordinate affinity (never intercepted, never cut)
     subordinate: bool = False
     lines: tuple[int, ...] = ()
@@ -107,9 +81,7 @@ class GraphEdge:
             "dst": self.dst,
             "calls": self.calls,
             "client_forces": self.client_forces,
-            "client_records": self.client_records,
             "server_forces": self.server_forces,
-            "server_records": self.server_records,
             "subordinate": self.subordinate,
             "weight": self.weight,
             "lines": list(self.lines),
@@ -140,31 +112,20 @@ class InteractionGraph:
         ]
 
 
-def _split_edge_cost(
+def _split_edge_forces(
     ctx_declared: str | None, category: str
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Per-call ``((client records, forces), (server records, forces))``
-    — the two-sided split of ``CostModel.edge_cost`` (the sum is
-    asserted equal in the planner tests)."""
-    if category == "functional":
-        return (0, 0), (0, 0)  # Algorithm 4: nothing either side
-    if category == "read_only":
-        if ctx_declared in ("functional", "read_only"):
-            return (0, 0), (0, 0)
-        return (1, 0), (0, 0)  # Algorithm 5: unforced msg-4 record
+) -> tuple[int, int]:
+    """Per-call ``(client forces, server forces)`` — the two-sided
+    split of the forces ``CostModel`` prices for one edge."""
+    if category in ("functional", "read_only"):
+        return 0, 0  # Algorithms 4/5: stateless target, nothing forced
     # persistent or unknown target (Section 3.4: priced persistent)
     if ctx_declared == "read_only":
-        return (0, 0), (0, 0)
+        return 0, 0
     if ctx_declared == "functional":
-        return (0, 0), (1, 1)  # server msg-1 record + pre-reply force
-    # persistent caller: msg-3 force + msg-4 record (client side),
-    # msg-1 record + msg-2 force (server side)
-    return (1, 1), (1, 1)
-
-
-def edge_ratio(category: str) -> float:
-    """TRC106's forces-per-event ratio for an edge category."""
-    return _RATIO[category]
+        return 0, 1  # server pre-reply force only
+    # persistent caller: msg-3 force (client), msg-2 force (server)
+    return 1, 1
 
 
 class _LocalCollector:
@@ -233,7 +194,6 @@ def build_graph(
     )
     for name in deployed:
         info = engine.by_name[name]
-        facts = engine.facts[name]
         sub_only = engine.subordinate_only(name)
         parents = tuple(sorted(engine.sub_parents.get(name, ())))
         if sub_only:
@@ -250,7 +210,6 @@ def build_graph(
             processes=tuple(sorted(processes)),
             path=info.module.path,
             line=info.node.lineno,
-            attr_count=len(facts.attr_origins) or 1,
             subordinate_parents=parents,
         )
 
@@ -272,7 +231,6 @@ def build_graph(
         entry_methods = tuple(
             m for m in sorted(facts.methods) if not m.startswith("_")
         )
-        node.entry_methods = entry_methods
         declared = node.ctype
         for method_name in entry_methods:
             method = facts.methods[method_name]
@@ -282,14 +240,13 @@ def build_graph(
                 pass  # Algorithm 5
             else:
                 node.entry_forces += 2  # Algorithm 3 forces msgs 1+2
-                node.entry_records += 2
             local = collector.edges(name, method_name)
             # Section 3.5: within this one entry execution, distinct
             # server processes after the first skip the pre-send force
             multicall_processes: set[str] = set()
             for edge in local:
                 count = loop_weight if edge.in_loop else 1
-                (c_rec, c_force), (s_rec, s_force) = _split_edge_cost(
+                c_force, s_force = _split_edge_forces(
                     declared, edge.category
                 )
                 if (
@@ -302,9 +259,7 @@ def build_graph(
                         )
                 for target in sorted(set(edge.targets)):
                     if target == "?" or target not in graph.nodes:
-                        node.unknown_out_calls += count
                         node.unknown_out_forces += c_force * count
-                        node.unknown_out_records += c_rec * count
                         continue
                     key = (name, target)
                     agg = graph.edges.get(key)
@@ -313,9 +268,7 @@ def build_graph(
                             src=name, dst=target,
                         )
                     agg.calls += count
-                    agg.client_records += c_rec * count
                     agg.client_forces += c_force * count
-                    agg.server_records += s_rec * count
                     agg.server_forces += s_force * count
                     if edge.lineno not in agg.lines:
                         agg.lines = tuple(

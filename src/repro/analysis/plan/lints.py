@@ -1,15 +1,12 @@
-"""Planner diagnostics: PHX014, PHX015, PHX016.
+"""Planner diagnostics: PHX015, PHX016.
 
-* **PHX014** — a component's *declared* strategy (a plan override)
-  disagrees with the statically cheapest safe strategy; the finding
-  prices the difference from the plan's per-strategy cost table.
 * **PHX015** — a cross-shard edge between co-shardable components
   (same process signature) whose priced force traffic exceeds the
   plan's cut threshold: the partition is paying avoidable cross-log
   traffic.
 * **PHX016** — plan drift: the committed plan disagrees with what the
   planner derives from the current ``apps/*/deploy`` wiring (component
-  set, process placement, shard membership, or strategy).
+  set, process placement, shard membership, or a shard's force load).
 """
 
 from __future__ import annotations
@@ -19,45 +16,8 @@ from .planner import LogPlan
 
 
 def plan_findings(plan: LogPlan) -> list[Finding]:
-    """PHX014 + PHX015 over one plan."""
+    """PHX015 over one plan."""
     out: list[Finding] = []
-    for entry in plan.components:
-        if not entry["override"]:
-            continue
-        declared = entry["strategy"]
-        choice = entry["planner_strategy"]
-        declared_cost = entry["costs"].get(declared)
-        choice_cost = entry["costs"][choice]
-        if declared_cost is None:
-            out.append(Finding(
-                entry["path"], entry["line"], 0, "PHX014",
-                f"declared logging strategy '{declared}' for "
-                f"{entry['name']} is statically unsafe (re-execution "
-                "could escape the shard's recovery scope); the "
-                f"cheapest safe strategy is '{choice}' "
-                f"(~{choice_cost['forces']:g} forces per sweep). "
-                f"Fix: drop the override or assign "
-                f"--force-strategy {entry['name']}={choice}",
-            ))
-            continue
-        if declared == choice:
-            continue
-        saved_forces = declared_cost["forces"] - choice_cost["forces"]
-        saved_records = (
-            declared_cost["records"] - choice_cost["records"]
-        )
-        out.append(Finding(
-            entry["path"], entry["line"], 0, "PHX014",
-            f"declared logging strategy '{declared}' for "
-            f"{entry['name']} is statically suboptimal: '{choice}' is "
-            f"safe and saves ~{saved_forces:g} forces "
-            f"({saved_records:+g} records) per sweep "
-            f"(declared {declared_cost['forces']:g}f/"
-            f"{declared_cost['records']:g}r vs planned "
-            f"{choice_cost['forces']:g}f/{choice_cost['records']:g}r). "
-            f"Fix: assign --force-strategy {entry['name']}={choice}",
-        ))
-
     threshold = plan.config.cut_threshold
     by_name = {entry["name"]: entry for entry in plan.components}
     for edge in plan.edges:
@@ -134,7 +94,6 @@ def drift_findings(
         for key, label in (
             ("processes", "process placement"),
             ("shard", "shard"),
-            ("strategy", "logging strategy"),
             ("type", "component type"),
         ):
             if fresh_entry[key] != committed_entry[key]:
@@ -147,5 +106,21 @@ def drift_findings(
                     f"{committed_entry[key]!r}. Fix: regenerate the "
                     "plan (make plan-write) or fix the deploy wiring",
                 ))
+    # The partitioner balances shards by message-logging force load; a
+    # component that gained or lost a forced call path moves it while
+    # every placement above still agrees.
+    fresh_load = {
+        shard["id"]: shard["force_load"] for shard in fresh.shards
+    }
+    for shard in committed.shards:
+        load = fresh_load.get(shard["id"])
+        if load is not None and load != shard["force_load"]:
+            out.append(Finding(
+                plan_path, 1, 0, "PHX016",
+                f"plan drift for shard {shard['id']}: the wiring "
+                f"derives force load {load:g} but the committed plan "
+                f"{plan_path} records {shard['force_load']:g}. Fix: "
+                "regenerate the plan (make plan-write)",
+            ))
     out.sort(key=lambda f: (f.path, f.line, f.rule_id, f.col))
     return out

@@ -7,10 +7,10 @@ test created and fails the test on any commit-condition violation.
 When committed :class:`~repro.analysis.plan.LogPlan` files are present
 (``plans/*.logplan.json`` at the repo root; override the search with
 the ``REPRO_LOG_PLANS`` environment variable, empty to disable), the
-same sweep also replays each runtime's traces against the plans' force
-budgets (TRC109), like TRC106 does for the raw cost model.  Mark a
-test ``@pytest.mark.no_conformance_check`` to opt out (e.g. when it
-deliberately corrupts a log).
+same sweep also replays each runtime's traces against the plans'
+committed force budgets (TRC109 — TRC106's check, bounds read from the
+plan).  Mark a test ``@pytest.mark.no_conformance_check`` to opt out
+(e.g. when it deliberately corrupts a log).
 """
 
 from __future__ import annotations

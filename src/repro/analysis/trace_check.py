@@ -64,8 +64,8 @@ INVARIANTS: dict[str, str] = {
               "records) is stable at its commit point",
     "TRC108": "no two sessions touch one context's state without an "
               "intervening happens-before edge",
-    "TRC109": "observed per-span and per-shard force counts stay "
-              "within the committed LogPlan's strategy budgets",
+    "TRC109": "TRC106 against the committed LogPlan's span budgets "
+              "(live spans only)",
 }
 
 
@@ -509,7 +509,7 @@ def _cross_check(
 
 
 # ----------------------------------------------------------------------
-# static force-bound cross-check (TRC106)
+# static force-bound cross-check (TRC106, TRC109)
 # ----------------------------------------------------------------------
 def _top_level_spans(
     entries: list,
@@ -606,11 +606,18 @@ def _entry_force_bound(event: TraceEvent) -> int:
 
 
 def check_force_bounds(
-    trace: ProtocolTrace, bounds, process_name: str
+    trace: ProtocolTrace,
+    bounds,
+    process_name: str,
+    rule: str = "TRC106",
+    live_only: bool = False,
 ) -> list[Violation]:
-    """TRC106: replay the trace's call spans against the static cost
-    model (``CostModel.force_bounds()``; any object with a
-    ``for_span(process, method) -> ratios`` lookup works).
+    """Replay the trace's call spans against static force bounds: any
+    object with a ``for_span(process, method) -> SpanBound`` lookup.
+    TRC106 takes them from the cost model
+    (``CostModel.force_bounds()``), TRC109 from a committed ``LogPlan``
+    with ``live_only`` set, which skips the entry spans recovery
+    replayed.
 
     Per closed span the sound bound is ``entry_forces + ratio ×
     (events - 2)`` — every intercepted call contributes at least two
@@ -620,6 +627,9 @@ def check_force_bounds(
     3.4's legitimate cold-start conservatism, not an over-force; each
     such event earns one extra allowed force (warm-started runs have
     none, so their bound is tighter).
+
+    A violation names the span's entry method, session and anchor LSN —
+    enough to re-locate the exact span in the recorded trace.
     """
     violations: list[Violation] = []
     for entry_event, events in _top_level_spans(trace.entries):
@@ -629,6 +639,8 @@ def check_force_bounds(
         span = bounds.for_span(process_name, method)
         if span is None:
             continue  # not a statically modeled entry point
+        if live_only and entry_event.replaying:
+            continue
         if not entry_event.optimized:
             # Algorithm 1 forces every message regardless of types:
             # one force per event, no cold-start concept
@@ -657,23 +669,34 @@ def check_force_bounds(
                 if entry_event.record_lsn != NO_LSN
                 else entry_event.end_lsn
             )
+            session = (
+                "serial"
+                if entry_event.session is None
+                else f"session {entry_event.session}"
+            )
             violations.append(Violation(
-                "TRC106", anchor,
-                f"span {method}() on {process_name}: {observed} forces "
-                f"over {len(events)} events exceeds the static bound "
-                f"{limit:g} (ratio {ratio:g}, {cold} cold-start "
-                "forces allowed)",
+                rule, anchor,
+                f"span {'/'.join(span.classes)}.{method}() on "
+                f"{process_name} ({session}, entered at LSN {anchor}): "
+                f"{observed} forces over {len(events)} events exceeds "
+                f"the static bound {limit:g} (ratio {ratio:g}, {cold} "
+                "cold-start forces allowed)",
             ))
     return violations
 
 
-def check_runtime_force_bounds(runtime, bounds) -> list[tuple[str, Violation]]:
-    """TRC106 over every process of a runtime."""
+def check_runtime_force_bounds(
+    runtime, bounds, rule: str = "TRC106", live_only: bool = False
+) -> list[tuple[str, Violation]]:
+    """:func:`check_force_bounds` over every process of a runtime.
+    Under sharded logging a process carries one trace per log stream;
+    a span's events all belong to its serving context and therefore to
+    one stream, so spans stay whole per trace."""
     problems: list[tuple[str, Violation]] = []
     for process in runtime.processes():
         for trace in _process_traces(process):
             for violation in check_force_bounds(
-                trace, bounds, process.name
+                trace, bounds, process.name, rule, live_only
             ):
                 problems.append((process.name, violation))
     return problems

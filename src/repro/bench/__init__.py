@@ -21,7 +21,6 @@ from .experiments import (
     table7,
     table8,
 )
-from .plan_forces import plan_forces_comparison
 from .harness import (
     CLIENT_KINDS,
     SERVER_KINDS,
@@ -40,7 +39,6 @@ __all__ = [
     "figure9",
     "multicall_ablation",
     "queue_comparison",
-    "plan_forces_comparison",
     "checkpoint_interval_sweep",
     "attachment_omission_ablation",
     "short_record_ablation",

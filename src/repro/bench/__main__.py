@@ -24,7 +24,6 @@ from .ablations import (
 )
 from .checkpoint_sweep import checkpoint_interval_sweep
 from .comparison import queue_comparison
-from .plan_forces import plan_forces_comparison
 from .experiments import (
     figure9,
     multicall_ablation,
@@ -92,14 +91,6 @@ _DISCUSSION = """
 - **Multi-call** (Section 3.5) — implemented here although the paper's
   prototype did not: fan-out forces collapse from k+1 to a constant 2,
   the paper's §5.5.2 prediction for the PriceGrabber.
-- **Plan conformance** (extension) — the static shard/strategy planner
-  (`repro-analyze plan`, docs/internals.md section 15) prices every
-  component's logging strategy; here its span budgets meet real
-  traces.  Observed forces sit exactly at (backend) or inside (desk,
-  bookstore) the message-strategy budget, and re-budgeting the same
-  spans under whole-app state/command assignment shows the force
-  headroom a server-durable runtime would realize — the saving PHX014
-  reports per component, measured against live traffic.
 - **Static type seeding** (extension) — Section 3.4 learns server
   types from reply attachments, so a process's first call to each
   server pays conservative Algorithm 2/3 costs.  Warm-starting the
@@ -152,8 +143,6 @@ def main(argv: list[str]) -> int:
          static_type_seeding_ablation),
         ("Checkpoint-interval sweep (Section 4.3)",
          checkpoint_interval_sweep),
-        ("Plan conformance: predicted vs observed forces (extension)",
-         plan_forces_comparison),
     ]
     for name, experiment in experiments:
         started = time.time()

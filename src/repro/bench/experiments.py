@@ -375,12 +375,6 @@ def multicall_ablation(
     return table
 
 
-def _plan_forces(**kwargs):
-    from .plan_forces import plan_forces_comparison
-
-    return plan_forces_comparison(**kwargs)
-
-
 ALL_EXPERIMENTS = {
     "table4": table4,
     "table5": table5,
@@ -389,5 +383,4 @@ ALL_EXPERIMENTS = {
     "table7": table7,
     "table8": table8,
     "multicall": multicall_ablation,
-    "plan_forces": _plan_forces,
 }

@@ -85,7 +85,8 @@ class PhoenixRuntime:
         # ``install_log_plan`` pins one explicitly (benches and tests
         # build synthetic plans); otherwise the first committed plan is
         # resolved lazily when the first process spawns with
-        # ``config.sharded_logging`` on.
+        # ``config.sharded_logging`` on — a ConfigurationError if a
+        # plan file exists but cannot be routed by.
         self._log_plan: object | None = None
         self._log_plan_resolved = False
 
@@ -117,13 +118,11 @@ class PhoenixRuntime:
     @property
     def log_plan(self):
         if self._log_plan is None and not self._log_plan_resolved:
-            self._log_plan_resolved = True
             if self.config.sharded_logging:
-                from ..analysis.plan.planner import committed_plans
+                from ..analysis.plan.planner import routing_plan
 
-                plans = committed_plans()
-                if plans:
-                    self._log_plan = plans[0]
+                self._log_plan = routing_plan()
+            self._log_plan_resolved = True
         return self._log_plan
 
     def install_log_plan(self, plan) -> None:

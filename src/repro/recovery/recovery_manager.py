@@ -29,6 +29,7 @@ that context's incoming calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..common.messages import MessageKind, MethodCallMessage, ReplyMessage
@@ -255,25 +256,22 @@ class RecoveryManager:
         groups: dict[int, list[int]] = {}
         for info in discoveries.values():
             groups.setdefault(info.stream, []).append(info.context_id)
-        clock = runtime.clock
-        base = clock.now
-        lanes: list[float] = []
-        for index in sorted(groups):
-            clock.rewind_to(base)
+
+        def drain(index: int) -> None:
             for context_id in sorted(groups[index]):
                 mark = pending.marks.get(context_id)
                 if mark is not None and mark.status == PENDING_MARK:
                     pending._replay_component(mark)
             stream = process.streams[index]
             stream.log.force()
-            lanes.append(clock.now - base)
             faultplane.site_hit(
                 f"recovery.shard.drained:{stream.name}", name
             )
             runtime.sched_yield(f"recovery.shard:{name}")
-        clock.rewind_to(base)
-        if lanes:
-            clock.advance(max(lanes))
+
+        runtime.clock.run_lanes(
+            partial(drain, index) for index in sorted(groups)
+        )
 
     # ------------------------------------------------------------------
     # pass 1

@@ -11,6 +11,8 @@ exactly reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
+
 from ..errors import InvariantViolationError
 
 
@@ -49,22 +51,23 @@ class SimClock:
             self._now = when_ms
         return self._now
 
-    def rewind_to(self, when_ms: float) -> float:
-        """Reset the clock to an earlier absolute time.
+    def run_lanes(self, lanes: Iterable[Callable[[], None]]) -> float:
+        """Fork/join: run each lane as if all started now, side by
+        side, and leave the clock at the end of the longest one.
 
-        Reserved for measurement harnesses that replay alternative
-        timelines from a common base — sharded recovery runs each
-        shard's replay as its own *lane* from the recovery start time
-        and then advances to the longest lane, so serial recovery time
-        models the shards draining in parallel.  Runtime code must
-        never call this; time as observed by the runtime only moves
-        forward.
+        Sharded recovery drains each shard's replay as one lane, so
+        serial recovery time models the shards draining in parallel.
+        The lanes still execute one after another; a lane that raises
+        (a crash mid-drain) leaves the clock at that lane's own time
+        and the remaining lanes do not run.
         """
-        if when_ms > self._now:
-            raise InvariantViolationError(
-                f"rewind_to({when_ms}) is in the future (now={self._now})"
-            )
-        self._now = float(when_ms)
+        base = self._now
+        longest = 0.0
+        for lane in lanes:
+            self._now = base
+            lane()
+            longest = max(longest, self._now - base)
+        self._now = base + longest
         return self._now
 
     def sleep_until(self, when_ms: float) -> float:

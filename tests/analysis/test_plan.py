@@ -1,12 +1,12 @@
-"""The static shard-placement & logging-strategy planner.
+"""The static shard-placement planner.
 
 Covers the whole pipeline: graph construction from the deploy wiring,
-deterministic partitioning, per-component cheapest-safe strategy
-assignment, the canonical ``LogPlan`` artifact (byte-identical across
-builds, pinned against the committed ``plans/apps.logplan.json``), the
-PHX014/PHX015/PHX016 diagnostics, the TRC109 trace invariant in both
-directions (golden workloads pass; a deliberately mis-declared
-strategy trips it with a replayable trace reference), and the
+deterministic partitioning, the canonical ``LogPlan`` artifact
+(byte-identical across builds, pinned against the committed
+``plans/apps.logplan.json``, no column without a reader), the
+PHX015/PHX016 diagnostics, the TRC109 trace invariant in both
+directions (golden workloads pass; a committed span budget tampered
+tighter trips it with a replayable trace reference), and the
 ``repro-analyze plan`` command line.
 """
 
@@ -34,6 +34,7 @@ from repro.apps.bookstore import (
     deploy_bookstore,
 )
 from repro.apps.orderflow import deploy_orderflow
+from repro.log.sharding import ShardRouter
 
 REPO = Path(__file__).resolve().parents[2]
 APPS = REPO / "src" / "repro" / "apps"
@@ -80,6 +81,51 @@ class TestDeterminism:
         assert text == json.dumps(
             json.loads(text), sort_keys=True, indent=2
         ) + "\n"
+
+
+class _Recording(dict):
+    """A plan entry that notes every key read from it in ``seen``."""
+
+    def __init__(self, data: dict, seen: set):
+        super().__init__(data)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+class TestSchema:
+    def test_every_committed_column_has_a_reader(self, plan):
+        """The plan says what the runtime runs: each column of the
+        components / shards / span_budgets tables is read by the shard
+        router (log/sharding.py), the planner lints (plan/lints.py) or
+        the TRC109 budget check.  An unread column fails here."""
+        committed = load_plan(PLAN_PATH)
+        columns, seen = {}, {}
+        for section in ("components", "shards", "span_budgets"):
+            entries = committed.payload[section]
+            columns[section] = set().union(*entries)
+            seen[section] = set()
+            committed.payload[section] = [
+                _Recording(entry, seen[section]) for entry in entries
+            ]
+        for shard in plan.shards:
+            for process in shard["processes"]:
+                ShardRouter(committed, process)
+        plan_findings(committed)
+        drift_findings(plan, committed, str(PLAN_PATH))
+        # findings anchor at the component's path:line — drift against
+        # a plan that lost a component reads them
+        stale = load_plan(PLAN_PATH)
+        del stale.components[0]
+        assert drift_findings(committed, stale, str(PLAN_PATH))
+        check_runtime_plan(run_orderflow().runtime, committed)
+        assert seen == columns
 
 
 class TestGraph:
@@ -163,75 +209,6 @@ class TestPartition:
         assert first.dumps() == second.dumps()
 
 
-class TestStrategyAssignment:
-    def test_types_map_to_the_safety_lattice(self, plan):
-        for entry in plan.components:
-            if entry["type"] in ("functional", "read_only"):
-                assert entry["strategy"] == "none"
-            elif entry["type"] == "subordinate":
-                assert entry["strategy"] == "inlined"
-            else:
-                assert entry["strategy"] in (
-                    "message", "state", "command",
-                )
-                assert entry["safe"] is True
-
-    def test_high_fan_in_ledger_plans_command(self, plan):
-        # CustomerLedger: every caller is internal, so a server-durable
-        # strategy spares the callers' pre-send forces; unit command
-        # records beat whole-state snapshots on record volume
-        ledger = plan.component("CustomerLedger")
-        assert ledger["planner_strategy"] == "command"
-        costs = ledger["costs"]
-        assert costs["command"]["forces"] < costs["message"]["forces"]
-        assert costs["command"]["records"] < costs["state"]["records"]
-
-    def test_budgets_price_the_running_system_not_the_plan(self, plan):
-        # no override: the TRC109 budget prices message logging (what
-        # the runtime implements today) even when the planner recommends
-        # a cheaper strategy -- so golden traces conform
-        for entry in plan.components:
-            assert entry["override"] is False
-            if entry["type"] == "persistent":
-                assert entry["budget_strategy"] == "message"
-
-    def test_override_is_taken_at_its_word(self, model):
-        plan = build_plan(
-            model, PlanConfig(overrides={"Inventory": "state"})
-        )
-        entry = plan.component("Inventory")
-        assert entry["override"] is True
-        assert entry["strategy"] == "state"
-        assert entry["budget_strategy"] == "state"
-
-
-class TestPHX014:
-    def test_suboptimal_declaration_is_priced(self, model):
-        plan = build_plan(
-            model, PlanConfig(overrides={"CustomerLedger": "message"})
-        )
-        findings = [
-            f for f in plan_findings(plan) if f.rule_id == "PHX014"
-        ]
-        assert len(findings) == 1
-        message = findings[0].message
-        assert "'message' for CustomerLedger is statically suboptimal" in (
-            message
-        )
-        assert "saves ~5 forces" in message
-        assert "Fix: assign --force-strategy CustomerLedger=command" in (
-            message
-        )
-        assert findings[0].path.endswith("components.py")
-        assert findings[0].line > 0
-
-    def test_agreeing_override_is_silent(self, model):
-        plan = build_plan(
-            model, PlanConfig(overrides={"CustomerLedger": "command"})
-        )
-        assert plan_findings(plan) == []
-
-
 class TestPHX015:
     def test_hot_cut_edge_fires_above_threshold(self, model):
         plan = build_plan(
@@ -252,17 +229,24 @@ class TestPHX015:
 
 
 class TestPHX016:
-    def test_strategy_and_shard_drift(self, plan, committed):
+    def test_strategy_and_shard_drift(self, plan):
+        # a plan committed before strategy assignment was cut carries a
+        # `strategy` column: byte identity's business, not a drift
+        # finding — placement and force load are
         tampered = load_plan(PLAN_PATH)
         entry = tampered.component("OrderDesk")
         entry["strategy"] = "state"
         entry["shard"] = "elsewhere"
+        tampered.shards[0]["force_load"] += 2.0
         findings = drift_findings(plan, tampered, str(PLAN_PATH))
         assert [f.rule_id for f in findings] == ["PHX016", "PHX016"]
         messages = " ".join(f.message for f in findings)
         assert "plan drift for OrderDesk" in messages
-        assert "logging strategy" in messages
-        assert "shard" in messages
+        assert "records 'elsewhere'" in messages
+        assert f"plan drift for shard {tampered.shards[0]['id']}" in (
+            messages
+        )
+        assert "force load" in messages
 
     def test_component_set_drift(self, plan):
         tampered = load_plan(PLAN_PATH)
@@ -324,27 +308,29 @@ class TestTRC109Golden:
 
 
 class TestTRC109Trips:
-    def test_misdeclared_strategy_trips_with_trace_reference(
-        self, model
-    ):
-        # declaring the backend components state-logged zeroes the
-        # desk's span ratio (its callees would be server-durable); the
-        # real runtime still message-logs, so observed forces exceed
-        # the tightened budget
-        bad = build_plan(model, PlanConfig(overrides={
-            "Inventory": "state", "CustomerLedger": "state",
-        }))
+    def test_misdeclared_strategy_trips_with_trace_reference(self):
+        # the one thing a plan can still mis-declare is a budget:
+        # zeroing the desk's committed place_order ratio budgets its
+        # pre-send forces away; the runtime still pays them (Algorithm
+        # 2), so observed forces exceed the tampered budget
+        bad = load_plan(PLAN_PATH)
+        budget = next(
+            entry for entry in bad.span_budgets
+            if entry["method"] == "place_order"
+        )
+        budget["ratio_ro_on"] = budget["ratio_ro_off"] = 0.0
         app = run_orderflow()
         problems = check_runtime_plan(app.runtime, bad)
-        assert problems, "mis-declared strategy must trip TRC109"
+        assert problems, "a budget tighter than the runtime must trip"
         assert all(
             violation.invariant == "TRC109"
             for __, violation in problems
         )
         process_name, violation = problems[0]
         rendered = violation.render()
-        assert "place_order()" in rendered
-        assert "exceeds the plan budget" in rendered
+        assert "OrderDesk.place_order()" in rendered
+        assert "(serial, entered at LSN" in rendered
+        assert "exceeds the static bound" in rendered
         # the reference is replayable: the anchor LSN names a recorded
         # trace entry of that process
         assert f"entered at LSN {violation.lsn}" in rendered
@@ -378,19 +364,6 @@ class TestCLI:
         }
         assert main(["plan"]) == 0
         assert capsys.readouterr().out == first
-
-    def test_override_trips_check(self, capsys):
-        assert main([
-            "plan", "--check",
-            "--force-strategy", "CustomerLedger=message",
-        ]) == 1
-        out = capsys.readouterr().out
-        assert "PHX014" in out
-
-    def test_bad_override_is_usage_error(self, capsys):
-        assert main([
-            "plan", "--force-strategy", "CustomerLedger=blockchain",
-        ]) == 2
 
     def test_text_format_summarizes_shards(self, capsys):
         assert main(["plan", "--format", "text"]) == 0

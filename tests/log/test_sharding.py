@@ -8,11 +8,13 @@ pin that identity — and flag-on, every append/force/replay touches
 exactly the stream its component lives on.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro import PhoenixRuntime, RuntimeConfig
 from repro.core.config import CheckpointConfig
-from repro.errors import ConfigurationError, InvariantViolationError
+from repro.errors import ConfigurationError
 from repro.log.sharding import ShardRouter, plan_shards
 
 from ..conftest import Counter, KvStore, TallyOwner
@@ -89,6 +91,25 @@ class TestFlagOffIdentity:
         runtime.install_log_plan(None)
         process = runtime.spawn_process("srv", machine="beta")
         assert len(process.streams) == 1
+
+    def test_flag_on_with_a_corrupt_committed_plan_is_an_error(
+        self, tmp_path, monkeypatch
+    ):
+        """A plan file that exists but cannot be routed by must not
+        quietly turn sharding off."""
+        committed = (
+            Path(__file__).resolve().parents[2]
+            / "plans" / "apps.logplan.json"
+        )
+        truncated = tmp_path / "apps.logplan.json"
+        truncated.write_text(committed.read_text()[:2000])
+        monkeypatch.setenv("REPRO_LOG_PLANS", str(truncated))
+        runtime = PhoenixRuntime(
+            config=RuntimeConfig.optimized(sharded_logging=True)
+        )
+        for __ in range(2):  # the refusal is not a one-shot
+            with pytest.raises(ConfigurationError, match=str(truncated)):
+                runtime.spawn_process("srv", machine="beta")
 
 
 class TestFlagOnRouting:
@@ -220,22 +241,3 @@ class TestPerStreamTruncation:
         runtime.ensure_recovered(process)
         assert counter.increment() == 13
         assert store.get("k11") == 11
-
-
-class TestClockRewind:
-    def test_rewind_to_future_rejected(self):
-        runtime = PhoenixRuntime(config=RuntimeConfig.optimized())
-        clock = runtime.clock
-        clock.advance(10.0)
-        with pytest.raises(InvariantViolationError):
-            clock.rewind_to(clock.now + 1.0)
-
-    def test_rewind_then_advance_restores_monotonicity(self):
-        runtime = PhoenixRuntime(config=RuntimeConfig.optimized())
-        clock = runtime.clock
-        clock.advance(10.0)
-        base = clock.now
-        clock.advance(5.0)
-        assert clock.rewind_to(base) == base
-        clock.advance(7.0)
-        assert clock.now == base + 7.0

@@ -42,6 +42,38 @@ class TestSimClock:
         clock.advance_to(3.0)
         assert clock.now == 5.0
 
+    def test_run_lanes_joins_at_the_longest_lane(self):
+        clock = SimClock(10.0)
+        starts = []
+
+        def lane(cost):
+            starts.append(clock.now)
+            clock.advance(cost)
+
+        end = clock.run_lanes(
+            [lambda: lane(3.0), lambda: lane(7.5), lambda: lane(1.0)]
+        )
+        assert starts == [10.0, 10.0, 10.0]  # every lane forks at base
+        assert end == clock.now == 17.5
+        assert clock.run_lanes([]) == 17.5
+
+    def test_run_lanes_raising_lane_keeps_its_own_time(self):
+        clock = SimClock(10.0)
+        ran = []
+
+        def crashing():
+            clock.advance(2.0)
+            raise RuntimeError("crash mid-drain")
+
+        with pytest.raises(RuntimeError):
+            clock.run_lanes([
+                lambda: clock.advance(5.0),
+                crashing,
+                lambda: ran.append("third"),
+            ])
+        assert clock.now == 12.0  # the crashed lane's time, not 10 or 15
+        assert ran == []
+
     def test_repr_mentions_time(self):
         assert "now=" in repr(SimClock())
 
