@@ -49,6 +49,8 @@ plan:
 plan-write:
 	PYTHONPATH=src python -m repro.analysis plan --write
 
+# The local all-in-one.  CI (.github/workflows/check.yml) runs each
+# prerequisite as its own named step, once, and then only the pytest line.
 check: lint infer plan concurrency sharded explore-smoke
 	PYTHONPATH=src python -m pytest -x -q
 

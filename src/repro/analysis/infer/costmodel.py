@@ -4,22 +4,15 @@ Walks the interprocedural call tree rooted at each deployed component's
 public methods (self-calls and subordinate calls stay in the caller's
 context; proxied calls cross the interceptor) and charges every
 intercepted edge the log records and forces the paper's algorithms
-prescribe:
-
-==============  =======================  ==========================
-edge target     baseline (Algorithm 1)   optimized (Algorithms 2-5)
-==============  =======================  ==========================
-functional      4 records, 4 forces      nothing (Algorithm 4)
-read-only       4 records, 4 forces      1 unforced record (msg 4)
-persistent      4 records, 4 forces      2 records, 2 forces
-==============  =======================  ==========================
-
-(an unknown target is priced persistent, Section 3.4), and the entry
-call from the external client 2 records / 2 forces (Algorithm 3) unless
-the entry is stateless or the method is read-only-marked.  Section
-3.5's multi-call rule is reported as a per-path saving: within one
-context's execution, distinct server *processes* after the first need
-no pre-send force.
+prescribe.  The prescriptions are not restated here: an edge is priced
+by summing the cells of :mod:`repro.common.message_actions` (printed in
+docs/paper-map.md) it exercises — messages 3 and 4 at the caller facing
+the target's class, messages 1 and 2 at the target facing the caller's
+— and the entry call from the external client by the ``external`` cells
+of messages 1 and 2.  An unknown target is priced persistent (Section
+3.4).  Section 3.5's multi-call rule is reported as a per-path saving:
+within one context's execution, distinct server *processes* after the
+first need no pre-send force.
 
 Two consumers:
 
@@ -31,18 +24,29 @@ Two consumers:
 
 The TRC106 bound is deliberately *linear in observed events* rather
 than a fixed count: loops and branches make the static event count
-unknowable, but every intercepted call contributes at least two trace
-events to its caller's span (messages 3 and 4) and at most
-``ratio × events`` forces — 0 for read-only/functional targets, 1/2
-for persistent ones.  ``bound = entry_forces + ratio × (events - 2)``
-is therefore sound for any iteration count, and tight (ratio 0) on
-read-only fan-outs, where an over-forcing policy is most visible.
+unknowable, but every intercepted call contributes one trace event per
+table cell to its caller's span (messages 3 and 4, plus the callee's 1
+and 2 when it shares the process) and at most ``ratio × events`` forces
+— :func:`force_ratio`, the committing share of those cells.  ``bound =
+entry_forces + ratio × (events - 2)`` is therefore sound for any
+iteration count, and tight (ratio 0) on read-only fan-outs, where an
+over-forcing policy is most visible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ...common.message_actions import (
+    MSG1,
+    MSG2,
+    MSG3,
+    MSG4,
+    NO_RECORD,
+    Action,
+    action_for,
+)
+from ...common.types import ComponentType
 from ..model import ProgramModel
 from .engine import Engine
 
@@ -50,9 +54,60 @@ from .engine import Engine
 _CATEGORY_RANK = {"functional": 0, "read_only": 1, "unknown": 2,
                   "persistent": 3}
 
-#: forces per trace event an intercepted edge may cost, by category
-_RATIO = {"functional": 0.0, "read_only": 0.0, "unknown": 0.5,
-          "persistent": 0.5}
+def _priced_as(kind: str | None) -> ComponentType:
+    """The component type a declared kind or an edge category is priced
+    as: an unknown one as persistent (Section 3.4).  A read-only
+    *method* of a persistent target prices like a read-only component —
+    both select the table's read-only column and log nothing themselves."""
+    if kind in (None, "unknown"):
+        return ComponentType.PERSISTENT
+    return ComponentType(kind)
+
+
+def entry_cells(
+    declared: str | None, read_only_marked: bool, optimized: bool = True
+) -> list[Action]:
+    """Messages 1 and 2 of one call from the external client."""
+    return [
+        action_for(
+            row, optimized, True, _priced_as(declared),
+            ComponentType.EXTERNAL, read_only_marked,
+        )
+        for row in (MSG1, MSG2)
+    ]
+
+
+def edge_cells(
+    caller_declared: str | None, category: str, optimized: bool = True
+) -> list[Action]:
+    """The four cells one intercepted call exercises, client side
+    first: messages 3 and 4 in the caller's context, then messages 1
+    and 2 in the target's."""
+    caller, target = _priced_as(caller_declared), _priced_as(category)
+    return [
+        action_for(row, optimized, True, caller, target, False)
+        for row in (MSG3, MSG4)
+    ] + [
+        action_for(row, optimized, True, target, caller, False)
+        for row in (MSG1, MSG2)
+    ]
+
+
+def records(cells: list[Action]) -> int:
+    return sum(cell.record != NO_RECORD for cell in cells)
+
+
+def forces(cells: list[Action]) -> int:
+    return sum(cell.commits for cell in cells)
+
+
+def force_ratio(category: str) -> float:
+    """Forces per trace event an intercepted edge may cost, priced for
+    a persistent caller (the dearest): the committing share of the
+    cells that land on the caller's span — its own two, or all four
+    when the callee shares the process — whichever is larger."""
+    cells = edge_cells("persistent", category)
+    return max(forces(part) / len(part) for part in (cells[:2], cells))
 
 
 @dataclass(frozen=True)
@@ -312,27 +367,24 @@ class CostModel:
         info = self.engine.by_name.get(class_name)
         return info.effective_declared if info else None
 
-    def _edge_cost_optimized(self, edge: Edge) -> tuple[int, int]:
-        """(records, forces) for one intercepted edge, both sides."""
-        ctx_declared = self._declared(edge.context)
-        if edge.category == "functional":
-            return (0, 0)  # Algorithm 4: nothing either side
-        if edge.category == "read_only":
-            if ctx_declared in ("functional", "read_only"):
-                return (0, 0)  # stateless caller logs nothing
-            return (1, 0)  # Algorithm 5: unforced message-4 record
-        # persistent or unknown target (Section 3.4: priced persistent)
-        if ctx_declared == "read_only":
-            # stateless caller logs nothing; the server sees a
-            # read-only client and applies Algorithm 5 (nothing)
-            return (0, 0)
-        if ctx_declared == "functional":
-            # caller logs nothing; the server still logs message 1
-            # (unforced) and forces before its reply (Algorithm 2)
-            return (1, 1)
-        # persistent caller: msg 3 force + msg 4 record (client side),
-        # msg 1 record + msg 2 force (server side)
-        return (2, 2)
+    def _path_cells(
+        self,
+        class_name: str,
+        method_name: str,
+        edges: list[Edge],
+        optimized: bool = True,
+    ) -> list[Action]:
+        """Every cell one external invocation exercises: the entry
+        call's, then each intercepted edge's (both sides)."""
+        method = self.engine.facts[class_name].methods[method_name]
+        cells = entry_cells(
+            self._declared(class_name), method.read_only_marked, optimized
+        )
+        for edge in edges:
+            cells += edge_cells(
+                self._declared(edge.context), edge.category, optimized
+            )
+        return cells
 
     # -- call-path pricing --------------------------------------------
     def entries(self) -> list[tuple[str, str]]:
@@ -352,24 +404,16 @@ class CostModel:
 
     def path_cost(self, class_name: str, method_name: str) -> CallPathCost:
         edges = self.collect_edges(class_name, method_name, ro_opt=True)
-        entry_declared = self._declared(class_name)
-        facts = self.engine.facts[class_name]
-        method = facts.methods[method_name]
-        if entry_declared in ("functional", "read_only"):
-            entry_records = entry_forces = 0  # Algorithms 4/5
-        elif method.read_only_marked:
-            entry_records = entry_forces = 0  # Algorithm 5
-        else:
-            entry_records = entry_forces = 2  # Algorithm 3
-        opt_records, opt_forces = entry_records, entry_forces
-        iter_records = iter_forces = 0
-        for edge in edges:
-            records, forces = self._edge_cost_optimized(edge)
-            opt_records += records
-            opt_forces += forces
-            if edge.in_loop:
-                iter_records += records
-                iter_forces += forces
+        optimized = self._path_cells(class_name, method_name, edges)
+        baseline = self._path_cells(
+            class_name, method_name, edges, optimized=False
+        )
+        per_iteration = [
+            cell for edge in edges if edge.in_loop
+            for cell in edge_cells(
+                self._declared(edge.context), edge.category
+            )
+        ]
         # Section 3.5: per context execution, the pre-send force is
         # needed only for the first distinct server process
         saved = 0
@@ -391,14 +435,14 @@ class CostModel:
                 self.engine.wiring.processes_for(class_name)
             )),
             exported=self.engine.wiring.escapes(class_name),
-            baseline_records=2 + 4 * len(edges),
-            baseline_forces=2 + 4 * len(edges),
-            optimized_records=opt_records,
-            optimized_forces=opt_forces,
+            baseline_records=records(baseline),
+            baseline_forces=forces(baseline),
+            optimized_records=records(optimized),
+            optimized_forces=forces(optimized),
             multicall_saved_forces=saved,
             loop_edges=sum(1 for edge in edges if edge.in_loop),
-            per_iteration_records=iter_records,
-            per_iteration_forces=iter_forces,
+            per_iteration_records=records(per_iteration),
+            per_iteration_forces=forces(per_iteration),
             edges=edges,
         )
 
@@ -424,7 +468,7 @@ class CostModel:
                         ro_opt=ro_opt, process=process,
                     )
                     ratios.append(max(
-                        (_RATIO[edge.category] for edge in edges),
+                        (force_ratio(edge.category) for edge in edges),
                         default=0.0,
                     ))
                 bounds.add(SpanBound(

@@ -34,7 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..model import ProgramModel
-from ..infer.costmodel import CostModel, Edge
+from ..infer.costmodel import (
+    CostModel,
+    Edge,
+    edge_cells,
+    entry_cells,
+    forces,
+)
 from ..infer.engine import Engine
 
 
@@ -110,22 +116,6 @@ class InteractionGraph:
             self.edges[key] for key in sorted(self.edges)
             if self.edges[key].subordinate
         ]
-
-
-def _split_edge_forces(
-    ctx_declared: str | None, category: str
-) -> tuple[int, int]:
-    """Per-call ``(client forces, server forces)`` — the two-sided
-    split of the forces ``CostModel`` prices for one edge."""
-    if category in ("functional", "read_only"):
-        return 0, 0  # Algorithms 4/5: stateless target, nothing forced
-    # persistent or unknown target (Section 3.4: priced persistent)
-    if ctx_declared == "read_only":
-        return 0, 0
-    if ctx_declared == "functional":
-        return 0, 1  # server pre-reply force only
-    # persistent caller: msg-3 force (client), msg-2 force (server)
-    return 1, 1
 
 
 class _LocalCollector:
@@ -234,21 +224,19 @@ def build_graph(
         declared = node.ctype
         for method_name in entry_methods:
             method = facts.methods[method_name]
-            if declared in ("functional", "read_only"):
-                pass  # Algorithms 4/5: stateless entry logs nothing
-            elif method.read_only_marked:
-                pass  # Algorithm 5
-            else:
-                node.entry_forces += 2  # Algorithm 3 forces msgs 1+2
+            node.entry_forces += forces(
+                entry_cells(declared, method.read_only_marked)
+            )
             local = collector.edges(name, method_name)
             # Section 3.5: within this one entry execution, distinct
             # server processes after the first skip the pre-send force
             multicall_processes: set[str] = set()
             for edge in local:
                 count = loop_weight if edge.in_loop else 1
-                c_force, s_force = _split_edge_forces(
-                    declared, edge.category
-                )
+                # the caller's pre-send force lands on its own load,
+                # the pre-reply force on the callee's
+                cells = edge_cells(declared, edge.category)
+                c_force, s_force = forces(cells[:2]), forces(cells[2:])
                 if (
                     edge.category in ("persistent", "unknown")
                     and not edge.in_loop

@@ -43,7 +43,7 @@ Violations carry the invariant ID and the LSN they anchor to.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..common.messages import MessageKind
 from ..common.types import ComponentType
@@ -82,6 +82,48 @@ class Violation:
 # ----------------------------------------------------------------------
 # per-event conformance (TRC101/TRC102/TRC103)
 # ----------------------------------------------------------------------
+def _expected(event: TraceEvent) -> tuple[str, str, bool, str]:
+    """The oracle's own reading of Algorithms 1-5 for one event:
+    ``(invariant, record shape, must be stable, why)``.  The shape is
+    ``"none"``, ``"long"`` or ``"short"``; a message that need not be
+    stable must not be forced at all.  Deliberately independent of the
+    table the policy executes (``repro.common.message_actions``): the
+    two encodings check each other."""
+    if not event.optimized:
+        return "TRC101", "long", True, "Algorithm 1 forces every message"
+    if event.context_type.is_stateless:
+        return ("TRC103", "none", False,
+                "the context is stateless and never recovered")
+    kind = event.kind
+    ro_peer = event.peer_type is ComponentType.READ_ONLY or (
+        event.method_read_only and event.read_only_opt
+    )
+    if kind in (MessageKind.INCOMING_CALL, MessageKind.REPLY_TO_INCOMING):
+        first = kind is MessageKind.INCOMING_CALL
+        if ro_peer:
+            return "TRC103", "none", False, "read-only call, Algorithm 5"
+        if event.peer_type is ComponentType.EXTERNAL:
+            return ("TRC102", "long" if first else "short", True,
+                    "Algorithm 3 forces messages 1 and 2")
+        if first:
+            return "TRC101", "long", False, "Algorithm 2 receive"
+        return ("TRC101", "none", True, "Algorithm 2: replay re-creates "
+                "the reply, and its send commits the server's state")
+    if event.peer_type is ComponentType.FUNCTIONAL:
+        return "TRC103", "none", False, "functional server, Algorithm 4"
+    if kind is MessageKind.OUTGOING_CALL:
+        if ro_peer:
+            return "TRC103", "none", False, "read-only server, Algorithm 5"
+        if event.multicall_skip:
+            return "TRC103", "none", False, "multi-call skip, Section 3.5"
+        return ("TRC101", "none", True, "Algorithm 2: the outgoing call "
+                "commits the caller's state")
+    if ro_peer:
+        return ("TRC103", "long", False,
+                "Algorithm 5 logs the unrepeatable reply")
+    return "TRC101", "long", False, "Algorithm 2 receive"
+
+
 def _event_violations(event: TraceEvent) -> list[Violation]:
     if event.interrupted:
         # A crash unwound out of this decision's force: no message left
@@ -91,114 +133,41 @@ def _event_violations(event: TraceEvent) -> list[Violation]:
         return []
     out: list[Violation] = []
     anchor = event.record_lsn if event.record_lsn != NO_LSN else event.end_lsn
-    kind = event.kind
+    invariant, shape, stable, why = _expected(event)
 
-    def bad(invariant: str, message: str) -> None:
-        out.append(Violation(invariant, anchor, message))
+    def bad(problem: str) -> None:
+        out.append(Violation(
+            invariant, anchor, f"message {event.kind.value} {problem}"
+        ))
 
-    def expect_nothing(invariant: str, why: str) -> None:
+    if shape == "none" and not stable:
         if event.wrote_record or event.forced:
-            bad(invariant, f"message {kind.value} must log nothing ({why}) "
-                           f"but wrote_record={event.wrote_record} "
-                           f"forced={event.forced}")
-
-    def expect_record(invariant: str, short: bool, why: str) -> None:
-        if not event.wrote_record or event.short is not short:
-            shape = "short" if short else "long"
-            bad(invariant, f"message {kind.value} requires a {shape} "
-                           f"record ({why}) but wrote_record="
-                           f"{event.wrote_record} short={event.short}")
-
-    def expect_stable(invariant: str, why: str) -> None:
-        # Under concurrent sessions ``end_lsn`` can include *another*
-        # session's appends sitting after our force; the decision's own
-        # commit point is what must be stable.  Serial decisions carry
-        # ``commit_lsn is None`` (or equal to ``end_lsn``), so this is
-        # the old check there.
-        target = (
-            event.commit_lsn
-            if event.commit_lsn is not None
-            else event.end_lsn
-        )
-        if event.stable_lsn < target:
-            bad(invariant, f"message {kind.value} left with "
-                           f"{target - event.stable_lsn} unforced "
-                           f"bytes (stable {event.stable_lsn} < commit "
-                           f"point {target}): {why}")
-
-    def expect_unforced(invariant: str) -> None:
+            bad(f"must log nothing ({why}) but wrote_record="
+                f"{event.wrote_record} forced={event.forced}")
+        return out
+    if shape == "none":
+        if event.wrote_record:
+            bad(f"must write no record ({why})")
+    elif not event.wrote_record or event.short is not (shape == "short"):
+        bad(f"requires a {shape} record ({why}) but wrote_record="
+            f"{event.wrote_record} short={event.short}")
+    if not stable:
         if event.forced:
-            bad(invariant, f"message {kind.value} was forced but the "
-                           "algorithm logs it without forcing")
-
-    if not event.optimized:
-        # Algorithm 1: every message is a forced long record.
-        expect_record("TRC101", short=False, why="Algorithm 1 baseline")
-        if not event.forced:
-            bad("TRC101", f"baseline message {kind.value} was not forced")
-        expect_stable("TRC101", "Algorithm 1 forces every message")
+            bad("was forced but the algorithm logs it without forcing")
         return out
-
-    ro_peer = event.peer_type is ComponentType.READ_ONLY or (
-        event.method_read_only and event.read_only_opt
+    if not event.optimized and not event.forced:
+        bad("was not forced (Algorithm 1 baseline)")
+    # Under concurrent sessions ``end_lsn`` can include *another*
+    # session's appends sitting after our force; the decision's own
+    # commit point is what must be stable.  Serial decisions carry
+    # ``commit_lsn is None`` (or equal to ``end_lsn``), so this is the
+    # whole-log check there.
+    target = (
+        event.commit_lsn if event.commit_lsn is not None else event.end_lsn
     )
-    if event.context_type.is_stateless:
-        expect_nothing(
-            "TRC103", "the context is stateless and never recovered"
-        )
-        return out
-
-    if kind is MessageKind.INCOMING_CALL:
-        if ro_peer:
-            expect_nothing("TRC103", "read-only call, Algorithm 5")
-        elif event.peer_type is ComponentType.EXTERNAL:
-            expect_record("TRC102", short=False, why="Algorithm 3")
-            expect_stable("TRC102", "Algorithm 3 forces message 1")
-        else:
-            expect_record("TRC101", short=False, why="Algorithm 2 receive")
-            expect_unforced("TRC101")
-    elif kind is MessageKind.REPLY_TO_INCOMING:
-        if ro_peer:
-            expect_nothing("TRC103", "read-only call, Algorithm 5")
-        elif event.peer_type is ComponentType.EXTERNAL:
-            expect_record("TRC102", short=True, why="Algorithm 3")
-            expect_stable("TRC102", "Algorithm 3 forces message 2")
-        else:
-            if event.wrote_record:
-                bad("TRC101", "Algorithm 2 writes no record for "
-                              "message 2 (replay re-creates the reply)")
-            expect_stable(
-                "TRC101", "the reply send commits the server's state"
-            )
-    elif kind is MessageKind.OUTGOING_CALL:
-        if event.peer_type is ComponentType.FUNCTIONAL:
-            expect_nothing("TRC103", "functional server, Algorithm 4")
-        elif ro_peer:
-            expect_nothing("TRC103", "read-only server, Algorithm 5")
-        elif event.multicall_skip:
-            expect_nothing(
-                "TRC103", "multi-call skip, Section 3.5"
-            )
-        else:
-            if event.wrote_record:
-                bad("TRC101", "Algorithm 2 writes no record for "
-                              "message 3")
-            expect_stable(
-                "TRC101", "the outgoing call commits the caller's state"
-            )
-    elif kind is MessageKind.REPLY_FROM_OUTGOING:
-        if event.peer_type is ComponentType.FUNCTIONAL:
-            expect_nothing("TRC103", "functional server, Algorithm 4")
-        else:
-            invariant = "TRC103" if ro_peer else "TRC101"
-            expect_record(
-                invariant,
-                short=False,
-                why="Algorithm 5 logs the unrepeatable reply"
-                if ro_peer
-                else "Algorithm 2 receive",
-            )
-            expect_unforced(invariant)
+    if event.stable_lsn < target:
+        bad(f"left with {target - event.stable_lsn} unforced bytes "
+            f"(stable {event.stable_lsn} < commit point {target}): {why}")
     return out
 
 
@@ -206,34 +175,17 @@ def _event_violations(event: TraceEvent) -> list[Violation]:
 # causal invariants over vector-clocked traces (TRC107/TRC108)
 # ----------------------------------------------------------------------
 def _commit_event(event: TraceEvent) -> bool:
-    """Does this event's send commit state — i.e. would
-    :func:`_event_violations` demand stability at it?  Mirrors the
-    ``expect_stable`` branches exactly, with two extra exemptions:
-    ``replaying`` decisions reconstruct pre-crash history (the
-    CrashMark already separates the incarnations) and multi-call skips
-    are recoverable through the server's last-call table (Section 3.5)
-    even while their own message-4 record is volatile."""
+    """Does this event's send commit state — would
+    :func:`_event_violations` demand stability at it?  Two exemptions on
+    top of :func:`_expected` (which already exempts multi-call skips:
+    recoverable through the server's last-call table, Section 3.5, even
+    while their own message-4 record is volatile): an ``interrupted``
+    decision sent nothing, and ``replaying`` decisions reconstruct
+    pre-crash history (the CrashMark already separates the
+    incarnations)."""
     if event.interrupted or event.replaying:
         return False
-    if not event.optimized:
-        return True  # Algorithm 1 forces every message
-    if event.context_type.is_stateless:
-        return False
-    ro_peer = event.peer_type is ComponentType.READ_ONLY or (
-        event.method_read_only and event.read_only_opt
-    )
-    kind = event.kind
-    if kind is MessageKind.INCOMING_CALL:
-        return event.peer_type is ComponentType.EXTERNAL and not ro_peer
-    if kind is MessageKind.REPLY_TO_INCOMING:
-        return not ro_peer
-    if kind is MessageKind.OUTGOING_CALL:
-        return (
-            event.peer_type is not ComponentType.FUNCTIONAL
-            and not ro_peer
-            and not event.multicall_skip
-        )
-    return False
+    return _expected(event)[2]
 
 
 class _CausalIndex:
@@ -591,18 +543,12 @@ def _session_spans(
 
 def _entry_force_bound(event: TraceEvent) -> int:
     """Max forces Algorithms 1-5 allow for the entry call's own
-    message-1/message-2 pair, from the entry event's flags."""
-    if not event.optimized:
-        return 2  # Algorithm 1 forces both
-    if event.context_type.is_stateless:
-        return 0  # Algorithms 4/5: stateless server logs nothing
-    if event.peer_type is ComponentType.READ_ONLY or (
-        event.method_read_only and event.read_only_opt
-    ):
-        return 0  # Algorithm 5
-    if event.peer_type is ComponentType.EXTERNAL:
-        return 2  # Algorithm 3 forces messages 1 and 2
-    return 1  # Algorithm 2: unforced receive, one pre-reply force
+    message-1/message-2 pair: the ones that must be stable, given the
+    entry event's flags."""
+    return sum(
+        _expected(replace(event, kind=kind))[2]
+        for kind in (MessageKind.INCOMING_CALL, MessageKind.REPLY_TO_INCOMING)
+    )
 
 
 def check_force_bounds(

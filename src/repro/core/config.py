@@ -117,7 +117,6 @@ class RuntimeConfig:
     # two-pass recovery is the paper's Table 7 model and the benchmark
     # tables are calibrated against it.
     on_demand_recovery: bool = False
-    recovery_drain_workers: int = 2
 
     # Sharded multi-log runtime (extension; ROADMAP item 1, the
     # executable half of the committed ``plans/apps.logplan.json``): a

@@ -19,7 +19,7 @@ instant restart and Lomet's performance-competitive logical recovery,
    exactly pass 2 restricted to one component.
 
 3. **Background drain**: when the deterministic scheduler is active,
-   ``config.recovery_drain_workers`` system sessions are spawned to
+   ``DRAIN_WORKERS`` system sessions are spawned to
    replay the remaining components.  Workers claim components through
    the same watermark table, so lazy and background replay never
    double-apply, and scheduling stays seeded and byte-identical.
@@ -53,6 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover
 PENDING = "pending"
 REPLAYING = "replaying"
 RECOVERED = "recovered"
+
+#: background drain sessions spawned per admitted process
+DRAIN_WORKERS = 2
 
 
 class ComponentWatermark:
@@ -335,11 +338,7 @@ class PendingRecovery:
         scheduler = self._scheduler()
         if scheduler is None or scheduler.current_session() is None:
             return
-        count = min(
-            self.process.config.recovery_drain_workers,
-            self.pending_count(),
-        )
-        for __ in range(count):
+        for __ in range(min(DRAIN_WORKERS, self.pending_count())):
             scheduler.spawn(
                 self._drain_worker, name=f"drain-{self.process.name}"
             )

@@ -12,6 +12,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.infer import build_cost_model
+from repro.analysis.infer.costmodel import (
+    edge_cells,
+    entry_cells,
+    force_ratio,
+    forces,
+    records,
+)
 from repro.analysis.model import ProgramModel, iter_py_files
 
 APPS = Path(__file__).resolve().parents[2] / "src" / "repro" / "apps"
@@ -29,6 +36,61 @@ def paths(cost_model):
         (entry["entry"], entry["method"]): entry
         for entry in cost_model.report()["paths"]
     }
+
+
+class TestPaperPrices:
+    """The prices are derived from ``common/message_actions.py``; the
+    paper's numbers are pinned here, where they are derived, so a table
+    edit that silently reprices shows up as a named cell."""
+
+    CATEGORIES = ("functional", "read_only", "persistent", "unknown")
+    CALLERS = ("persistent", "functional", "read_only", None)
+
+    @pytest.mark.parametrize(
+        "category, caller, price",
+        [
+            ("functional", "persistent", (0, 0)),  # Algorithm 4
+            ("functional", "functional", (0, 0)),
+            ("read_only", "persistent", (1, 0)),  # unforced message 4
+            ("read_only", "functional", (0, 0)),  # stateless caller
+            ("read_only", "read_only", (0, 0)),
+            ("persistent", "persistent", (2, 2)),  # msgs 4+1; 3+2
+            ("persistent", None, (2, 2)),  # unknown caller: persistent
+            ("persistent", "functional", (1, 1)),  # server side only
+            ("persistent", "read_only", (0, 0)),  # Algorithm 5 at server
+            ("unknown", "persistent", (2, 2)),  # Section 3.4
+        ],
+    )
+    def test_optimized_edge(self, category, caller, price):
+        cells = edge_cells(caller, category)
+        assert (records(cells), forces(cells)) == price
+
+    def test_baseline_edge_is_four_forced_records(self):
+        for category in self.CATEGORIES:
+            for caller in self.CALLERS:
+                cells = edge_cells(caller, category, optimized=False)
+                assert (records(cells), forces(cells)) == (4, 4)
+
+    @pytest.mark.parametrize(
+        "declared, read_only_marked, price",
+        [
+            ("persistent", False, (2, 2)),  # Algorithm 3
+            (None, False, (2, 2)),
+            ("persistent", True, (0, 0)),  # Algorithm 5
+            ("functional", False, (0, 0)),  # stateless entry
+            ("read_only", False, (0, 0)),
+        ],
+    )
+    def test_external_entry(self, declared, read_only_marked, price):
+        cells = entry_cells(declared, read_only_marked)
+        assert (records(cells), forces(cells)) == price
+        baseline = entry_cells(declared, read_only_marked, optimized=False)
+        assert (records(baseline), forces(baseline)) == (2, 2)
+
+    def test_force_ratios(self):
+        assert [force_ratio(category) for category in self.CATEGORIES] == [
+            0.0, 0.0, 0.5, 0.5,
+        ]
 
 
 class TestPathCosts:

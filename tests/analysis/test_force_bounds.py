@@ -23,7 +23,7 @@ from repro.analysis.model import ProgramModel, iter_py_files
 from repro.analysis.trace_check import check_runtime_force_bounds
 from repro.apps.bookstore import BookBuyer, OptimizationLevel, deploy_bookstore
 from repro.apps.orderflow import deploy_orderflow
-from repro.core.policy import LoggingPolicy
+from repro.common import message_actions
 
 APPS = Path(__file__).resolve().parents[2] / "src" / "repro" / "apps"
 
@@ -90,14 +90,16 @@ class TestOverForcingPolicyTrips:
     def test_disabling_algorithm5_routing_violates_trc106(
         self, bounds, monkeypatch
     ):
-        # the mutation makes the policy treat read-only peers as
-        # persistent — every individual force is still TRC101-legal,
-        # but the span totals exceed the static ratio-0 bounds
-        monkeypatch.setattr(
-            LoggingPolicy,
-            "_treat_read_only",
-            lambda self, component_type, method_read_only: False,
-        )
+        # the mutation makes the table treat read-only peers as
+        # persistent (every read-only cell becomes its row's "other"
+        # cell) — every individual force is still TRC101-legal, but the
+        # span totals exceed the static ratio-0 bounds
+        monkeypatch.setattr(message_actions, "TABLE", tuple(
+            row[:message_actions.READ_ONLY]
+            + (row[message_actions.OTHER],)
+            + row[message_actions.READ_ONLY + 1:]
+            for row in message_actions.TABLE
+        ))
         app = deploy_bookstore(level=OptimizationLevel.SPECIALIZED)
         app.price_grabber.search("recovery")
         problems = check_runtime_force_bounds(app.runtime, bounds)

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common import message_actions
 from repro.concurrency import ControlledPolicy, SeededRandomPolicy
 from repro.concurrency import explore as ex
 from repro.concurrency.scheduler import DeterministicScheduler
-from repro.core.policy import LoggingPolicy
 
 
 def test_schedule_id_roundtrip():
@@ -85,13 +85,14 @@ def test_schedules_replay_byte_identically():
 
 @pytest.mark.no_conformance_check  # the mutated runtimes *should* violate
 def test_dropped_commit_force_caught_by_trc107(monkeypatch):
-    # Mutation: the commit-time force silently becomes a no-op, so a
-    # session's records stay volatile while causally-later sessions
-    # commit on top of them.  TRC107 must catch it and hand back a
-    # SCHEDULE_ID that reproduces the violation.
-    monkeypatch.setattr(
-        LoggingPolicy, "_force_for", lambda self, context, decision: None
-    )
+    # Mutation: every cell of the message-action table loses its
+    # commit, so a session's records stay volatile while causally-later
+    # sessions send on top of them.  TRC107 must catch it and hand back
+    # a SCHEDULE_ID that reproduces the violation.
+    monkeypatch.setattr(message_actions, "TABLE", tuple(
+        tuple(cell._replace(commits=False) for cell in row)
+        for row in message_actions.TABLE
+    ))
     found = ex.explore(
         "ledger", n_sessions=2, max_schedules=60, stop_on_violation=True
     )

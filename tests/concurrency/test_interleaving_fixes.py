@@ -12,13 +12,10 @@ Each class pins one fix:
   in-flight session's unforced tail justifies nothing.
 """
 
-from types import SimpleNamespace
-
 from repro import PhoenixRuntime, RuntimeConfig
-from repro.common.types import ComponentType
+from repro.common.messages import MethodCallMessage
 from repro.concurrency import DeterministicScheduler
 from repro.core.context import CurrentCall
-from repro.core.policy import LoggingPolicy
 from repro.errors import ComponentUnavailableError
 from repro.faults.plane import CrashSpec, FaultPlane, installed
 
@@ -116,46 +113,42 @@ class TestMulticallWatermark:
     workload)."""
 
     @staticmethod
-    def _call(stable_lsn: int, watermark: int):
-        """Drive ``_outgoing_call`` against a context whose call already
-        forced through ``watermark`` and called server ``s1``, with the
-        log stable through ``stable_lsn``."""
-        forces: list[int] = []
-        log = SimpleNamespace(stable_lsn=stable_lsn, end_lsn=stable_lsn)
-        process = SimpleNamespace(
-            log=log,
-            log_force=lambda commit_lsn=None, context_id=None: (
-                forces.append(1) or True
-            ),
+    def _call(behind: int):
+        """Drive message 3 through the policy for a context whose call
+        already forced once and called server ``s1``, with the log
+        stable ``behind`` bytes short of what that call believes it
+        forced.  Returns (skipped?, forces requested)."""
+        runtime, process, counters = _deploy(
+            1, multicall_optimization=True
         )
+        counters[0].increment()  # a real log, stable through its end
+        context = process.contexts()[0]
+        log = process.log
         current = CurrentCall(message=None)
         current.forced_once = True
         current.servers_called.add("m/p/s1")
-        current.forced_watermark = watermark
-        context = SimpleNamespace(
-            process=process,
-            context_id=1,
-            current_call=current,
-            component_type=ComponentType.PERSISTENT,
+        current.forced_watermark = log.stable_lsn + behind
+        context.current_call = current
+        requested = log.stats.forces_requested
+        process.policy.on_outgoing_call(
+            context,
+            MethodCallMessage(target_uri="m/p/s2/method", method="method"),
+            server_type=None,
+            method_read_only=False,
         )
-        policy = LoggingPolicy(
-            RuntimeConfig.optimized(multicall_optimization=True)
-        )
-        message = SimpleNamespace(target_uri="m/p/s2/method")
-        decision, skipped = policy._outgoing_call(
-            context, message, server_type=None, method_read_only=False
-        )
-        return skipped, forces
+        context.current_call = None
+        skipped = process.protocol_trace.events()[-1].multicall_skip
+        return skipped, log.stats.forces_requested - requested
 
     def test_skip_requires_stability_through_own_forces(self):
         # Serial shape: the call's first force made the log stable
         # through the watermark -> a new server needs no force.
-        skipped, forces = self._call(stable_lsn=120, watermark=120)
+        skipped, forces = self._call(behind=0)
         assert skipped and not forces
 
         # Interleaved shape: between this call's force and now, another
         # session appended (and maybe coalesced) so the stable point
         # sits BELOW what this call believes it forced.  Skipping here
         # would let a reply leave before its records are durable.
-        skipped, forces = self._call(stable_lsn=90, watermark=120)
+        skipped, forces = self._call(behind=30)
         assert not skipped and forces

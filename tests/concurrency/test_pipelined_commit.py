@@ -20,14 +20,11 @@ Four pins:
   commit point degenerates to the paper's global ``end_lsn``.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro import PhoenixRuntime, RuntimeConfig
 from repro.concurrency import DeterministicScheduler
 from repro.concurrency.bench import _run as _bench_run
-from repro.core.policy import LoggingPolicy
 from repro.errors import ComponentUnavailableError
 from repro.faults.plane import CrashSpec, FaultPlane, installed
 
@@ -203,16 +200,18 @@ class TestWatermarksDieWithTheProcess:
 class TestSerialFallback:
     def test_commit_point_is_end_of_log_outside_a_run(self):
         """Without an active scheduler there is no session watermark to
-        relax against: the commit point must be the paper's global
-        ``end_lsn`` even with the flag on (and mocked processes without
-        a runtime must not trip the lookup)."""
-        policy = LoggingPolicy(
-            RuntimeConfig.optimized(pipelined_commit=True)
+        relax against: every committing decision's commit point must be
+        the paper's global ``end_lsn`` even with the flag on."""
+        runtime, process, counters = _deploy(1, pipelined_commit=True)
+        counters[0].increment()
+        committed = [
+            event for event in process.protocol_trace.events()
+            if event.commit_lsn is not None
+        ]
+        assert committed, "an external call commits messages 1 and 2"
+        assert all(
+            event.commit_lsn == event.end_lsn for event in committed
         )
-        context = SimpleNamespace(
-            process=SimpleNamespace(log=SimpleNamespace(end_lsn=42))
-        )
-        assert policy._commit_point(context) == 42
 
     def test_causal_commit_lsn_is_none_outside_a_run(self):
         runtime, process, counters = _deploy(1, pipelined_commit=True)

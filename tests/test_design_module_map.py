@@ -1,10 +1,12 @@
-"""DESIGN.md section 3's module map cannot drift from the tree.
+"""DESIGN.md sections 3 and 4 cannot drift from the tree.
 
-The fenced tree names directories (``name/``) and files (``name.py``)
-by indentation, two spaces per level, rooted at the repo; description
-text and its wrapped continuation lines are ignored.  Every file it
-names must exist, and every package directly under ``src/repro/`` must
-appear in it.
+Section 3's fenced tree names directories (``name/``) and files
+(``name.py``) by indentation, two spaces per level, rooted at the repo;
+description text and its wrapped continuation lines are ignored.  Every
+file it names must exist, and every package directly under
+``src/repro/`` must appear in it.  Section 4's table cites code as
+`` `file.py` `` and `` `module.name` ``: each file must exist somewhere
+under ``src/repro/`` and each name must be defined in its module.
 """
 
 from __future__ import annotations
@@ -60,3 +62,29 @@ def test_every_package_under_src_repro_is_listed():
         if (child / "__init__.py").is_file()
     }
     assert sorted(packages - directories) == []
+
+
+def test_every_code_citation_in_section_4_resolves():
+    text = (REPO / "DESIGN.md").read_text()
+    section = text[text.index("## 4. Exactly-once machinery"):]
+    section = section[:section.index("\n## 5.")]
+    modules: dict[str, list[Path]] = {}
+    for path in (REPO / "src" / "repro").rglob("*.py"):
+        modules.setdefault(path.stem, []).append(path)
+
+    def resolves(module: str, name: str) -> bool:
+        if name == "py":  # `file.py`
+            return module in modules
+        definition = re.compile(rf"^\s*(?:def|class) {name}\b", re.M)
+        return any(
+            definition.search(path.read_text())
+            for path in modules.get(module, ())
+        )
+
+    cited = re.findall(r"`(\w+)\.(\w+)`", section)
+    assert len(cited) > 8, "the table failed to parse"
+    assert [
+        f"{module}.{name}"
+        for module, name in cited
+        if not resolves(module, name)
+    ] == []
