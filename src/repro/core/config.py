@@ -114,8 +114,8 @@ class RuntimeConfig:
     # chain in the per-component log index, while background drain
     # workers (scheduled as deterministic sessions when the concurrent
     # scheduler is active) replay the rest.  Off by default — eager
-    # two-pass recovery is the paper's Table 7 model and the benchmark
-    # tables are calibrated against it.
+    # recovery (every chain replayed before admission) is the paper's
+    # Table 7 model and the benchmark tables are calibrated against it.
     on_demand_recovery: bool = False
 
     # Sharded multi-log runtime (extension; ROADMAP item 1, the

@@ -265,14 +265,11 @@ class AppProcess:
         self._pending_checkpoint: tuple[int, int] | None = None  # (begin, end)
         self.crash_count = 0
         self.recovery_count = 0
-        # The recovery manager driving this process's replay, while one
-        # is active; the runtime uses it to drain a context's pending
-        # replay before delivering a live call to it.
-        self.active_recovery = None
-        # The per-component recovery watermark table, while on-demand
-        # recovery has admitted this process with replay still owed
-        # (repro.recovery.incremental.PendingRecovery); None once every
-        # component is recovered — and cleared by a fresh crash.
+        # The per-component recovery watermark table while replay is
+        # still owed (repro.recovery.incremental.PendingRecovery): during
+        # an eager restart's drain, or after on-demand recovery admitted
+        # the process.  None once every component is recovered — and
+        # cleared by a fresh crash.
         self.pending_recovery = None
 
         machine.register_process(self)
@@ -686,7 +683,6 @@ class AppProcess:
         self._next_component_lid = 1
         self._state_saves = 0
         self._pending_checkpoint = None
-        self.active_recovery = None
         self.pending_recovery = None
 
     def finish_recovery(self) -> None:

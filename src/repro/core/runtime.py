@@ -446,11 +446,11 @@ class PhoenixRuntime:
                     break
                 pending = process.pending_recovery
                 if pending is not None:
-                    # On-demand recovery: the admission rule consults
-                    # the target component's watermark (never a global
-                    # RECOVERING flag) and applies its frame chain
-                    # before the call is delivered, so duplicate
-                    # detection sees the regenerated reply.
+                    # Replay still owed (on-demand admission, or an
+                    # eager drain whose replay went live): the target
+                    # component's watermark decides, and its frame chain
+                    # is applied before the call is delivered, so
+                    # duplicate detection sees the regenerated reply.
                     pending.ensure_component(
                         lid if lid < SUB_LID_BASE else lid // SUB_LID_BASE
                     )
@@ -481,17 +481,6 @@ class PhoenixRuntime:
                         # serves a context at a time; the rest wait at
                         # the boundary instead of looking re-entrant.
                         claimed = context
-                    if (
-                        process.state is ProcessState.RECOVERING
-                        and process.active_recovery is not None
-                    ):
-                        # A live call arrived mid-recovery (another
-                        # context's replay went live): finish this
-                        # context's own pending replay first so duplicate
-                        # detection finds the regenerated reply.
-                        process.active_recovery.drain_context(
-                            context.context_id
-                        )
                     reply = context.interceptor.handle_incoming(message)
             except CrashSignal as signal:
                 if getattr(signal, "process", None) is process:

@@ -76,6 +76,22 @@ def _composite_bases(points: list[CrashPoint]) -> list[CrashSpec]:
     return bases
 
 
+def _cap_composites(points: list[CrashPoint]) -> list[CrashPoint]:
+    """At most ``MAX_COMPOSITES_PER_BASE`` of one base crash's
+    composites, in journal order: the first hit of every distinct
+    recovery site is taken before any repeat, so a drain that crosses
+    one site per component never crowds out the boundaries after it."""
+    firsts: list[int] = []
+    repeats: list[int] = []
+    seen: set[str] = set()
+    for index, point in enumerate(points):
+        site = point.specs[-1].site
+        (repeats if site in seen else firsts).append(index)
+        seen.add(site)
+    keep = sorted((firsts + repeats)[:MAX_COMPOSITES_PER_BASE])
+    return [points[index] for index in keep]
+
+
 def discover_plan(
     workloads: list[str] | None = None,
     torn_stride: int = 1,
@@ -97,8 +113,9 @@ def discover_plan(
             # Secondary discovery: run armed with the base crash and
             # record which recovery pass boundaries the repair crosses.
             armed = WORKLOADS[name](specs=(base,), record=True)
-            extra = composite_points(name, base, armed.journal)
-            points.extend(extra[:MAX_COMPOSITES_PER_BASE])
+            points.extend(
+                _cap_composites(composite_points(name, base, armed.journal))
+            )
     return CrashPlan(points), golden
 
 

@@ -22,10 +22,10 @@ Both hot paths avoid materializing the log:
 * **Read path** — the manager maintains an LSN → (frame length,
   record kind) index over the stable log, built lazily for pre-existing
   bytes and kept current on append/flush/truncate/repair.
-  ``read_record`` reads only its own frame, ``scan(from_lsn)`` reads
-  only the byte suffix from ``from_lsn``, and ``scan(from_lsn,
-  kinds=...)`` decodes only the frames whose kind was asked for,
-  instead of re-materializing the whole stable file per call.
+  ``read_record`` / ``read_records`` read only their own frames,
+  ``scan(from_lsn)`` reads only the byte suffix from ``from_lsn``, and
+  ``scan(from_lsn, kinds=...)`` decodes only the frames whose kind was
+  asked for, instead of re-materializing the whole stable file per call.
   ``LogStats.reads`` / ``bytes_read`` / ``index_hits`` make the saved
   work observable.
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from collections.abc import Collection, Iterator
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -386,13 +386,6 @@ class LogManager:
         self._indexed_upto = start + offset
         self._index_stale_block = None
 
-    def _index_lookup(self, lsn: int) -> int | None:
-        """Frame length of the record at ``lsn``, if indexed."""
-        i = bisect_left(self._index_lsns, lsn)
-        if i < len(self._index_lsns) and self._index_lsns[i] == lsn:
-            return self._index_lengths[i]
-        return None
-
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
@@ -558,26 +551,44 @@ class LogManager:
 
         O(1) via the LSN index: only the record's own frame is fetched
         from the stable store, never the whole log."""
+        return next(self.read_records((lsn,)))[1]
+
+    def read_records(
+        self, lsns: Sequence[int]
+    ) -> Iterator[tuple[int, LogRecord]]:
+        """``(lsn, record)`` for each of an ascending sequence of record
+        LSNs — a component's chain — reading each record's own frame.
+        The index is brought up to date once for the sequence, and the
+        lookups walk it forward instead of searching it afresh."""
+        self._ensure_index()
+        at = 0
+        for lsn in lsns:
+            index_lsns = self._index_lsns
+            at = bisect_left(index_lsns, lsn, at)
+            if at < len(index_lsns) and index_lsns[at] == lsn:
+                self.stats.index_hits += 1
+                chunk = self._read_range(
+                    lsn - self._base_lsn, self._index_lengths[at]
+                )
+                yield lsn, self._decode_frame(lsn, chunk, 0)[0]
+            else:
+                yield lsn, self._read_unindexed(lsn)
+
+    def _read_unindexed(self, lsn: int) -> LogRecord:
+        """A record the index cannot vouch for (below the truncation
+        base, past the end, in a corrupt region, or not on a record
+        boundary): read incrementally — header, then payload — with the
+        same failure modes a full-file read would surface."""
         if lsn < self._base_lsn:
             raise InvariantViolationError(
                 f"LSN {lsn} was garbage-collected (base {self._base_lsn})"
             )
-        self._ensure_index()
         size = self._stable.size
         physical = lsn - self._base_lsn
         if physical > size:
             raise InvariantViolationError(
                 f"LSN {lsn} outside the stable log (size {size})"
             )
-        length = self._index_lookup(lsn)
-        if length is not None:
-            self.stats.index_hits += 1
-            chunk = self._read_range(physical, length)
-            return self._decode_frame(lsn, chunk, 0)[0]
-        # Not indexed (corrupt region, or an offset that is not a
-        # record boundary): read incrementally — header, then
-        # payload — with the same failure modes a full-file read
-        # would surface.
         try:
             result = read_frame_incremental(self._read_range, physical, size)
             if result is None:

@@ -1,35 +1,37 @@
-"""On-demand, REDO-only, parallel recovery (extension; ROADMAP item 2).
+"""The per-component replay table every process restart drains.
 
-The paper's recovery (Section 4.4, Table 7) is stop-the-world: a crashed
-process replays its whole log before admitting a single call, so
-time-to-first-reply grows with log size.  Following Sauer & Härder's
-instant restart and Lomet's performance-competitive logical recovery,
-``config.on_demand_recovery`` splits recovery into:
+After analysis (:meth:`RecoveryManager.recover`: repair the tail,
+re-mark, seed the tables from the checkpoint, restore state-record
+contexts, register a shell for every discovered context), recovery's
+redo is one :class:`PendingRecovery`: each component's frame chain from
+the log manager's per-component index
+(:meth:`LogManager.component_chains`), replayed with the reply cache
+intact.  Only the schedule that drains it differs:
 
-1. **Analysis + admission** (:meth:`RecoveryManager.recover`): repair
-   the tail, re-mark, seed the tables from the checkpoint, restore
-   state-record contexts, register a shell for every discovered
-   context — then leave RECOVERING.  New calls are admitted from here.
+1. **Eager** (the paper's stop-the-world restart, Section 4.4 and
+   Table 7): :meth:`PendingRecovery.drain_all` before the process
+   leaves RECOVERING.
 
-2. **Lazy replay**: the runtime consults this module's
-   :class:`PendingRecovery` watermark table before delivering a call;
-   a not-yet-recovered target component is replayed first, from its own
-   frame chain in the log manager's per-component index
-   (:meth:`LogManager.component_chains`), with the reply cache intact —
-   exactly pass 2 restricted to one component.
+2. **On demand** (``config.on_demand_recovery``, after Sauer &
+   Härder's instant restart and Lomet's performance-competitive logical
+   recovery): the process leaves RECOVERING right after analysis, so
+   time-to-first-reply no longer grows with log size.  The runtime
+   consults the table before delivering a call and replays a
+   not-yet-recovered target first; when the deterministic scheduler is
+   active, ``DRAIN_WORKERS`` system sessions replay the rest.
 
-3. **Background drain**: when the deterministic scheduler is active,
-   ``DRAIN_WORKERS`` system sessions are spawned to
-   replay the remaining components.  Workers claim components through
-   the same watermark table, so lazy and background replay never
-   double-apply, and scheduling stays seeded and byte-identical.
+3. **Sharded** (``config.sharded_logging``): one drain per stream, as a
+   clock lane or a scheduler session.
 
-The watermark table is the single coordination point: every component
-is ``PENDING`` (chain not applied), ``REPLAYING`` (owned by exactly one
+While the table is published on the process, a call into a component
+not yet replayed — including a replay that went live — replays that
+component's chain first, so duplicate detection finds the regenerated
+reply.  The table is the single coordination point: every component is
+``PENDING`` (chain not applied), ``REPLAYING`` (owned by exactly one
 session), or ``RECOVERED`` (``applied_lsn`` = the last LSN of its chain
-that has been applied).  Admission decisions see a component's
-watermark, never a global RECOVERING flag.  When the last mark turns
-RECOVERED the table detaches itself from the process.
+that has been applied), so lazy and background replay never
+double-apply.  When the last mark turns RECOVERED the table detaches
+itself from the process.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ from typing import TYPE_CHECKING
 from ..core.tables import NO_LSN
 from ..errors import CrashSignal, LogCorruptionError, RecoveryError
 from ..faults import plane as faultplane
-from ..log.records import (
-    CreationRecord,
-    LastCallReplyRecord,
-    MessageRecord,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.process import AppProcess
@@ -146,12 +143,6 @@ class PendingRecovery:
         mark = self.marks.get(context_id)
         return mark is None or mark.status == RECOVERED
 
-    def recovered_watermark(self, context_id: int) -> int:
-        """The last applied LSN of a component's chain (NO_LSN while its
-        replay has not completed)."""
-        mark = self.marks.get(context_id)
-        return NO_LSN if mark is None else mark.applied_lsn
-
     def start_lsns(self, stream: int = 0) -> list[int]:
         """Every not-yet-applied chain head on ``stream`` — log
         truncation must never reclaim these."""
@@ -186,8 +177,7 @@ class PendingRecovery:
         so duplicate detection finds the regenerated reply.  Replays
         inline when the component is unclaimed; parks behind the owning
         session otherwise.  Re-entrant touches (the component's own
-        replay going live into itself) are a no-op, mirroring eager
-        recovery's ``drain_context``."""
+        replay going live into itself) are a no-op."""
         process = self.process
         mark = self.marks.get(context_id)
         if mark is None:
@@ -216,10 +206,10 @@ class PendingRecovery:
             )
 
     # ------------------------------------------------------------------
-    # per-component replay (pass 2 restricted to one frame chain)
+    # per-component replay
     # ------------------------------------------------------------------
     def _replay_component(self, mark: ComponentWatermark) -> None:
-        from .recovery_manager import RecoveryManager, _Pending
+        from .recovery_manager import RecoveryManager
 
         process = self.process
         name = process.name
@@ -227,34 +217,13 @@ class PendingRecovery:
         mark.status = REPLAYING
         mark.owner = self._current_owner_key()
         faultplane.site_hit(f"recovery.lazy_replay.before:{name}", name)
-        log = process.log_for(context_id)
         reply_floor = self.reply_watermarks.get(
             process.stream_index(context_id), NO_LSN
         )
-        manager = RecoveryManager(process)
-        manager._reply_watermarks = self.reply_watermarks
         try:
-            for lsn in mark.chain:
-                record = log.read_record(lsn)
-                if isinstance(record, CreationRecord):
-                    if mark.restored:
-                        continue
-                    manager._pending[context_id] = _Pending(
-                        order=manager._next_order(), creation=record
-                    )
-                elif isinstance(record, LastCallReplyRecord):
-                    if reply_floor != NO_LSN and lsn <= reply_floor:
-                        continue  # the checkpoint's table covers it
-                    process.last_calls.seed(
-                        record.caller_key,
-                        record.call_id,
-                        record.context_id,
-                        reply=record.reply,
-                        reply_lsn=lsn,
-                    )
-                elif isinstance(record, MessageRecord):
-                    manager._scan_message(context_id, lsn, record)
-            manager.drain_context(context_id)
+            RecoveryManager(process).replay_chain(
+                context_id, mark.chain, mark.restored, reply_floor
+            )
         except LogCorruptionError:
             # The chain cannot be read, so this component is half
             # replayed and its mark would stay REPLAYING, which later
@@ -264,9 +233,8 @@ class PendingRecovery:
             process.crash()
             raise
         # Replay effects (regenerated records of live-continued calls)
-        # become stable before the component is declared recovered —
-        # the per-component equivalent of eager recovery's final force.
-        log.force()
+        # become stable before the component is declared recovered.
+        process.log_for(context_id).force()
         faultplane.site_hit(f"recovery.lazy_replay.after:{name}", name)
         mark.applied_lsn = mark.chain[-1] if mark.chain else mark.state_lsn
         mark.status = RECOVERED
@@ -293,8 +261,9 @@ class PendingRecovery:
     # foreground drain (the full-recovery barrier)
     # ------------------------------------------------------------------
     def drain_all(self) -> None:
-        """Replay every remaining component now (workloads, benchmarks
-        and state capture need the fully recovered process)."""
+        """Replay every remaining component now, in context-id order
+        (eager restart; workloads, benchmarks and state capture need the
+        fully recovered process)."""
         process = self.process
         while process.pending_recovery is self:
             mark = self._next_pending()

@@ -54,6 +54,28 @@ class TestDiscovery:
             "recovery.drain_worker",
         } <= families
 
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            "bookstore",
+            "bookstore-concurrent",
+            "bookstore-concurrent-pipelined",
+            "bookstore-sharded",
+            "orderflow",
+        ],
+    )
+    def test_composites_reach_the_end_of_recovery(self, plan, workload):
+        """An eager restart crosses one lazy-replay site per component;
+        the per-base cap still keeps a crash after the drain and after
+        the final force, because every distinct recovery site is taken
+        before any repeat."""
+        sites = {
+            point.specs[-1].site.split(":")[0]
+            for point in plan.for_workload(workload)
+            if len(point.specs) > 1
+        }
+        assert {"recovery.drained", "recovery.done"} <= sites
+
     def test_golden_journals_are_deterministic(self):
         first, __ = discover_plan(
             workloads=["bookstore"], composites=False

@@ -75,6 +75,19 @@ class TestPointReadCost:
         assert log.stats.bytes_read - before == frame_len
         assert log.stats.index_hits >= 1
 
+    def test_read_records_fetches_only_the_chain_frames(self, log):
+        lsns = [log.append(record(i)) for i in range(100)]
+        log.force()
+        frame_len = lsns[1] - lsns[0]
+        chain = lsns[3::7]
+        before = log.stats.bytes_read
+        got = [(lsn, payload_of(r)) for lsn, r in log.read_records(chain)]
+        assert got == [(lsn, 3 + 7 * k) for k, lsn in enumerate(chain)]
+        assert log.stats.bytes_read - before == frame_len * len(chain)
+        # an element that is not a record boundary errors like read_record
+        with pytest.raises(LogCorruptionError):
+            list(log.read_records([lsns[1], lsns[2] + 1]))
+
     def test_scan_from_lsn_reads_only_the_suffix(self, log):
         lsns = [log.append(record(i)) for i in range(100)]
         log.force()

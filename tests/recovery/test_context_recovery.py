@@ -4,6 +4,7 @@ import pytest
 
 from repro.checkpoint import save_context_state
 from repro.core import ProcessState
+from repro.log import log_manager
 from tests.conftest import Counter, KvStore, TallyOwner
 
 
@@ -59,6 +60,62 @@ class TestContextCrash:
         runtime.crash_context(store_process.find_context(1))
         relay.put("b", 2)
         assert store_process.component_table[1].instance.executions == 2
+
+    def test_context_recovery_reads_only_its_own_chain(
+        self, runtime, monkeypatch
+    ):
+        """The victim's chain is all that is decoded, however many other
+        contexts' calls share the log."""
+        from tests.conftest import Relay
+
+        store_process = runtime.spawn_process("sp", machine="beta")
+        stores = [store_process.create_component(KvStore) for __ in range(4)]
+        relay_process = runtime.spawn_process("rp", machine="alpha")
+        relays = [
+            relay_process.create_component(Relay, args=(store,))
+            for store in stores
+        ]
+        for key in range(6):
+            if key == 3:
+                save_context_state(store_process.find_context(1))
+            for relay in relays:
+                relay.put(key, key)
+        log = store_process.log
+        log.force()
+        state_lsn = store_process.context_table[1].state_record_lsn
+        tail = [
+            lsn
+            for lsn, record in log.scan(state_lsn)
+            if record.context_id == 1 and lsn > state_lsn
+        ]
+        last_calls = {
+            key: (entry.call_id, entry.reply, entry.reply_lsn)
+            for key, entry in store_process.last_calls.all_entries()
+        }
+        recoveries = store_process.recovery_count
+
+        decodes = []
+        real_decode = log_manager.decode_record
+        monkeypatch.setattr(
+            log_manager,
+            "decode_record",
+            lambda payload: decodes.append(1) or real_decode(payload),
+        )
+        context = store_process.find_context(1)
+        runtime.crash_context(context)
+        runtime.recover_context(context)
+        monkeypatch.undo()
+
+        # the state record itself, then the chain past it
+        assert len(decodes) == 1 + len(tail)
+        assert store_process.state is ProcessState.RUNNING
+        assert store_process.recovery_count == recoveries
+        assert {
+            key: (entry.call_id, entry.reply, entry.reply_lsn)
+            for key, entry in store_process.last_calls.all_entries()
+        } == last_calls
+        assert stores[0].size() == 6
+        assert store_process.component_table[1].instance.executions == 6
 
     def test_crashed_context_unavailable_without_auto_recover(self):
         from repro import (

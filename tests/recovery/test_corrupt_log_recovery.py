@@ -98,7 +98,7 @@ class TestUnknownKindByte:
 
 
 class TestMalformedMessageRecord:
-    def test_surfaces_from_eager_pass_two(self):
+    def test_surfaces_from_eager_chain_replay(self):
         runtime, process, stores = _build(on_demand=False)
         process.crash()
         lsn = _rewrite_incoming_call(process, VICTIM, 2, _cut_short)
@@ -109,7 +109,9 @@ class TestMalformedMessageRecord:
                 stores[1].put("late", 1)
         sites = _recovery_sites(plane)
         assert "recovery.restored" in sites  # pass one did not see it
-        assert "recovery.pass2" not in sites
+        # the victim's chain replay read it; the drain never finished
+        assert "recovery.lazy_replay.before" in sites
+        assert "recovery.drained" not in sites
         self._assert_stays_down(process, stores[1], lsn)
         # eager recovery is all or nothing: the healthy store is down too
         with pytest.raises(LogCorruptionError, match=f"LSN {lsn}:"):

@@ -4,8 +4,8 @@ drain workers, recover-twice idempotency, and the flag-off pin.
 The invariant under test: ``config.on_demand_recovery`` changes *when*
 components are replayed (lazily, on first touch, or by background drain
 workers) but never *what* replay produces — replies and component state
-must be byte-identical to eager two-pass recovery, and with the flag
-off the eager path must be untouched down to its crash-site crossings.
+must be byte-identical to eager recovery, and with the flag off a
+restart must drain every chain before it admits a call.
 """
 
 import pytest
@@ -185,26 +185,27 @@ class TestFlagOffPin:
     def test_flag_defaults_off(self):
         assert RuntimeConfig.optimized().on_demand_recovery is False
 
-    def test_eager_path_never_crosses_new_sites(self):
-        """With the flag off, a crash recovers through the unchanged
-        two-pass path: the journal shows the eager pass boundaries and
-        none of the incremental-recovery sites."""
+    def test_eager_path_never_admits_early(self):
+        """With the flag off, a restart drains every chain before it
+        returns: the journal shows the eager pass boundaries and the
+        per-chain replays, but no early admission and no drain worker."""
         runtime, process, counters = _build(on_demand=False)
         plane = FaultPlane(record=True)
         plane.bind(runtime)
         with installed(plane):
             process.crash()
+            runtime.restart_process(process)
+            assert process.pending_recovery is None
             counters[0].increment()
-            runtime.ensure_recovered(process)
         sites = {hit.site.split(":")[0] for hit in plane.journal}
-        assert "recovery.pass2" in sites
-        assert "recovery.done" in sites
-        assert not sites & {
-            "recovery.admit_early",
+        assert {
+            "recovery.pass2",
             "recovery.lazy_replay.before",
             "recovery.lazy_replay.after",
-            "recovery.drain_worker",
-        }
+            "recovery.drained",
+            "recovery.done",
+        } <= sites
+        assert not sites & {"recovery.admit_early", "recovery.drain_worker"}
 
     def test_flag_off_runs_are_byte_identical(self):
         fingerprints = []

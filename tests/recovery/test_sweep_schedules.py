@@ -45,7 +45,7 @@ def run_schedule(point_id: str, golden) -> None:
 class TestNamedSchedules:
     def test_drain_must_not_regress_the_last_call_table(self, golden):
         """Server crash after the force that covered its last-served
-        call: pass 2's drain then replays another context's buffered
+        call: recovery's drain then replays another context's buffered
         OLDER call from the same caller.  Rebuilding that call's state
         must not overwrite the newer last-call entry — doing so made the
         caller's retry miss duplicate detection and double-execute
