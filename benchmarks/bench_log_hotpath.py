@@ -9,9 +9,14 @@ with the size of the log — i.e. a point read fetches one frame, a tail
 scan fetches one suffix, regardless of history length.  A second
 guardrail pins the kind-filtered scan recovery's analysis pass rides on:
 asking a 100k-record log for its handful of creation records decodes
-exactly those, in a small fraction of the unfiltered scan's time.
+exactly those, in a small fraction of the unfiltered scan's time.  A
+third counts the stable reads of ``read_records``, which eager redo
+makes over the merged chains: a run of adjacent frames is one read,
+frames with gaps between them are one read each, and ``bytes_read`` is
+the frames' own bytes either way.
 
-Run via ``make perf`` (with the Table 7 recovery benchmark) or::
+Run per push in CI, via ``make perf`` (with the Table 7 recovery
+benchmark), or::
 
     pytest benchmarks/bench_log_hotpath.py --benchmark-only -s
 """
@@ -28,6 +33,7 @@ SIZES = (10_000, 100_000)
 POINT_READS = 1_000
 TAIL_RECORDS = 1_000
 CREATIONS = 8
+RUN_FRAMES = 1_000
 #: The filtered scan may cost at most this share of the unfiltered one
 #: (measured: under 1 %; a ratio, so the machine's speed cancels out).
 FILTERED_SCAN_MAX_SHARE = 0.1
@@ -174,3 +180,44 @@ def bench_filtered_scan(benchmark):
     assert r["filtered_decodes"] == CREATIONS
     assert r["full_decodes"] == r["records"]
     assert r["filtered_s"] <= FILTERED_SCAN_MAX_SHARE * r["full_s"]
+
+
+def _run_reads_experiment() -> dict[str, dict[str, int]]:
+    log, lsns = _build_log(SIZES[0])
+    ends = lsns[1:] + [log.stable_lsn]
+    frame_bytes = {lsn: end - lsn for lsn, end in zip(lsns, ends)}
+    results = {}
+    for name, chosen in (
+        ("adjacent", lsns[:RUN_FRAMES]),
+        ("every_other", lsns[: 2 * RUN_FRAMES : 2]),
+    ):
+        before = log.stats.snapshot()
+        records = sum(1 for __ in log.read_records(chosen))
+        results[name] = {
+            "records": records,
+            "reads": log.stats.reads - before.reads,
+            "bytes_read": log.stats.bytes_read - before.bytes_read,
+            "frame_bytes": sum(frame_bytes[lsn] for lsn in chosen),
+        }
+    return results
+
+
+def bench_read_records_runs(benchmark):
+    results = benchmark.pedantic(_run_reads_experiment, iterations=1, rounds=1)
+
+    print()
+    for name, r in results.items():
+        print(
+            f"read_records over {r['records']} {name} frames: "
+            f"{r['reads']} stable reads, {r['bytes_read']} bytes"
+        )
+
+    adjacent, sparse = results["adjacent"], results["every_other"]
+    assert adjacent["records"] == sparse["records"] == RUN_FRAMES
+    # a run of index neighbours is one contiguous range: one read ...
+    assert adjacent["reads"] == 1
+    # ... and frames with gaps between them are read one by one
+    assert sparse["reads"] == RUN_FRAMES
+    # either way only the frames' own bytes are fetched
+    assert adjacent["bytes_read"] == adjacent["frame_bytes"]
+    assert sparse["bytes_read"] == sparse["frame_bytes"]

@@ -22,7 +22,8 @@ Both hot paths avoid materializing the log:
 * **Read path** — the manager maintains an LSN → (frame length,
   record kind) index over the stable log, built lazily for pre-existing
   bytes and kept current on append/flush/truncate/repair.
-  ``read_record`` / ``read_records`` read only their own frames,
+  ``read_record`` / ``read_records`` read only their own frames (each
+  run of adjacent frames with one stable read),
   ``scan(from_lsn)`` reads only the byte suffix from ``from_lsn``, and
   ``scan(from_lsn, kinds=...)`` decodes only the frames whose kind was
   asked for, instead of re-materializing the whole stable file per call.
@@ -557,22 +558,46 @@ class LogManager:
         self, lsns: Sequence[int]
     ) -> Iterator[tuple[int, LogRecord]]:
         """``(lsn, record)`` for each of an ascending sequence of record
-        LSNs — a component's chain — reading each record's own frame.
-        The index is brought up to date once for the sequence, and the
-        lookups walk it forward instead of searching it afresh."""
+        LSNs — a component's chain, or several chains merged — reading
+        only the records' own frames.  The index is brought up to date
+        once for the sequence, and the lookups walk it forward instead of
+        searching it afresh.  Each run of requested LSNs that are
+        neighbours in the index is one contiguous byte range, fetched
+        with one stable read: ``bytes_read`` is the frames' bytes either
+        way, and a dense sequence costs a few reads instead of one per
+        record."""
         self._ensure_index()
         at = 0
-        for lsn in lsns:
+        i = 0
+        count = len(lsns)
+        while i < count:
+            lsn = lsns[i]
             index_lsns = self._index_lsns
             at = bisect_left(index_lsns, lsn, at)
-            if at < len(index_lsns) and index_lsns[at] == lsn:
-                self.stats.index_hits += 1
-                chunk = self._read_range(
-                    lsn - self._base_lsn, self._index_lengths[at]
-                )
-                yield lsn, self._decode_frame(lsn, chunk, 0)[0]
-            else:
+            if at == len(index_lsns) or index_lsns[at] != lsn:
                 yield lsn, self._read_unindexed(lsn)
+                i += 1
+                continue
+            # Extend the run while the next LSN asked for is the next
+            # frame in the index.
+            first, end = i, at + 1
+            i += 1
+            while (
+                i < count
+                and end < len(index_lsns)
+                and index_lsns[end] == lsns[i]
+            ):
+                i += 1
+                end += 1
+            self.stats.index_hits += i - first
+            length = index_lsns[end - 1] - lsn + self._index_lengths[end - 1]
+            chunk = self._read_range(lsn - self._base_lsn, length)
+            at = end
+            offset = 0
+            for k in range(first, i):
+                frame_lsn = lsns[k]
+                record, offset = self._decode_frame(frame_lsn, chunk, offset)
+                yield frame_lsn, record
 
     def _read_unindexed(self, lsn: int) -> LogRecord:
         """A record the index cannot vouch for (below the truncation

@@ -292,33 +292,23 @@ def decode_record(payload: bytes) -> LogRecord:
     """Decode a frame payload back into a record.
 
     Malformed payloads (wrong tags, bad enum values, truncated fields)
-    surface uniformly as :class:`LogCorruptionError`."""
-    try:
-        return _decode_record(payload)
-    except LogCorruptionError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise LogCorruptionError(f"malformed record payload: {exc}") from None
-
-
-def _decode_record(payload: bytes) -> LogRecord:
+    surface uniformly as :class:`LogCorruptionError`, raised by the
+    :class:`Reader` at the field that cannot be what the writer wrote."""
     reader = Reader(payload)
     tag = reader.u8()
     if tag == _TAG_MESSAGE:
+        # Fields in payload order; the record is built positionally.
         context_id = reader.signed()
-        kind = MessageKind(reader.u8())
-        short = bool(reader.u8())
-        message = reader.value()
-        return MessageRecord(
-            context_id=context_id, kind=kind, message=message, short=short
-        )
+        kind = reader.message_kind()
+        short = reader.flag()
+        return MessageRecord(context_id, kind, reader.value(), short)
     if tag == _TAG_CREATION:
         context_id = reader.signed()
         component_lid = reader.signed()
         class_name = reader.text()
-        args = tuple(reader.value())
+        args = reader.tuple_value()
         uri = reader.text()
-        component_type = ComponentType.from_wire(reader.text())
+        component_type = reader.component_type()
         registered_name = reader.text()
         return CreationRecord(
             context_id=context_id,
@@ -339,7 +329,7 @@ def _decode_record(payload: bytes) -> LogRecord:
                 ComponentStateSnapshot(
                     component_lid=reader.signed(),
                     class_name=reader.text(),
-                    component_type=ComponentType.from_wire(reader.text()),
+                    component_type=reader.component_type(),
                     fields=reader.value(),
                     next_outgoing_seq=reader.signed(),
                 )
@@ -385,7 +375,7 @@ def _decode_record(payload: bytes) -> LogRecord:
         entries = []
         for _ in range(reader.u32()):
             uri = reader.text()
-            component_type = ComponentType.from_wire(reader.text())
+            component_type = reader.component_type()
             entries.append((uri, component_type))
         return CheckpointRemoteTypeRecord(
             context_id=context_id, entries=tuple(entries)

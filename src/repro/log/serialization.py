@@ -22,7 +22,12 @@ import zlib
 from collections.abc import Iterator
 
 from ..common.ids import ComponentRef, GlobalCallId, LocalRef
-from ..common.messages import MethodCallMessage, ReplyMessage, SenderInfo
+from ..common.messages import (
+    MessageKind,
+    MethodCallMessage,
+    ReplyMessage,
+    SenderInfo,
+)
 from ..common.types import ComponentType
 from ..errors import LogCorruptionError, SerializationError
 
@@ -230,127 +235,224 @@ def _stable_order(items) -> list:
     return sorted(items, key=key)
 
 
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_F64 = struct.Struct("<d")
+
+# The value tags as ints: what ``data[pos]`` gives the reader.
+(
+    _I_NONE, _I_TRUE, _I_FALSE, _I_INT, _I_FLOAT, _I_STR, _I_BYTES,
+    _I_LIST, _I_TUPLE, _I_DICT, _I_SET, _I_FROZENSET, _I_CALL_ID,
+    _I_COMPONENT_REF, _I_LOCAL_REF, _I_COMPONENT_TYPE, _I_SENDER_INFO,
+    _I_METHOD_CALL, _I_REPLY,
+) = (
+    _T_NONE + _T_TRUE + _T_FALSE + _T_INT + _T_FLOAT + _T_STR + _T_BYTES
+    + _T_LIST + _T_TUPLE + _T_DICT + _T_SET + _T_FROZENSET + _T_CALL_ID
+    + _T_COMPONENT_REF + _T_LOCAL_REF + _T_COMPONENT_TYPE + _T_SENDER_INFO
+    + _T_METHOD_CALL + _T_REPLY
+)
+
+_COMPONENT_TYPES = {kind.wire_value: kind for kind in ComponentType}
+_MESSAGE_KINDS = {kind.value: kind for kind in MessageKind}
+
+
 class Reader:
-    """Decodes what :class:`Writer` wrote."""
+    """Decodes what :class:`Writer` wrote.
+
+    Each field costs one bounds check against the cached length and
+    builds no throwaway object: ``u8`` indexes the buffer, fixed-width
+    fields unpack in place through precompiled structs, and ``text`` /
+    ``blob`` / ``signed`` take one slice after their length prefix.
+    Anything the writer cannot have produced — a field past the end, an
+    unknown tag, enum or wire value, invalid UTF-8, a composite of the
+    wrong shape — raises :class:`LogCorruptionError`.
+    """
+
+    __slots__ = ("_data", "_pos", "_end")
 
     def __init__(self, data: bytes, offset: int = 0):
         self._data = data
         self._pos = offset
+        self._end = len(data)
 
     @property
     def position(self) -> int:
         return self._pos
 
     def at_end(self) -> bool:
-        return self._pos >= len(self._data)
+        return self._pos >= self._end
+
+    def _truncated(self, pos: int, length: int) -> LogCorruptionError:
+        return LogCorruptionError(
+            f"truncated value: wanted {length} bytes at {pos}, "
+            f"have {max(0, self._end - pos)}"
+        )
+
+    def _malformed(self, what: str) -> LogCorruptionError:
+        return LogCorruptionError(f"{what} at {self._pos}")
 
     # -- primitives ----------------------------------------------------
-    def raw(self, length: int) -> bytes:
-        end = self._pos + length
-        if end > len(self._data):
-            raise LogCorruptionError(
-                f"truncated value: wanted {length} bytes at {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
-        chunk = self._data[self._pos:end]
-        self._pos = end
-        return chunk
-
     def u8(self) -> int:
-        return struct.unpack("<B", self.raw(1))[0]
+        pos = self._pos
+        if pos >= self._end:
+            raise self._truncated(pos, 1)
+        self._pos = pos + 1
+        return self._data[pos]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.raw(4))[0]
+        pos = self._pos
+        if pos + 4 > self._end:
+            raise self._truncated(pos, 4)
+        self._pos = pos + 4
+        return _U32.unpack_from(self._data, pos)[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self.raw(8))[0]
+        pos = self._pos
+        if pos + 8 > self._end:
+            raise self._truncated(pos, 8)
+        self._pos = pos + 8
+        return _U64.unpack_from(self._data, pos)[0]
 
     def f64(self) -> float:
-        return struct.unpack("<d", self.raw(8))[0]
+        pos = self._pos
+        if pos + 8 > self._end:
+            raise self._truncated(pos, 8)
+        self._pos = pos + 8
+        return _F64.unpack_from(self._data, pos)[0]
+
+    def _sized(self) -> tuple[int, int]:
+        """``(start, end)`` of a u32-length-prefixed body; the prefix is
+        bounds-checked by the unpack itself, the body here."""
+        pos = self._pos
+        try:
+            start = pos + 4
+            end = start + _U32.unpack_from(self._data, pos)[0]
+        except struct.error:
+            raise self._truncated(pos, 4) from None
+        if end > self._end:
+            raise self._truncated(start, end - start)
+        self._pos = end
+        return start, end
 
     def text(self) -> str:
-        length = self.u32()
+        start, end = self._sized()
         try:
-            return self.raw(length).decode("utf-8")
+            return self._data[start:end].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise LogCorruptionError(
-                f"invalid UTF-8 in value at {self._pos}: {exc}"
+                f"invalid UTF-8 in value at {start}: {exc}"
             ) from None
 
     def blob(self) -> bytes:
-        length = self.u32()
-        return self.raw(length)
+        start, end = self._sized()
+        return self._data[start:end]
 
     def signed(self) -> int:
-        nbytes = self.u8()
-        return int.from_bytes(self.raw(nbytes), "little", signed=True)
+        data = self._data
+        start = self._pos + 1
+        try:
+            end = start + data[start - 1]
+        except IndexError:
+            raise self._truncated(start - 1, 1) from None
+        if end > self._end:
+            raise self._truncated(start, end - start)
+        self._pos = end
+        return int.from_bytes(data[start:end], "little", signed=True)
+
+    def flag(self) -> bool:
+        return self.u8() != 0
+
+    # -- enums -----------------------------------------------------------
+    def component_type(self) -> ComponentType:
+        wire = self.text()
+        kind = _COMPONENT_TYPES.get(wire)
+        if kind is None:
+            raise self._malformed(f"unknown component type {wire!r}")
+        return kind
+
+    def message_kind(self) -> MessageKind:
+        code = self.u8()
+        kind = _MESSAGE_KINDS.get(code)
+        if kind is None:
+            raise self._malformed(f"unknown message kind {code}")
+        return kind
 
     # -- tagged values ---------------------------------------------------
     def value(self) -> object:
-        tag = self.raw(1)
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            return self.signed()
-        if tag == _T_FLOAT:
-            return self.f64()
-        if tag == _T_STR:
+        pos = self._pos
+        if pos >= self._end:
+            raise self._truncated(pos, 1)
+        tag = self._data[pos]
+        self._pos = pos + 1
+        # The tags message arguments and replies use most, first.
+        if tag == _I_STR:
             return self.text()
-        if tag == _T_BYTES:
-            return self.blob()
-        if tag == _T_LIST:
-            return list(self._sequence())
-        if tag == _T_TUPLE:
+        if tag == _I_INT:
+            return self.signed()
+        if tag == _I_TUPLE:
             return tuple(self._sequence())
-        if tag == _T_DICT:
+        if tag == _I_NONE:
+            return None
+        if tag == _I_TRUE:
+            return True
+        if tag == _I_FALSE:
+            return False
+        if tag == _I_FLOAT:
+            return self.f64()
+        if tag == _I_BYTES:
+            return self.blob()
+        if tag == _I_LIST:
+            return self._sequence()
+        if tag == _I_DICT:
             count = self.u32()
-            return {self.value(): self.value() for _ in range(count)}
-        if tag == _T_SET:
-            return set(self._sequence())
-        if tag == _T_FROZENSET:
-            return frozenset(self._sequence())
-        if tag == _T_CALL_ID:
+            try:
+                return {self.value(): self.value() for _ in range(count)}
+            except TypeError:
+                raise self._malformed("unhashable dict key") from None
+        if tag == _I_SET or tag == _I_FROZENSET:
+            items = self._sequence()
+            try:
+                return set(items) if tag == _I_SET else frozenset(items)
+            except TypeError:
+                raise self._malformed("unhashable set member") from None
+        if tag == _I_CALL_ID:
             return self.call_id()
-        if tag == _T_COMPONENT_REF:
+        if tag == _I_COMPONENT_REF:
             return ComponentRef(self.text())
-        if tag == _T_LOCAL_REF:
+        if tag == _I_LOCAL_REF:
             return LocalRef(self.signed())
-        if tag == _T_COMPONENT_TYPE:
-            return ComponentType.from_wire(self.text())
-        if tag == _T_SENDER_INFO:
+        if tag == _I_COMPONENT_TYPE:
+            return self.component_type()
+        if tag == _I_SENDER_INFO:
             return self.sender_info()
-        if tag == _T_METHOD_CALL:
+        if tag == _I_METHOD_CALL:
             return self.method_call()
-        if tag == _T_REPLY:
+        if tag == _I_REPLY:
             return self.reply()
-        raise LogCorruptionError(f"unknown value tag {tag!r} at {self._pos}")
+        raise LogCorruptionError(f"unknown value tag {tag} at {pos}")
 
     def _sequence(self) -> list:
         count = self.u32()
         return [self.value() for _ in range(count)]
 
+    def tuple_value(self) -> tuple:
+        """A tagged value the writer always writes as a tuple."""
+        value = self.value()
+        if type(value) is not tuple:
+            raise self._malformed(f"expected a tuple, got {type(value).__name__}")
+        return value
+
     # -- composite wire types -------------------------------------------
     def call_id(self) -> GlobalCallId:
         return GlobalCallId(
-            machine=self.text(),
-            process_lid=self.signed(),
-            component_lid=self.signed(),
-            seq=self.signed(),
+            self.text(), self.signed(), self.signed(), self.signed()
         )
 
     def optional_call_id(self) -> GlobalCallId | None:
         return self.call_id() if self.u8() else None
 
     def sender_info(self) -> SenderInfo:
-        return SenderInfo(
-            component_type=ComponentType.from_wire(self.text()),
-            component_uri=self.text(),
-            knows_receiver=bool(self.u8()),
-        )
+        return SenderInfo(self.component_type(), self.text(), self.flag())
 
     def optional_sender_info(self) -> SenderInfo | None:
         return self.sender_info() if self.u8() else None
@@ -360,33 +462,26 @@ class Reader:
         method = self.text()
         call_id = self.optional_call_id()
         sender = self.optional_sender_info()
-        method_read_only = bool(self.u8())
-        args = self.value()
-        kwargs = self.value()
+        method_read_only = self.flag()
+        args = self.tuple_value()
+        kwargs = self.tuple_value()
+        for pair in kwargs:
+            if type(pair) is not tuple or len(pair) != 2:
+                raise self._malformed("keyword argument is not a pair")
         return MethodCallMessage(
-            target_uri=target_uri,
-            method=method,
-            args=tuple(args),
-            kwargs=tuple(tuple(pair) for pair in kwargs),
-            call_id=call_id,
-            sender=sender,
-            method_read_only=method_read_only,
+            target_uri, method, args, kwargs, call_id, sender,
+            method_read_only,
         )
 
     def reply(self) -> ReplyMessage:
         call_id = self.optional_call_id()
-        is_exception = bool(self.u8())
+        is_exception = self.flag()
         exception_message = self.text()
         sender = self.optional_sender_info()
-        method_read_only = bool(self.u8())
-        value = self.value()
+        method_read_only = self.flag()
         return ReplyMessage(
-            call_id=call_id,
-            value=value,
-            is_exception=is_exception,
-            exception_message=exception_message,
-            sender=sender,
-            method_read_only=method_read_only,
+            call_id, self.value(), is_exception, exception_message, sender,
+            method_read_only,
         )
 
 

@@ -6,36 +6,43 @@ contexts, register a shell for every discovered context), recovery's
 redo is one :class:`PendingRecovery`: each component's frame chain from
 the log manager's per-component index
 (:meth:`LogManager.component_chains`), replayed with the reply cache
-intact.  Only the schedule that drains it differs:
+intact.  Every record goes into its context's buffer in the one
+:class:`RecoveryManager` the table owns; a mark's chain is a cursor
+over what has been handed over.  Only the schedule that drains it
+differs:
 
 1. **Eager** (the paper's stop-the-world restart, Section 4.4 and
    Table 7): :meth:`PendingRecovery.drain_all` before the process
-   leaves RECOVERING.
+   leaves RECOVERING — one log-order read of the merged chains (Figure
+   5's redo pass), then each context's last call, replayed final in
+   context-id order.
 
 2. **On demand** (``config.on_demand_recovery``, after Sauer &
    Härder's instant restart and Lomet's performance-competitive logical
    recovery): the process leaves RECOVERING right after analysis, so
    time-to-first-reply no longer grows with log size.  The runtime
    consults the table before delivering a call and replays a
-   not-yet-recovered target first; when the deterministic scheduler is
-   active, ``DRAIN_WORKERS`` system sessions replay the rest.
+   not-yet-recovered target's chain first; when the deterministic
+   scheduler is active, ``DRAIN_WORKERS`` system sessions replay the
+   rest, one chain at a time.
 
 3. **Sharded** (``config.sharded_logging``): one drain per stream, as a
-   clock lane or a scheduler session.
+   clock lane or a scheduler session, one chain at a time.
 
 While the table is published on the process, a call into a component
 not yet replayed — including a replay that went live — replays that
-component's chain first, so duplicate detection finds the regenerated
-reply.  The table is the single coordination point: every component is
+component first, so duplicate detection finds the regenerated reply.
+The table is the single coordination point: every component is
 ``PENDING`` (chain not applied), ``REPLAYING`` (owned by exactly one
-session), or ``RECOVERED`` (``applied_lsn`` = the last LSN of its chain
-that has been applied), so lazy and background replay never
-double-apply.  When the last mark turns RECOVERED the table detaches
-itself from the process.
+session: a per-chain replay, or a drain that claimed it), or
+``RECOVERED`` (``applied_lsn`` = the last LSN of its chain that has been
+applied), so lazy and background replay never double-apply.  When the
+last mark turns RECOVERED the table detaches itself from the process.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
@@ -59,7 +66,7 @@ class ComponentWatermark:
     """One component's recovery progress."""
 
     __slots__ = (
-        "context_id", "restored", "state_lsn", "chain", "status",
+        "context_id", "restored", "state_lsn", "chain", "cursor", "status",
         "owner", "applied_lsn",
     )
 
@@ -76,6 +83,10 @@ class ComponentWatermark:
         #: The LSNs of this component's not-yet-applied records, in log
         #: order (its frame chain past the restored state record).
         self.chain = chain
+        #: How many of ``chain``'s records have been handed to the replay
+        #: buffers (the log-order drain advances it record by record; a
+        #: per-chain replay consumes the rest at once).
+        self.cursor = 0
         self.status = PENDING
         #: Session index replaying this component (None = main thread),
         #: meaningful only while ``status == REPLAYING``.
@@ -85,7 +96,8 @@ class ComponentWatermark:
     def __repr__(self) -> str:
         return (
             f"ComponentWatermark(#{self.context_id}, {self.status}, "
-            f"chain={len(self.chain)}, applied={self.applied_lsn})"
+            f"chain={self.cursor}/{len(self.chain)}, "
+            f"applied={self.applied_lsn})"
         )
 
 
@@ -100,6 +112,9 @@ class PendingRecovery:
     ):
         self.process: "AppProcess" = manager.process
         self.runtime = manager.runtime
+        #: The one redo engine: every context's replay buffer lives in
+        #: it, whichever schedule hands it the records.
+        self.redo = manager
         self.reply_watermarks = dict(manager._reply_watermarks)
         self.marks: dict[int, ComponentWatermark] = {}
         if not discoveries:
@@ -176,8 +191,10 @@ class PendingRecovery:
         component's chain must be applied before the call can execute,
         so duplicate detection finds the regenerated reply.  Replays
         inline when the component is unclaimed; parks behind the owning
-        session otherwise.  Re-entrant touches (the component's own
-        replay going live into itself) are a no-op."""
+        session otherwise.  The owner's own touch finishes a component
+        whose last call is still buffered (a drain claimed it and has
+        not replayed it yet) and is a no-op otherwise (the component's
+        own replay going live into itself)."""
         process = self.process
         mark = self.marks.get(context_id)
         if mark is None:
@@ -190,8 +207,9 @@ class PendingRecovery:
             if mark.status == PENDING:
                 self._replay_component(mark)
                 return
-            # REPLAYING by someone; a re-entrant touch returns.
             if mark.owner == self._current_owner_key():
+                if context_id in self.redo.buffers:
+                    self._replay_component(mark)
                 return
             scheduler = self._scheduler()
             if scheduler is None:
@@ -209,8 +227,8 @@ class PendingRecovery:
     # per-component replay
     # ------------------------------------------------------------------
     def _replay_component(self, mark: ComponentWatermark) -> None:
-        from .recovery_manager import RecoveryManager
-
+        """Replay what is left on ``mark``'s cursor and finish the
+        component with its last call, replayed final."""
         process = self.process
         name = process.name
         context_id = mark.context_id
@@ -220,9 +238,11 @@ class PendingRecovery:
         reply_floor = self.reply_watermarks.get(
             process.stream_index(context_id), NO_LSN
         )
+        rest = mark.chain[mark.cursor:]
+        mark.cursor = len(mark.chain)
         try:
-            RecoveryManager(process).replay_chain(
-                context_id, mark.chain, mark.restored, reply_floor
+            self.redo.replay_chain(
+                context_id, rest, mark.restored, reply_floor
             )
         except LogCorruptionError:
             # The chain cannot be read, so this component is half
@@ -261,14 +281,25 @@ class PendingRecovery:
     # foreground drain (the full-recovery barrier)
     # ------------------------------------------------------------------
     def drain_all(self) -> None:
-        """Replay every remaining component now, in context-id order
-        (eager restart; workloads, benchmarks and state capture need the
-        fully recovered process)."""
+        """Replay every remaining component now (eager restart;
+        workloads, benchmarks and state capture need the fully recovered
+        process).
+
+        The drain claims every PENDING component, reads their chains in
+        one log-order pass (:meth:`_redo_in_log_order`), then finishes
+        each claimed component in context-id order through
+        :meth:`_replay_component`, with nothing left on its cursor."""
         process = self.process
         while process.pending_recovery is self:
-            mark = self._next_pending()
-            if mark is not None:
-                self._replay_component(mark)
+            claimed = self._claim_pending()
+            if claimed:
+                self._redo_in_log_order(claimed)
+                for mark in claimed:
+                    if process.pending_recovery is not self:
+                        return
+                    # A live call may have finished it already.
+                    if mark.status == REPLAYING:
+                        self._replay_component(mark)
                 continue
             busy = [
                 m for m in self.marks.values() if m.status == REPLAYING
@@ -289,6 +320,53 @@ class PendingRecovery:
                 ),
                 tag=f"drain-all:{process.name}",
             )
+
+    def _claim_pending(self) -> list[ComponentWatermark]:
+        """Every PENDING mark, in context-id order, now REPLAYING and
+        owned by the calling session: other sessions that touch one
+        park until the drain has finished it."""
+        owner = self._current_owner_key()
+        claimed = []
+        for context_id in sorted(self.marks):
+            mark = self.marks[context_id]
+            if mark.status == PENDING:
+                mark.status = REPLAYING
+                mark.owner = owner
+                claimed.append(mark)
+        return claimed
+
+    def _redo_in_log_order(self, claimed: list[ComponentWatermark]) -> None:
+        """The paper's redo pass (Figure 5): the claimed chains merged
+        into one LSN-ordered list per stream, read with one
+        ``read_records`` call, and each record handed to its context's
+        buffer in the one redo engine — every call but each context's
+        last is replayed here, as the next one arrives."""
+        process = self.process
+        redo = self.redo
+        by_stream: dict[int, dict[int, ComponentWatermark]] = {}
+        for mark in claimed:
+            if mark.chain:
+                stream = process.stream_index(mark.context_id)
+                by_stream.setdefault(stream, {})[mark.context_id] = mark
+        for stream in sorted(by_stream):
+            marks = by_stream[stream]
+            reply_floor = self.reply_watermarks.get(stream, NO_LSN)
+            lsns = list(heapq.merge(*(mark.chain for mark in marks.values())))
+            log = process.streams[stream].log
+            try:
+                for lsn, record in log.read_records(lsns):
+                    if process.pending_recovery is not self:
+                        return
+                    mark = marks[record.context_id]
+                    if mark.status != REPLAYING:
+                        continue  # a live call finished it already
+                    mark.cursor += 1
+                    redo.replay_record(lsn, record, mark.restored, reply_floor)
+            except LogCorruptionError:
+                # Same rule as _replay_component: the claimed components
+                # are half replayed, so the process stays crashed.
+                process.crash()
+                raise
 
     def _next_pending(self) -> ComponentWatermark | None:
         for context_id in sorted(self.marks):

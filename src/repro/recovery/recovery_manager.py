@@ -21,14 +21,16 @@ Process-crash recovery is an analysis pass followed by one redo:
   never sent (condition 5) — the caller's retry fetches them via
   duplicate detection.
 
-The paper redoes in one log-order pass; here chains are replayed one
-context at a time, in context-id order.  That is equivalent: a
-non-final call's outgoing calls are all answered from the log, and a
-final call that goes live into a context not yet replayed replays that
-context's chain first (the same table's admission rule).  What differs
-is only *when* the table is drained: eager recovery drains it before
-the process leaves RECOVERING, sharded recovery drains one lane per
-stream, and on-demand recovery admits calls first and drains lazily.
+Eager recovery redoes the way the paper does, in one log-order pass: the
+table merges the chains into one LSN-ordered read and hands each record
+to its context's buffer here (:meth:`RecoveryManager.replay_record`),
+then replays each context's last call final, in context-id order.  A
+final call that goes live into a context whose last call is still
+buffered finishes that context first (the table's admission rule).
+What differs between schedules is only *when* and *in what order* the
+table is drained: eager recovery drains it before the process leaves
+RECOVERING, sharded recovery drains one lane per stream, and on-demand
+recovery admits calls first and replays one chain at a time.
 
 Context-crash recovery is the easy case at the bottom: restore the
 context's latest state record (or replay its creation) and replay only
@@ -56,6 +58,7 @@ from ..log.records import (
     ContextStateRecord,
     CreationRecord,
     LastCallReplyRecord,
+    LogRecord,
     MessageRecord,
 )
 from .incremental import PENDING, PendingRecovery
@@ -112,7 +115,8 @@ class RecoveryManager:
     def __init__(self, process: "AppProcess"):
         self.process = process
         self.runtime = process.runtime
-        self._pending: dict[int, _Pending] = {}
+        #: Each context's buffered call, not yet replayed (Figure 5).
+        self.buffers: dict[int, _Pending] = {}
         # Per-stream reply watermarks (pass 1's scan starts).  Reply
         # records at or below a stream's watermark are already covered
         # by the checkpoint's last-call table record, so redo rebuilds
@@ -421,32 +425,38 @@ class RecoveryManager:
         """Replay one context's frame chain — the LSNs of its records
         past its restored state record (or from its creation record), in
         log order — ending with its last call, replayed final."""
-        process = self.process
-        log = process.log_for(context_id)
+        log = self.process.log_for(context_id)
         for lsn, record in log.read_records(chain):
-            if isinstance(record, CreationRecord):
-                if not restored:
-                    self._pending[context_id] = _Pending(creation=record)
-            elif isinstance(record, LastCallReplyRecord):
-                if reply_floor != NO_LSN and lsn <= reply_floor:
-                    # Below the floor the checkpoint's own last-call
-                    # record (pass 1) or a state-record restore already
-                    # installed this entry with its reply LSN; a
-                    # duplicate-detection hit reads the reply lazily.
-                    continue
-                # The record was just decoded; caching the reply object
-                # now means a later duplicate-detection hit resolves
-                # from memory instead of re-reading the log.
-                process.last_calls.seed(
-                    record.caller_key,
-                    record.call_id,
-                    record.context_id,
-                    reply=record.reply,
-                    reply_lsn=lsn,
-                )
-            elif isinstance(record, MessageRecord):
-                self._scan_message(context_id, lsn, record)
+            self.replay_record(lsn, record, restored, reply_floor)
         self.drain_context(context_id)
+
+    def replay_record(
+        self, lsn: int, record: LogRecord, restored: bool, reply_floor: int
+    ) -> None:
+        """Hand one record of a redo chain to its context's buffer: an
+        incoming call replays the call buffered before it (Figure 5)."""
+        if isinstance(record, MessageRecord):
+            self._scan_message(record.context_id, lsn, record)
+        elif isinstance(record, CreationRecord):
+            if not restored:
+                self.buffers[record.context_id] = _Pending(creation=record)
+        elif isinstance(record, LastCallReplyRecord):
+            if reply_floor != NO_LSN and lsn <= reply_floor:
+                # Below the floor the checkpoint's own last-call record
+                # (pass 1) or a state-record restore already installed
+                # this entry with its reply LSN; a duplicate-detection
+                # hit reads the reply lazily.
+                return
+            # The record was just decoded; caching the reply object now
+            # means a later duplicate-detection hit resolves from memory
+            # instead of re-reading the log.
+            self.process.last_calls.seed(
+                record.caller_key,
+                record.call_id,
+                record.context_id,
+                reply=record.reply,
+                reply_lsn=lsn,
+            )
 
     def _scan_message(
         self, context_id: int, lsn: int, record: MessageRecord
@@ -455,11 +465,11 @@ class RecoveryManager:
         if record.kind is MessageKind.INCOMING_CALL:
             message = record.message
             assert isinstance(message, MethodCallMessage)
-            pending = self._pending.get(context_id)
+            pending = self.buffers.get(context_id)
             if pending is not None:
-                del self._pending[context_id]
+                del self.buffers[context_id]
                 self._replay(context_id, pending, final=False)
-            self._pending[context_id] = _Pending(message=message)
+            self.buffers[context_id] = _Pending(message=message)
             if message.call_id is not None:
                 client_type = MessageInterceptor.client_type_of(message)
                 if client_type.is_persistent_family:
@@ -469,7 +479,7 @@ class RecoveryManager:
                         context_id,
                     )
         elif record.kind is MessageKind.REPLY_FROM_OUTGOING:
-            pending = self._pending.get(context_id)
+            pending = self.buffers.get(context_id)
             if pending is None:
                 # A reply whose incoming call predates this context's
                 # replay window (restored state covers it).
@@ -477,7 +487,7 @@ class RecoveryManager:
             assert isinstance(record.message, ReplyMessage)
             pending.replies.append(record.message)
         elif record.kind is MessageKind.REPLY_TO_INCOMING:
-            pending = self._pending.get(context_id)
+            pending = self.buffers.get(context_id)
             if pending is not None:
                 pending.reply_sent = True
             reply = record.message
@@ -571,7 +581,7 @@ class RecoveryManager:
     def drain_context(self, context_id: int) -> None:
         """Finish a context's pending replay: its last buffered call (or
         its creation), replayed final."""
-        pending = self._pending.pop(context_id, None)
+        pending = self.buffers.pop(context_id, None)
         if pending is not None:
             self._replay(context_id, pending, final=True)
         # The pending table is the synchronisation here: a session

@@ -3,14 +3,33 @@
 A flipped byte anywhere in a framed record must never silently decode to
 different data: either the frame fails its integrity checks or (for
 flips that cancel out, which CRC32 makes astronomically unlikely at this
-scale) the payload is unchanged.
+scale) the payload is unchanged.  Below the frame, the codec decodes
+whatever a CRC-valid payload holds into a value or a typed
+:class:`LogCorruptionError`, never a raw exception.
 """
 
+import struct
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common import MessageKind
+from repro.common.types import ComponentType
 from repro.errors import LogCorruptionError
-from repro.log import frame, read_frame
+from repro.log import (
+    CreationRecord,
+    MessageRecord,
+    decode_record,
+    decode_value,
+    encode_record,
+    encode_value,
+    frame,
+    read_frame,
+)
+from repro.queues.dlog import DurableLog
+from repro.sim import Cluster
+from tests.log.strategies import records, wire_values
 
 
 class TestCorruptionDetection:
@@ -72,20 +91,115 @@ class TestRandomBytesNeverLeakRawErrors:
     @given(noise=st.binary(min_size=1, max_size=120))
     @settings(max_examples=300, deadline=None)
     def test_decode_value_fails_cleanly(self, noise):
-        from repro.errors import SerializationError
-        from repro.log import decode_value
-
         try:
             decode_value(noise)
-        except (LogCorruptionError, SerializationError):
-            pass  # the only acceptable failures
+        except LogCorruptionError:
+            pass  # the only acceptable failure
 
     @given(noise=st.binary(min_size=1, max_size=120))
     @settings(max_examples=300, deadline=None)
     def test_decode_record_fails_cleanly(self, noise):
-        from repro.log import decode_record
-
         try:
             decode_record(noise)
         except LogCorruptionError:
             pass
+
+
+# Bytes a splice may insert: every value tag, every record kind byte, or
+# anything at all.
+_SPLICES = st.sampled_from(b"NTFIDSBLUMEZKRrYACP" + bytes(range(1, 10))) | (
+    st.integers(0, 255)
+)
+
+
+@st.composite
+def _corrupted(draw, encodings):
+    """A valid encoding with one to three corruptions: a flipped byte, a
+    truncation, or a tag spliced in (inserted or overwriting a byte)."""
+    data = bytearray(draw(encodings))
+    for __ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        how = draw(st.sampled_from(("flip", "truncate", "splice")))
+        if how == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        elif how == "truncate":
+            del data[at:]
+        else:
+            width = draw(st.integers(0, 1))
+            data[at:at + width] = bytes([draw(_SPLICES)])
+    return bytes(data)
+
+
+class TestCorruptEncodingsNeverLeakRawErrors:
+    """Random noise almost never gets past the first tag, so it cannot
+    reach the nested decoders (messages inside records, sender info and
+    call ids inside messages, enums inside those).  Corrupting *valid*
+    encodings does: whatever the damage, decoding either succeeds or
+    raises :class:`LogCorruptionError` — never a raw ``ValueError``,
+    ``KeyError`` or ``TypeError``."""
+
+    @given(data=_corrupted(wire_values.map(encode_value)))
+    @settings(max_examples=500, deadline=None)
+    def test_decode_value_raises_only_corruption(self, data):
+        try:
+            decode_value(data)
+        except LogCorruptionError:
+            pass
+
+    @given(data=_corrupted(records.map(encode_record)))
+    @settings(max_examples=500, deadline=None)
+    def test_decode_record_raises_only_corruption(self, data):
+        try:
+            decode_record(data)
+        except LogCorruptionError:
+            pass
+
+
+def _text(value: bytes) -> bytes:
+    return struct.pack("<I", len(value)) + value
+
+
+class TestUnknownWireValues:
+    """An enum or wire value the writer cannot have produced is a typed
+    corruption error at the field, wherever the field sits."""
+
+    def test_component_type_value(self):
+        with pytest.raises(LogCorruptionError, match="component type 'xyz'"):
+            decode_value(b"Y" + _text(b"xyz"))
+
+    def test_component_type_inside_sender_info(self):
+        data = b"A" + _text(b"xyz") + _text(b"phoenix://a/p/1") + b"\x00"
+        with pytest.raises(LogCorruptionError, match="component type 'xyz'"):
+            decode_value(data)
+
+    def test_message_kind(self):
+        payload = bytearray(
+            encode_record(
+                MessageRecord(context_id=1, kind=MessageKind.INCOMING_CALL)
+            )
+        )
+        # [record kind u8][context id: u8 width, 1 byte][message kind u8]
+        payload[3] = 99
+        with pytest.raises(LogCorruptionError, match="message kind 99"):
+            decode_record(bytes(payload))
+
+    def test_creation_record_component_type(self):
+        record = CreationRecord(
+            context_id=1, uri="u", component_type=ComponentType.FUNCTIONAL
+        )
+        payload = encode_record(record).replace(
+            _text(b"functional"), _text(b"xyz_notatype")
+        )
+        with pytest.raises(LogCorruptionError, match="component type"):
+            decode_record(payload)
+
+    def test_durable_log_replay_stops_at_the_bad_record(self):
+        """The queued substrate's replay loop treats a corrupt frame as
+        its torn tail; a raw error would escape it instead."""
+        machine = Cluster().machine("alpha")
+        log = DurableLog(machine, "q")
+        log.append("ok", 1)
+        log.force()
+        stable = machine.stable_store.open("q.qlog")
+        stable.append(frame(_text(b"bad") + b"Y" + _text(b"xyz")))
+        assert list(log.records()) == [("ok", 1)]

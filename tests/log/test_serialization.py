@@ -2,7 +2,6 @@
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.common import (
     ComponentRef,
@@ -15,12 +14,16 @@ from repro.common.ids import LocalRef
 from repro.common.types import ComponentType
 from repro.errors import LogCorruptionError, SerializationError
 from repro.log import (
+    decode_record,
     decode_value,
+    encode_record,
     encode_value,
     frame,
     read_frame,
     serialized_size,
 )
+from repro.log.records import _KIND_BY_CLASS
+from tests.log.strategies import RECORDS, records, wire_values
 
 
 class TestScalars:
@@ -120,48 +123,36 @@ class TestWireTypes:
         assert decoded.exception_message == "ValueError: boom"
 
 
-# A recursive strategy over everything the codec supports.
-_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(2**100), max_value=2**100),
-    st.floats(allow_nan=False),
-    st.text(max_size=40),
-    st.binary(max_size=40),
-    st.builds(GlobalCallId, st.text(max_size=8), st.integers(0, 99),
-              st.integers(0, 99), st.integers(0, 999)),
-    st.builds(ComponentRef, st.just("phoenix://a/p/1")),
-    st.sampled_from(list(ComponentType)),
-)
-_values = st.recursive(
-    _scalars,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(
-            st.one_of(st.text(max_size=8), st.integers(-100, 100)),
-            children,
-            max_size=4,
-        ),
-        st.lists(st.integers(-50, 50), max_size=4, unique=True).map(set),
-        st.lists(st.integers(-50, 50), max_size=4, unique=True).map(
-            frozenset
-        ),
-    ),
-    max_leaves=20,
-)
-
-
 class TestPropertyRoundtrip:
-    @given(_values)
-    @settings(max_examples=200, deadline=None)
-    def test_any_supported_value_roundtrips(self, value):
-        assert decode_value(encode_value(value)) == value
+    """The writer is the reference the reader is pinned to.  ``==``
+    cannot tell ``True`` from ``1`` or a set from a frozenset, but the
+    encoding can: every value carries its type tag, so re-encoding what
+    was decoded must give back the very same bytes."""
 
-    @given(_values)
+    @given(wire_values)
+    @settings(max_examples=300, deadline=None)
+    def test_any_supported_value_roundtrips(self, value):
+        data = encode_value(value)
+        decoded = decode_value(data)
+        assert decoded == value
+        assert encode_value(decoded) == data
+
+    @given(wire_values)
     @settings(max_examples=50, deadline=None)
     def test_encoding_is_deterministic(self, value):
         assert encode_value(value) == encode_value(value)
+
+    @given(records)
+    @settings(max_examples=300, deadline=None)
+    def test_every_record_class_roundtrips(self, record):
+        payload = encode_record(record)
+        decoded = decode_record(payload)
+        assert decoded == record
+        assert type(decoded) is type(record)
+        assert encode_record(decoded) == payload
+
+    def test_strategies_cover_every_record_class(self):
+        assert set(RECORDS) == set(_KIND_BY_CLASS)
 
 
 class TestFraming:

@@ -109,8 +109,10 @@ class TestMalformedMessageRecord:
                 stores[1].put("late", 1)
         sites = _recovery_sites(plane)
         assert "recovery.restored" in sites  # pass one did not see it
-        # the victim's chain replay read it; the drain never finished
-        assert "recovery.lazy_replay.before" in sites
+        # the drain's log-order redo read it, before any component was
+        # finished, and the drain never completed
+        assert "recovery.pass2" in sites
+        assert "recovery.lazy_replay.before" not in sites
         assert "recovery.drained" not in sites
         self._assert_stays_down(process, stores[1], lsn)
         # eager recovery is all or nothing: the healthy store is down too
