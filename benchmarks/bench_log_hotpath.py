@@ -13,7 +13,10 @@ exactly those, in a small fraction of the unfiltered scan's time.  A
 third counts the stable reads of ``read_records``, which eager redo
 makes over the merged chains: a run of adjacent frames is one read,
 frames with gaps between them are one read each, and ``bytes_read`` is
-the frames' own bytes either way.
+the frames' own bytes either way.  A fourth restarts: a fresh manager
+over a ≈69k-frame log (the size of ``recovery-ondemand-50k``'s) runs
+``repair_tail`` and then ``component_chains(0)``, which must decode no
+record and cost a small fraction of the repair walk it rides on.
 
 Run per push in CI, via ``make perf`` (with the Table 7 recovery
 benchmark), or::
@@ -37,6 +40,10 @@ RUN_FRAMES = 1_000
 #: The filtered scan may cost at most this share of the unfiltered one
 #: (measured: under 1 %; a ratio, so the machine's speed cancels out).
 FILTERED_SCAN_MAX_SHARE = 0.1
+RESTART_FRAMES = 69_000
+#: The chains' group-by may cost at most this share of ``repair_tail``
+#: (measured: about 5 %).
+CHAINS_MAX_SHARE = 0.15
 
 
 def _record(n: int) -> MessageRecord:
@@ -221,3 +228,53 @@ def bench_read_records_runs(benchmark):
     # either way only the frames' own bytes are fetched
     assert adjacent["bytes_read"] == adjacent["frame_bytes"]
     assert sparse["bytes_read"] == sparse["frame_bytes"]
+
+
+def _chains_after_restart_experiment() -> dict[str, float]:
+    crashed, __ = _build_log(RESTART_FRAMES - CREATIONS, creations=CREATIONS)
+    expected = crashed.component_chains(0)
+    fresh = LogManager("p1", crashed.disk, crashed.stable_store)
+    decodes = []
+    real_decode = log_manager.decode_record
+    log_manager.decode_record = lambda payload: (
+        decodes.append(1) or real_decode(payload)
+    )
+    try:
+        started = perf_counter()
+        fresh.repair_tail()
+        repair_s = perf_counter() - started
+        started = perf_counter()
+        chains = fresh.component_chains(0)
+        chains_s = perf_counter() - started
+    finally:
+        log_manager.decode_record = real_decode
+    return {
+        "frames": sum(len(chain) for chain in chains.values()),
+        "chains": len(chains),
+        "same_chains": chains == expected,
+        "decodes": len(decodes),
+        "rebuilds": fresh.stats.comp_index_rebuilds,
+        "repair_s": repair_s,
+        "chains_s": chains_s,
+    }
+
+
+def bench_chains_after_restart(benchmark):
+    r = benchmark.pedantic(
+        _chains_after_restart_experiment, iterations=1, rounds=1
+    )
+
+    print()
+    print(
+        f"{r['frames']:>7} frames after restart: repair_tail "
+        f"{r['repair_s'] * 1e3:.1f} ms, component_chains(0) "
+        f"{r['chains_s'] * 1e3:.1f} ms over {r['chains']} chains, "
+        f"{r['decodes']} decodes"
+    )
+
+    assert r["frames"] == RESTART_FRAMES
+    # the fresh manager's chains are the crashed one's, grouped from the
+    # index repair_tail rebuilt, with no record decoded
+    assert r["same_chains"]
+    assert r["decodes"] == 0 and r["rebuilds"] == 0
+    assert r["chains_s"] <= CHAINS_MAX_SHARE * r["repair_s"]

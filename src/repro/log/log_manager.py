@@ -20,15 +20,20 @@ Both hot paths avoid materializing the log:
   ``_flush`` hands the stable store a ``memoryview`` of the buffer, so
   no intermediate ``bytes`` object is built per record or per flush.
 * **Read path** — the manager maintains an LSN → (frame length,
-  record kind) index over the stable log, built lazily for pre-existing
-  bytes and kept current on append/flush/truncate/repair.
+  record kind, context id) index over the stable log, built lazily for
+  pre-existing bytes and kept current on append/flush/truncate/repair.
   ``read_record`` / ``read_records`` read only their own frames (each
   run of adjacent frames with one stable read),
-  ``scan(from_lsn)`` reads only the byte suffix from ``from_lsn``, and
+  ``scan(from_lsn)`` reads only the byte suffix from ``from_lsn``,
   ``scan(from_lsn, kinds=...)`` decodes only the frames whose kind was
-  asked for, instead of re-materializing the whole stable file per call.
-  ``LogStats.reads`` / ``bytes_read`` / ``index_hits`` make the saved
-  work observable.
+  asked for, and ``component_chains(from_lsn)`` groups the index by
+  context id without reading a frame, instead of re-materializing the
+  whole stable file per call.  ``LogStats.reads`` / ``bytes_read`` /
+  ``index_hits`` make the saved work observable.
+
+The index is the manager's only per-record state, and on restart
+``repair_tail`` rebuilds all of it from the stable bytes it validates:
+recovery reads nothing a crash would have lost.
 
 The well-known file (Section 4.3) is a tiny per-process stable file that
 holds the LSN of the last flushed begin-checkpoint record.
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
@@ -54,6 +60,7 @@ from .records import (
     LogRecord,
     decode_record,
     encode_record_into,
+    payload_context,
     payload_kind,
     record_kind,
 )
@@ -102,10 +109,11 @@ class LogStats:
     # in-flight write.
     pipelined_gated: int = 0
     pipelined_write_skips: int = 0
-    # per-component index (on-demand recovery extension): rebuilds is
-    # the number of bounded tail scans that re-anchored the chains after
-    # a restart; hits counts chain requests served from the maintained
-    # index without any scan.
+    # per-component chains (component_chains, a group-by over the
+    # index's context column): hits counts group-bys served from the
+    # index; rebuilds counts the walks that decoded stable bytes the
+    # index refused (corruption, or a torn tail not yet repaired) —
+    # normally 0.
     comp_index_rebuilds: int = 0
     comp_index_hits: int = 0
 
@@ -148,8 +156,8 @@ class LogManager:
         self._buffer_start_lsn = self._stable.size
 
         # LSN index over the *stable* log: sorted frame-start LSNs,
-        # their frame lengths and their record kinds (three parallel
-        # columns), covering the physical prefix
+        # their frame lengths, record kinds and context ids (four
+        # parallel columns), covering the physical prefix
         # [0, _indexed_upto).  Buffered records wait in _pending_entries
         # until a flush makes them stable.  Pre-existing stable bytes
         # (a manager opened over an old file) are indexed lazily on the
@@ -158,22 +166,10 @@ class LogManager:
         self._index_lsns: list[int] = []
         self._index_lengths: list[int] = []
         self._index_kinds = bytearray()
+        self._index_contexts: list[int] = []
         self._indexed_upto = 0
-        self._pending_entries: list[tuple[int, int, int]] = []
+        self._pending_entries: list[tuple[int, int, int, int]] = []
         self._index_stale_block: tuple[int, int] | None = None
-
-        # Per-component chains (on-demand recovery): context_id → sorted
-        # stable LSNs of that component's records, covering the LSN
-        # window [_comp_from_lsn, _comp_upto_lsn).  Maintained on the
-        # append path (buffered records wait in _comp_pending until a
-        # flush makes them stable, mirroring _pending_entries).  The
-        # chains are volatile — a crash loses them, and recovery
-        # re-anchors them at the checkpoint with one bounded tail scan
-        # (component_chains).
-        self._comp_lsns: dict[int, list[int]] = {}
-        self._comp_pending: list[tuple[int, int]] = []
-        self._comp_from_lsn = self._stable.size
-        self._comp_upto_lsn = self._stable.size
 
     # ------------------------------------------------------------------
     # appending and forcing
@@ -214,9 +210,8 @@ class LogManager:
         self.stats.appends += 1
         self.stats.bytes_appended += framed_len
         self._pending_entries.append(
-            (lsn, framed_len, record_kind(type(record)))
+            (lsn, framed_len, record_kind(type(record)), record.context_id)
         )
-        self._comp_pending.append((record.context_id, lsn))
         if len(buf) >= self.buffer_capacity:
             self._flush(count_as_force=False)
         return lsn
@@ -265,19 +260,12 @@ class LogManager:
         if self._indexed_upto != flush_offset:
             self._ensure_index(upto=flush_offset)
         if self._indexed_upto == flush_offset:
-            for lsn, length, kind in self._pending_entries:
+            for lsn, length, kind, context in self._pending_entries:
                 self._index_lsns.append(lsn)
                 self._index_lengths.append(length)
                 self._index_kinds.append(kind)
+                self._index_contexts.append(context)
             self._indexed_upto = flush_offset + nbytes
-        # Same promotion for the per-component chains: they only ever
-        # reference stable LSNs, so buffered entries join their chains
-        # when (and only when) the chain window reaches this flush.
-        if self._comp_upto_lsn == self._base_lsn + flush_offset:
-            for cid, lsn in self._comp_pending:
-                self._comp_lsns.setdefault(cid, []).append(lsn)
-            self._comp_upto_lsn += nbytes
-        self._comp_pending.clear()
         self._pending_entries.clear()
         self._buffer.clear()
         self._buffer_start_lsn = self._base_lsn + self._stable.size
@@ -312,13 +300,6 @@ class LogManager:
         self._buffer.clear()
         self._pending_entries.clear()
         self._buffer_start_lsn = self._base_lsn + self._stable.size
-        # The per-component chains reference only *stable* LSNs, so the
-        # crash cannot invalidate them; only the buffered entries (whose
-        # records just evaporated) are dropped.  Keeping the chains is
-        # what lets recovery after a clean-buffer crash serve
-        # component_chains() as an index hit instead of a full-tail
-        # rebuild.
-        self._comp_pending.clear()
         return lost
 
     # ------------------------------------------------------------------
@@ -346,6 +327,7 @@ class LogManager:
             self._index_lsns.pop()
             self._index_lengths.pop()
             self._index_kinds.pop()
+            self._index_contexts.pop()
         self._indexed_upto = (
             self._index_lsns[-1] - self._base_lsn + self._index_lengths[-1]
             if self._index_lsns
@@ -373,16 +355,18 @@ class LogManager:
                     break
                 payload, next_offset = result
                 kind = payload_kind(payload)
+                context = payload_context(payload)
             except LogCorruptionError:
                 # Unindexable bytes: a torn tail awaiting repair_tail,
-                # or interior corruption (an unknown record kind
-                # included) a read will surface.
+                # or interior corruption (an unknown record kind or a
+                # malformed context id included) a read will surface.
                 self._indexed_upto = start + offset
                 self._index_stale_block = (self._indexed_upto, size)
                 return
             self._index_lsns.append(self._base_lsn + start + offset)
             self._index_lengths.append(next_offset - offset)
             self._index_kinds.append(kind)
+            self._index_contexts.append(context)
             offset = next_offset
         self._indexed_upto = start + offset
         self._index_stale_block = None
@@ -397,9 +381,9 @@ class LogManager:
         the first torn frame.  Interior corruption (a bad frame followed
         by good data) raises :class:`LogCorruptionError` instead of being
         silently dropped.  The walk revalidates every surviving frame, so
-        the LSN index — kind column included, which is how it comes back
-        after a restart — is rebuilt from it as a side effect.  Returns
-        the repaired stable end LSN.
+        the LSN index — kind and context columns included, which is how
+        it comes back after a restart — is rebuilt from it as a side
+        effect.  Returns the repaired stable end LSN.
         """
         data = self._stable.read()
         self.stats.reads += 1
@@ -409,6 +393,7 @@ class LogManager:
         lsns: list[int] = []
         lengths: list[int] = []
         kinds = bytearray()
+        contexts: list[int] = []
         torn = False
         while True:
             try:
@@ -425,9 +410,11 @@ class LogManager:
             payload, next_offset = result
             lsn = self._base_lsn + offset
             # Outside the try above: a CRC-valid frame of an unknown
-            # kind is not a torn write, so it is never truncated away.
+            # kind or with a malformed context id is not a torn write,
+            # so it is never truncated away.
             try:
                 kinds.append(payload_kind(payload))
+                contexts.append(payload_context(payload))
             except LogCorruptionError as exc:
                 raise self._corruption(lsn, exc) from None
             lsns.append(lsn)
@@ -437,27 +424,12 @@ class LogManager:
         self._index_lsns = lsns
         self._index_lengths = lengths
         self._index_kinds = kinds
+        self._index_contexts = contexts
         self._indexed_upto = last_good
         self._index_stale_block = None
         if torn:
             self._buffer_start_lsn = self._base_lsn + last_good
-        # A torn tail invalidates only the chains that reference it:
-        # prune each chain at the repaired boundary instead of wiping
-        # the whole index, so components untouched by the torn frame
-        # keep their chains and the next component_chains call is an
-        # index hit, not a full-tail rebuild.
-        end_lsn = self._base_lsn + last_good
-        for cid in list(self._comp_lsns):
-            chain = self._comp_lsns[cid]
-            cut = bisect_left(chain, end_lsn)
-            if cut < len(chain):
-                del chain[cut:]
-            if not chain:
-                del self._comp_lsns[cid]
-        self._comp_pending.clear()
-        self._comp_from_lsn = min(self._comp_from_lsn, end_lsn)
-        self._comp_upto_lsn = min(self._comp_upto_lsn, end_lsn)
-        return end_lsn
+        return self._base_lsn + last_good
 
     def _corruption(self, lsn: int, cause: object) -> LogCorruptionError:
         """``cause`` with its position: which log (the name carries the
@@ -627,33 +599,27 @@ class LogManager:
         ``from_lsn``: context_id → the ordered LSNs of that component's
         records.
 
-        The chains are maintained on the append path, so in steady state
-        this is a pure index hit.  After a restart (or when asked for a
-        window older than the maintained one) the chains are re-anchored
-        with **one** bounded tail scan from ``from_lsn`` — the
-        checkpoint-forward suffix, never the whole log — and stay
-        current from there on.
+        A group-by over the index's LSN and context columns: no frame is
+        read or decoded, and after a restart the columns are the ones
+        ``repair_tail`` rebuilt from the stable bytes.  Stable bytes the
+        index refused are walked by ``scan``, so corruption there raises
+        instead of shortening a chain.
         """
+        self._ensure_index()
         start = max(from_lsn, self._base_lsn)
-        stable_end = self.stable_lsn
-        if start < self._comp_from_lsn:
-            self._comp_lsns = {}
-            self._comp_from_lsn = self._comp_upto_lsn = start
+        first = bisect_left(self._index_lsns, start)
+        chains: defaultdict[int, list[int]] = defaultdict(list)
+        for context, lsn in zip(
+            self._index_contexts[first:], self._index_lsns[first:]
+        ):
+            chains[context].append(lsn)
+        self.stats.comp_index_hits += 1
+        if self._indexed_upto < self._stable.size:
             self.stats.comp_index_rebuilds += 1
-        else:
-            self.stats.comp_index_hits += 1
-        if self._comp_upto_lsn < stable_end:
-            for lsn, record in self.scan(self._comp_upto_lsn):
-                self._comp_lsns.setdefault(record.context_id, []).append(lsn)
-            self._comp_upto_lsn = stable_end
-        if start == self._comp_from_lsn:
-            return {cid: list(chain) for cid, chain in self._comp_lsns.items()}
-        chains: dict[int, list[int]] = {}
-        for cid, chain in self._comp_lsns.items():
-            suffix = chain[bisect_left(chain, start):]
-            if suffix:
-                chains[cid] = suffix
-        return chains
+            refused = self._base_lsn + self._indexed_upto
+            for lsn, record in self.scan(max(start, refused)):
+                chains[record.context_id].append(lsn)
+        return dict(chains)
 
     def _any_frame_after(self, data: bytes, bad_offset: int) -> bool:
         """Is there a decodable frame anywhere after a corrupt one?
@@ -709,18 +675,10 @@ class LogManager:
         del self._index_lsns[:cut]
         del self._index_lengths[:cut]
         del self._index_kinds[:cut]
+        del self._index_contexts[:cut]
         self._indexed_upto = max(0, self._indexed_upto - nbytes)
         self._index_stale_block = None
         self._base_lsn = keep_from_lsn
-        for cid in list(self._comp_lsns):
-            chain = self._comp_lsns[cid]
-            drop = bisect_left(chain, keep_from_lsn)
-            if drop:
-                del chain[:drop]
-            if not chain:
-                del self._comp_lsns[cid]
-        self._comp_from_lsn = max(self._comp_from_lsn, keep_from_lsn)
-        self._comp_upto_lsn = max(self._comp_upto_lsn, keep_from_lsn)
         self.stats.truncations += 1
         self.stats.bytes_reclaimed += nbytes
         return nbytes

@@ -207,6 +207,28 @@ def payload_kind(payload: bytes) -> int:
     return payload[0]
 
 
+def payload_context(payload: bytes) -> int:
+    """The context id of a frame payload, read from its header
+    ``[kind u8][len u8][signed id]`` without decoding the rest.
+
+    Every record class writes its context id right after the kind byte,
+    so the log manager keeps it as a column of its frame index and
+    groups frames into per-component chains without decoding them.  A
+    header whose id field overruns the payload is corrupt even when its
+    CRC holds, and raises here."""
+    try:
+        if payload[1] == 1 and payload[2] < 0x80:
+            return payload[2]  # one byte, non-negative: nearly every id
+    except IndexError:
+        pass  # too short for that; the check below says so
+    size = len(payload)
+    if size < 2 or 2 + payload[1] > size:
+        raise LogCorruptionError(
+            f"context id overruns the {size}-byte payload"
+        )
+    return int.from_bytes(payload[2 : 2 + payload[1]], "little", signed=True)
+
+
 def encode_record(record: LogRecord) -> bytes:
     """Serialize a record into a frame payload."""
     writer = Writer()

@@ -3,8 +3,8 @@
 After analysis (:meth:`RecoveryManager.recover`: repair the tail,
 re-mark, seed the tables from the checkpoint, restore state-record
 contexts, register a shell for every discovered context), recovery's
-redo is one :class:`PendingRecovery`: each component's frame chain from
-the log manager's per-component index
+redo is one :class:`PendingRecovery`: each component's frame chain,
+grouped from the frame index the tail repair rebuilt from stable bytes
 (:meth:`LogManager.component_chains`), replayed with the reply cache
 intact.  Every record goes into its context's buffer in the one
 :class:`RecoveryManager` the table owns; a mark's chain is a cursor
@@ -120,8 +120,8 @@ class PendingRecovery:
         if not discoveries:
             return
         # Each component's frame chain comes from its owning stream's
-        # per-component index (one stream under the flag-off runtime);
-        # LSN spaces are per stream, so the scan window is too.
+        # frame index (one stream under the flag-off runtime); LSN
+        # spaces are per stream, so the chains' window is too.
         starts: dict[int, int] = {}
         for info in discoveries.values():
             start = starts.get(info.stream, info.start_lsn)

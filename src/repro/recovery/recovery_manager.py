@@ -11,8 +11,9 @@ Process-crash recovery is an analysis pass followed by one redo:
   resolved); every other context gets its shell.
 
 * **Redo** replays each context's *frame chain* — the ordered LSNs of
-  its records past the restored state (``LogManager.component_chains``)
-  — through one table, :class:`~.incremental.PendingRecovery`.  A chain
+  its records past the restored state, grouped from the frame index the
+  tail repair rebuilt (``LogManager.component_chains``) — through one
+  table, :class:`~.incremental.PendingRecovery`.  A chain
   is read call by call: each incoming call is replayed with its outgoing
   calls answered from the logged replies; the last one is replayed
   final, and if a reply to one of its outgoing calls is missing from the

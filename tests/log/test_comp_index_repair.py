@@ -1,18 +1,16 @@
-"""The per-component chain index across crashes and torn tails.
+"""Per-component chains across crashes and torn tails.
 
-Regression: ``wipe_volatile`` / ``repair_tail`` used to throw away the
-whole volatile ``_comp_lsns`` index, so the next ``component_chains``
-call paid a full bounded tail scan (``comp_index_rebuilds``) even when
-the crash lost nothing stable — or when the torn frame belonged to ONE
-component.  The chains only ever reference stable LSNs, so a crash
-cannot invalidate them, and a torn tail invalidates exactly the chain
-entries at or past the repaired boundary.
+``component_chains`` is a group-by over the frame index's context
+column, and a restart rebuilds that index from the stable bytes in
+``repair_tail``'s validating walk.  So a fresh manager opened over a
+crashed one's files serves the same chains without decoding a record,
+and a torn tail shortens exactly the chains that referenced it.
 """
 
 import pytest
 
 from repro.common import MessageKind, MethodCallMessage
-from repro.log import LogManager, MessageRecord
+from repro.log import LogManager, MessageRecord, log_manager
 from repro.sim import Cluster
 
 
@@ -36,21 +34,33 @@ def log(machine):
     return LogManager("p1", machine.disk, machine.stable_store)
 
 
-class TestWipeVolatileKeepsChains:
-    def test_crash_does_not_force_a_rebuild(self, log):
-        lsns = {
-            1: [log.append_and_force(record(1, i)) for i in range(3)],
-            2: [log.append_and_force(record(2, i)) for i in range(2)],
-        }
-        assert log.component_chains(0) == lsns
-        rebuilds = log.stats.comp_index_rebuilds
-        hits = log.stats.comp_index_hits
-
+class TestChainsAfterRestart:
+    def test_fresh_manager_rebuilds_chains_from_stable_bytes(
+        self, machine, log, monkeypatch
+    ):
+        for i in range(12):
+            log.append(record((1, 2, 200, -1)[i % 4], i))
+            if i % 5 == 4:
+                log.force()
+        log.force()
+        chains = log.component_chains(0)
+        log.append(record(3, "lost"))  # buffered, dies with the crash
         log.wipe_volatile()
-        # The chains reference only stable LSNs; nothing stable changed.
-        assert log.component_chains(0) == lsns
-        assert log.stats.comp_index_rebuilds == rebuilds
-        assert log.stats.comp_index_hits == hits + 1
+
+        decoded = []
+        real = log_manager.decode_record
+        monkeypatch.setattr(
+            log_manager,
+            "decode_record",
+            lambda payload: decoded.append(1) or real(payload),
+        )
+        # The restarted process holds nothing of the crashed one's
+        # memory: only its stable files.
+        fresh = LogManager("p1", machine.disk, machine.stable_store)
+        fresh.repair_tail()
+        assert fresh.component_chains(0) == chains
+        assert fresh.stats.comp_index_rebuilds == 0
+        assert decoded == []
 
     def test_buffered_records_still_die_with_the_process(self, log):
         stable_lsn = log.append_and_force(record(1, "stable"))
@@ -73,7 +83,7 @@ class TestRepairTailPrunesPerChain:
         log.repair_tail()
 
         chains = log.component_chains(0)
-        # Component 1's chain survived untouched — no full-tail rebuild.
+        # Component 1's chain survived untouched, with no decoding walk.
         assert chains == {1: kept}
         assert log.stats.comp_index_rebuilds == rebuilds
 

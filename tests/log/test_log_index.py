@@ -7,6 +7,8 @@ tail repair, and a fresh manager opening a pre-existing log — and the
 reads fetch only their own frame, never the whole log.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,6 +229,9 @@ MAKERS = (
     lambda n: EndCheckpointRecord(context_id=-1, begin_lsn=n),
 )
 KINDS = tuple(type(make(0)) for make in MAKERS)
+#: Context ids at the edges of the signed field's widths: one byte
+#: (-1, 0, 127), two (128, -129) and more.
+CONTEXT_IDS = (-1, 0, 127, 128, -129, 1 << 20, -(1 << 40))
 
 
 def _fresh(records, machine):
@@ -286,8 +291,9 @@ INDEX_WRITERS = (
 
 
 def assert_filtered_scans_agree(log, kinds, pick=None):
-    """``scan(kinds=K)`` is the unfiltered scan filtered by type, from
-    every record boundary (or only the ``pick``-th one)."""
+    """``scan(kinds=K)`` is the unfiltered scan filtered by type, and
+    ``component_chains`` is it grouped by context id, from every record
+    boundary (or only the ``pick``-th one)."""
     everything = list(log.scan())
     end = log.base_lsn + log.stable_store.open("p1.log").size
     starts = [0] + [lsn for lsn, __ in everything] + [end]
@@ -300,18 +306,29 @@ def assert_filtered_scans_agree(log, kinds, pick=None):
             if lsn >= start and type(rec) in kinds
         ]
         assert list(log.scan(start, kinds=kinds)) == expected
-    # the three index columns stay parallel
+        chains = {}
+        for lsn, rec in everything:
+            if lsn >= start:
+                chains.setdefault(rec.context_id, []).append(lsn)
+        assert log.component_chains(start) == chains
+    # the four index columns stay parallel
     assert (
         len(log._index_lsns)
         == len(log._index_lengths)
         == len(log._index_kinds)
+        == len(log._index_contexts)
     )
 
 
 class TestFilteredScan:
     @given(
         mix=st.lists(
-            st.tuples(st.integers(0, len(MAKERS) - 1), st.integers(0, 300)),
+            st.tuples(
+                st.integers(0, len(MAKERS) - 1),
+                st.integers(0, 300),
+                st.sampled_from(CONTEXT_IDS)
+                | st.integers(-(1 << 70), 1 << 70),
+            ),
             min_size=3,
             max_size=40,
         ),
@@ -323,12 +340,21 @@ class TestFilteredScan:
     def test_equals_the_unfiltered_scan_filtered_by_type(
         self, mix, kinds, pick, build
     ):
-        records = [MAKERS[which](n) for which, n in mix]
+        records = [
+            replace(MAKERS[which](n), context_id=cid)
+            for which, n, cid in mix
+        ]
         log = build(records, Cluster().machine("alpha"))
         assert_filtered_scans_agree(log, kinds, pick)
 
     def test_every_index_writer_from_every_boundary(self):
-        records = [MAKERS[i % len(MAKERS)](i) for i in range(30)]
+        records = [
+            replace(
+                MAKERS[i % len(MAKERS)](i),
+                context_id=CONTEXT_IDS[i % len(CONTEXT_IDS)],
+            )
+            for i in range(30)
+        ]
         for build in INDEX_WRITERS:
             log = build(records, Cluster().machine("alpha"))
             for kind in KINDS:
@@ -407,3 +433,33 @@ class TestFilteredScan:
         with pytest.raises(LogCorruptionError, match=f"LSN {bad_lsn}:"):
             first.repair_tail()
         assert stable.size == first.stable_lsn  # nothing was cut off
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [b"\x05", b"\x01\x05\x01\x00"],
+        ids=["shorter-than-two-bytes", "id-length-overruns"],
+    )
+    def test_malformed_context_field_is_never_truncated(
+        self, machine, malformed
+    ):
+        """A CRC-valid tail frame whose context id field cannot be read
+        is corruption, not a torn write: the restart walk names it, and
+        the chains never silently stop short of it."""
+        first = _fresh([record(1), MAKERS[1](2), record(3)], machine)
+        *good, bad_lsn = [lsn for lsn, __ in first.scan()]
+        stable = machine.stable_store.open("p1.log")
+        frames = [payload for __, payload, ___ in iter_frames(stable.read())]
+        frames[-1] = malformed
+        stable.overwrite(b"".join(frame(payload) for payload in frames))
+        size = stable.size
+        with pytest.raises(
+            LogCorruptionError, match=f"log 'p1', LSN {bad_lsn}: context id"
+        ):
+            first.repair_tail()
+        assert stable.size == size  # nothing was cut off
+        # a fresh manager's lazy index stops at the frame, and the
+        # chains read past it rather than end there
+        reopened = LogManager("p1", machine.disk, machine.stable_store)
+        with pytest.raises(LogCorruptionError, match=f"LSN {bad_lsn}:"):
+            reopened.component_chains(0)
+        assert reopened._index_lsns == good
