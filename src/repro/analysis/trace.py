@@ -19,6 +19,7 @@ traced records were lost rather than missing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..common.messages import MessageKind
 from ..common.types import ComponentType
@@ -28,12 +29,14 @@ from ..common.types import ComponentType
 NO_LSN = -1
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One logging decision, as the policy made it.
 
     Defaults describe the common case (an optimized persistent context)
-    so tests can construct events tersely.
+    so tests can construct events tersely.  Immutable, and built as a
+    tuple: the policy records about three per call, and a frozen
+    dataclass would pay one ``object.__setattr__`` per field for each.
+    Derive a changed copy with ``event._replace(...)``.
     """
 
     kind: MessageKind

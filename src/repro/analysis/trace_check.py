@@ -43,7 +43,7 @@ Violations carry the invariant ID and the LSN they anchor to.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..common.messages import MessageKind
 from ..common.types import ComponentType
@@ -546,7 +546,7 @@ def _entry_force_bound(event: TraceEvent) -> int:
     message-1/message-2 pair: the ones that must be stable, given the
     entry event's flags."""
     return sum(
-        _expected(replace(event, kind=kind))[2]
+        _expected(event._replace(kind=kind))[2]
         for kind in (MessageKind.INCOMING_CALL, MessageKind.REPLY_TO_INCOMING)
     )
 

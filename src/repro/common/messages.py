@@ -63,6 +63,10 @@ class MethodCallMessage:
     sender: SenderInfo | None = None
     method_read_only: bool = False
 
+    #: the message's wire encoding, once computed (not a field; see
+    #: ``repro.log.serialization.message_encoding``)
+    _encoding = None
+
     @staticmethod
     def pack_kwargs(kwargs: dict) -> tuple:
         return tuple(sorted(kwargs.items()))
@@ -92,3 +96,7 @@ class ReplyMessage:
     exception_message: str = ""
     sender: SenderInfo | None = None
     method_read_only: bool = False
+
+    #: the message's wire encoding, once computed (not a field; see
+    #: ``repro.log.serialization.message_encoding``)
+    _encoding = None

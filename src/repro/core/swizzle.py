@@ -49,11 +49,32 @@ def _transform(value: object, leaf: Callable[[object], object]) -> object:
     return value
 
 
+#: Types whose values are deeply immutable and hold no reference.
+_PLAIN = frozenset({str, int, float, bool, type(None), bytes})
+
+
+def _is_plain(value: object) -> bool:
+    """A plain scalar, or a tuple of them: nothing to swizzle and
+    nothing a caller could mutate later, so it may go out as is."""
+    kind = type(value)
+    if kind is tuple:
+        for item in value:
+            if type(item) not in _PLAIN:
+                return False
+        return True
+    return kind in _PLAIN
+
+
 # ----------------------------------------------------------------------
 # messages
 # ----------------------------------------------------------------------
 def swizzle_for_message(value: object) -> object:
-    """Prepare a value for the wire: proxies become ComponentRefs."""
+    """Prepare a value for the wire: proxies become ComponentRefs.
+
+    Anything that is not plain is copied, so a message never shares a
+    mutable container with the caller that built it."""
+    if _is_plain(value):
+        return value
 
     def leaf(item: object) -> object:
         if isinstance(item, ComponentProxy):
@@ -71,6 +92,8 @@ def swizzle_for_message(value: object) -> object:
 
 def unswizzle_for_message(value: object, runtime: Any) -> object:
     """Resolve ComponentRefs in a delivered value back to proxies."""
+    if _is_plain(value):
+        return value
 
     def leaf(item: object) -> object:
         if isinstance(item, ComponentRef):

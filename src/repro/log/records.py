@@ -30,7 +30,7 @@ from ..common.ids import GlobalCallId
 from ..common.messages import MessageKind, MethodCallMessage, ReplyMessage
 from ..common.types import ComponentType
 from ..errors import LogCorruptionError
-from .serialization import Reader, Writer
+from .serialization import Reader, Writer, message_encoding
 
 CallerKey = tuple[str, int, int]
 
@@ -276,7 +276,8 @@ def encode_record_into(writer: Writer, record: LogRecord) -> None:
         writer.signed(record.context_id)
         _encode_caller_key(writer, record.caller_key)
         writer.call_id(record.call_id)
-        writer.reply(record.reply)
+        # the reply's shared encoding, without its value tag
+        writer.raw(message_encoding(record.reply)[1:])
     elif isinstance(record, BeginCheckpointRecord):
         writer.u8(_TAG_BEGIN_CHECKPOINT)
         writer.signed(record.context_id)

@@ -54,6 +54,24 @@ _T_REPLY = b"P"
 
 _MAX_INT_BYTES = 64  # generous: 512-bit integers
 
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_F64 = struct.Struct("<d")
+
+# The value tags as ints: what the writer appends and ``data[pos]``
+# gives the reader.
+(
+    _I_NONE, _I_TRUE, _I_FALSE, _I_INT, _I_FLOAT, _I_STR, _I_BYTES,
+    _I_LIST, _I_TUPLE, _I_DICT, _I_SET, _I_FROZENSET, _I_CALL_ID,
+    _I_COMPONENT_REF, _I_LOCAL_REF, _I_COMPONENT_TYPE, _I_SENDER_INFO,
+    _I_METHOD_CALL, _I_REPLY,
+) = (
+    _T_NONE + _T_TRUE + _T_FALSE + _T_INT + _T_FLOAT + _T_STR + _T_BYTES
+    + _T_LIST + _T_TUPLE + _T_DICT + _T_SET + _T_FROZENSET + _T_CALL_ID
+    + _T_COMPONENT_REF + _T_LOCAL_REF + _T_COMPONENT_TYPE + _T_SENDER_INFO
+    + _T_METHOD_CALL + _T_REPLY
+)
+
 
 class Writer:
     """Appends primitives and tagged values to a byte buffer.
@@ -61,8 +79,12 @@ class Writer:
     With ``out`` the writer appends directly to a caller-owned
     ``bytearray`` (the log manager passes its volatile buffer so record
     encoding never materializes an intermediate ``bytes`` object);
-    without it the writer owns a fresh buffer.
+    without it the writer owns a fresh buffer.  Each field is packed in
+    place: ``u8`` and the value tags are one ``bytearray.append``, and
+    fixed-width fields go through the precompiled structs.
     """
+
+    __slots__ = ("_buffer", "_base")
 
     def __init__(self, out: bytearray | None = None) -> None:
         self._buffer = out if out is not None else bytearray()
@@ -76,109 +98,121 @@ class Writer:
 
     # -- primitives ----------------------------------------------------
     def raw(self, data: bytes) -> None:
-        self._buffer.extend(data)
+        self._buffer += data
 
     def u8(self, value: int) -> None:
-        self.raw(struct.pack("<B", value))
+        self._buffer.append(value)
 
     def u32(self, value: int) -> None:
-        self.raw(struct.pack("<I", value))
+        self._buffer += _U32.pack(value)
 
     def u64(self, value: int) -> None:
-        self.raw(struct.pack("<Q", value))
+        self._buffer += _U64.pack(value)
 
     def f64(self, value: float) -> None:
-        self.raw(struct.pack("<d", value))
+        self._buffer += _F64.pack(value)
 
     def text(self, value: str) -> None:
-        data = value.encode("utf-8")
-        self.u32(len(data))
-        self.raw(data)
+        try:
+            data = value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SerializationError(
+                f"cannot serialize text {value!r}: {exc.reason} at "
+                f"index {exc.start}"
+            ) from None
+        buffer = self._buffer
+        buffer += _U32.pack(len(data))
+        buffer += data
 
     def blob(self, value: bytes) -> None:
-        self.u32(len(value))
-        self.raw(bytes(value))
+        buffer = self._buffer
+        buffer += _U32.pack(len(value))
+        buffer += value
 
     def signed(self, value: int) -> None:
         """Arbitrary-precision signed integer (length-prefixed)."""
-        nbytes = max(1, (value.bit_length() + 8) // 8)
+        if -0x80 < value < 0x80:
+            # one byte; -128 takes two, as ``bit_length`` sizes it below
+            buffer = self._buffer
+            buffer.append(1)
+            buffer.append(value & 0xFF)
+            return
+        nbytes = (value.bit_length() + 8) // 8
         if nbytes > _MAX_INT_BYTES:
             raise SerializationError(f"integer too large to log: {value!r}")
-        self.u8(nbytes)
-        self.raw(value.to_bytes(nbytes, "little", signed=True))
+        buffer = self._buffer
+        buffer.append(nbytes)
+        buffer += value.to_bytes(nbytes, "little", signed=True)
 
     # -- tagged values ---------------------------------------------------
     def value(self, obj: object) -> None:
         """Serialize a tagged value of any supported type."""
-        if obj is None:
-            self.raw(_T_NONE)
-        elif obj is True:
-            self.raw(_T_TRUE)
-        elif obj is False:
-            self.raw(_T_FALSE)
-        elif type(obj) is int:
-            self.raw(_T_INT)
-            self.signed(obj)
-        elif type(obj) is float:
-            self.raw(_T_FLOAT)
-            self.f64(obj)
-        elif type(obj) is str:
-            self.raw(_T_STR)
+        kind = type(obj)
+        buffer = self._buffer
+        # The types message arguments and replies hold most, first.
+        if kind is str:
+            buffer.append(_I_STR)
             self.text(obj)
-        elif type(obj) in (bytes, bytearray):
-            self.raw(_T_BYTES)
-            self.blob(bytes(obj))
-        elif type(obj) is list:
-            self.raw(_T_LIST)
+        elif kind is int:
+            buffer.append(_I_INT)
+            self.signed(obj)
+        elif kind is tuple:
+            buffer.append(_I_TUPLE)
             self._sequence(obj)
-        elif type(obj) is tuple:
-            self.raw(_T_TUPLE)
+        elif obj is None:
+            buffer.append(_I_NONE)
+        elif kind is bool:
+            buffer.append(_I_TRUE if obj else _I_FALSE)
+        elif kind is MethodCallMessage or kind is ReplyMessage:
+            buffer += message_encoding(obj)
+        elif kind is float:
+            buffer.append(_I_FLOAT)
+            self.f64(obj)
+        elif kind is list:
+            buffer.append(_I_LIST)
             self._sequence(obj)
-        elif type(obj) is dict:
-            self.raw(_T_DICT)
-            self.u32(len(obj))
+        elif kind is dict:
+            buffer.append(_I_DICT)
+            buffer += _U32.pack(len(obj))
             for key, item in obj.items():
                 self.value(key)
                 self.value(item)
-        elif type(obj) is set:
-            self.raw(_T_SET)
+        elif kind is bytes or kind is bytearray:
+            buffer.append(_I_BYTES)
+            self.blob(obj)
+        elif kind is set:
+            buffer.append(_I_SET)
             self._sequence(_stable_order(obj))
-        elif type(obj) is frozenset:
-            self.raw(_T_FROZENSET)
+        elif kind is frozenset:
+            buffer.append(_I_FROZENSET)
             self._sequence(_stable_order(obj))
-        elif type(obj) is GlobalCallId:
-            self.raw(_T_CALL_ID)
+        elif kind is GlobalCallId:
+            buffer.append(_I_CALL_ID)
             self.call_id(obj)
-        elif type(obj) is ComponentRef:
-            self.raw(_T_COMPONENT_REF)
+        elif kind is ComponentRef:
+            buffer.append(_I_COMPONENT_REF)
             self.text(obj.uri)
-        elif type(obj) is LocalRef:
-            self.raw(_T_LOCAL_REF)
+        elif kind is LocalRef:
+            buffer.append(_I_LOCAL_REF)
             self.signed(obj.component_lid)
-        elif type(obj) is ComponentType:
-            self.raw(_T_COMPONENT_TYPE)
+        elif kind is ComponentType:
+            buffer.append(_I_COMPONENT_TYPE)
             self.text(obj.wire_value)
-        elif type(obj) is SenderInfo:
-            self.raw(_T_SENDER_INFO)
+        elif kind is SenderInfo:
+            buffer.append(_I_SENDER_INFO)
             self.sender_info(obj)
-        elif type(obj) is MethodCallMessage:
-            self.raw(_T_METHOD_CALL)
-            self.method_call(obj)
-        elif type(obj) is ReplyMessage:
-            self.raw(_T_REPLY)
-            self.reply(obj)
         else:
             raise SerializationError(
-                f"cannot serialize {type(obj).__name__} value {obj!r}; "
+                f"cannot serialize {kind.__name__} value {obj!r}; "
                 "persistent component fields and method arguments must be "
                 "built from plain data types and component references"
             )
 
     def _sequence(self, items) -> None:
-        items = list(items)
-        self.u32(len(items))
+        self._buffer += _U32.pack(len(items))
+        value = self.value
         for item in items:
-            self.value(item)
+            value(item)
 
     # -- composite wire types -------------------------------------------
     def call_id(self, call_id: GlobalCallId) -> None:
@@ -189,21 +223,21 @@ class Writer:
 
     def optional_call_id(self, call_id: GlobalCallId | None) -> None:
         if call_id is None:
-            self.u8(0)
+            self._buffer.append(0)
         else:
-            self.u8(1)
+            self._buffer.append(1)
             self.call_id(call_id)
 
     def sender_info(self, info: SenderInfo) -> None:
         self.text(info.component_type.wire_value)
         self.text(info.component_uri)
-        self.u8(1 if info.knows_receiver else 0)
+        self._buffer.append(1 if info.knows_receiver else 0)
 
     def optional_sender_info(self, info: SenderInfo | None) -> None:
         if info is None:
-            self.u8(0)
+            self._buffer.append(0)
         else:
-            self.u8(1)
+            self._buffer.append(1)
             self.sender_info(info)
 
     def method_call(self, msg: MethodCallMessage) -> None:
@@ -211,46 +245,49 @@ class Writer:
         self.text(msg.method)
         self.optional_call_id(msg.call_id)
         self.optional_sender_info(msg.sender)
-        self.u8(1 if msg.method_read_only else 0)
+        self._buffer.append(1 if msg.method_read_only else 0)
         self.value(tuple(msg.args))
         self.value(tuple(msg.kwargs))
 
     def reply(self, msg: ReplyMessage) -> None:
         self.optional_call_id(msg.call_id)
-        self.u8(1 if msg.is_exception else 0)
+        self._buffer.append(1 if msg.is_exception else 0)
         self.text(msg.exception_message)
         self.optional_sender_info(msg.sender)
-        self.u8(1 if msg.method_read_only else 0)
+        self._buffer.append(1 if msg.method_read_only else 0)
         self.value(msg.value)
+
+
+def message_encoding(message: MethodCallMessage | ReplyMessage) -> bytes:
+    """A message's tagged encoding, computed at most once per message.
+
+    The network charges a message by its size and the log writes it
+    into a :class:`MessageRecord`; both take these bytes, in whichever
+    order they happen (a request is sized before the server logs it, a
+    reply is logged before it is sized).  The bytes are memoized on the
+    frozen message outside its fields, so ``==``, ``repr`` and hashing
+    do not see them.  Sound because a message is never mutated after
+    it is built: swizzling gives it its own copy of every mutable
+    argument or return value.
+    """
+    encoded = message._encoding
+    if encoded is None:
+        writer = Writer()
+        if type(message) is MethodCallMessage:
+            writer._buffer.append(_I_METHOD_CALL)
+            writer.method_call(message)
+        else:
+            writer._buffer.append(_I_REPLY)
+            writer.reply(message)
+        encoded = bytes(writer._buffer)
+        object.__setattr__(message, "_encoding", encoded)
+    return encoded
 
 
 def _stable_order(items) -> list:
     """Deterministic ordering for sets (sorted by serialized bytes)."""
+    return sorted(items, key=encode_value)
 
-    def key(item: object) -> bytes:
-        writer = Writer()
-        writer.value(item)
-        return writer.getvalue()
-
-    return sorted(items, key=key)
-
-
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
-
-# The value tags as ints: what ``data[pos]`` gives the reader.
-(
-    _I_NONE, _I_TRUE, _I_FALSE, _I_INT, _I_FLOAT, _I_STR, _I_BYTES,
-    _I_LIST, _I_TUPLE, _I_DICT, _I_SET, _I_FROZENSET, _I_CALL_ID,
-    _I_COMPONENT_REF, _I_LOCAL_REF, _I_COMPONENT_TYPE, _I_SENDER_INFO,
-    _I_METHOD_CALL, _I_REPLY,
-) = (
-    _T_NONE + _T_TRUE + _T_FALSE + _T_INT + _T_FLOAT + _T_STR + _T_BYTES
-    + _T_LIST + _T_TUPLE + _T_DICT + _T_SET + _T_FROZENSET + _T_CALL_ID
-    + _T_COMPONENT_REF + _T_LOCAL_REF + _T_COMPONENT_TYPE + _T_SENDER_INFO
-    + _T_METHOD_CALL + _T_REPLY
-)
 
 _COMPONENT_TYPES = {kind.wire_value: kind for kind in ComponentType}
 _MESSAGE_KINDS = {kind.value: kind for kind in MessageKind}
@@ -503,7 +540,11 @@ def decode_value(data: bytes) -> object:
 
 
 def serialized_size(obj: object) -> int:
-    """Exact on-wire size of a value (used for network/disk charging)."""
+    """Exact on-wire size of a value (used for network/disk charging);
+    a message is sized by its one shared encoding."""
+    kind = type(obj)
+    if kind is MethodCallMessage or kind is ReplyMessage:
+        return len(message_encoding(obj))
     return len(encode_value(obj))
 
 

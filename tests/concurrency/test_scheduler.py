@@ -4,7 +4,6 @@ failure semantics (docs/internals.md section 11)."""
 import json
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -115,7 +114,7 @@ class TestInterleaving:
         # The trace is identical up to the session annotation (None
         # serially, 0 under the scheduler) and its vector clock.
         scrubbed = [
-            replace(event, session=None, vc=None)
+            event._replace(session=None, vc=None)
             for event in c_process.protocol_trace.events()
         ]
         assert repr(scrubbed) == repr(s_process.protocol_trace.entries)

@@ -60,6 +60,43 @@ class TestMessageSwizzling:
             swizzle_for_message(owner.tally)
 
 
+class TestPlainFastPath:
+    """A plain scalar or a tuple of them is deeply immutable and holds
+    no reference: both directions hand it back as is.  Anything else is
+    still transformed — copied, and checked for raw components."""
+
+    @pytest.mark.parametrize(
+        "value",
+        ["text", 7, 2.5, True, None, b"raw", (), ("a", 1, 2.0, False, None)],
+    )
+    def test_plain_values_come_back_as_the_same_object(self, value, runtime):
+        assert swizzle_for_message(value) is value
+        assert unswizzle_for_message(value, runtime) is value
+
+    def test_a_tuple_holding_a_proxy_is_transformed(self, deployed):
+        runtime, __, proxy, __, __ = deployed
+        swizzled = swizzle_for_message(("id", proxy))
+        assert swizzled == ("id", ComponentRef(proxy.uri))
+        restored = unswizzle_for_message(swizzled, runtime)
+        assert restored == ("id", proxy)
+
+    @pytest.mark.parametrize("mutable", [[1, 2], {"k": 1}])
+    def test_a_tuple_holding_a_container_is_copied(self, mutable, runtime):
+        value = ("id", mutable)
+        for swizzled in (
+            swizzle_for_message(value),
+            unswizzle_for_message(value, runtime),
+        ):
+            assert swizzled == value
+            assert swizzled is not value
+            assert swizzled[1] is not mutable
+
+    def test_a_raw_component_in_a_tuple_still_raises(self, deployed):
+        __, __, __, owner, __ = deployed
+        with pytest.raises(SerializationError, match="proxy"):
+            swizzle_for_message(("id", owner))
+
+
 class TestStateSwizzling:
     def test_subordinate_handle_becomes_local_ref(self, deployed):
         __, __, __, owner, context = deployed
