@@ -640,22 +640,12 @@ def check_runtime_force_bounds(
     one stream, so spans stay whole per trace."""
     problems: list[tuple[str, Violation]] = []
     for process in runtime.processes():
-        for trace in _process_traces(process):
+        for stream in process.streams:
             for violation in check_force_bounds(
-                trace, bounds, process.name, rule, live_only
+                stream.trace, bounds, process.name, rule, live_only
             ):
                 problems.append((process.name, violation))
     return problems
-
-
-def _process_traces(process) -> list:
-    """Every protocol trace of a process: one per log stream under
-    sharded logging, the single legacy trace otherwise."""
-    streams = getattr(process, "streams", None)
-    if streams is None:
-        trace = getattr(process, "protocol_trace", None)
-        return [] if trace is None else [trace]
-    return [stream.trace for stream in streams]
 
 
 # ----------------------------------------------------------------------
@@ -689,13 +679,9 @@ def check_log(log, trace: ProtocolTrace | None = None) -> list[Violation]:
 
 
 def check_process(process) -> list[Violation]:
-    streams = getattr(process, "streams", None)
-    if streams is None:
-        return check_log(
-            process.log, getattr(process, "protocol_trace", None)
-        )
+    """Check every log stream of a process against its trace."""
     violations: list[Violation] = []
-    for stream in streams:
+    for stream in process.streams:
         violations.extend(check_log(stream.log, stream.trace))
     return violations
 

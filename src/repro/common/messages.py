@@ -71,13 +71,6 @@ class MethodCallMessage:
     def pack_kwargs(kwargs: dict) -> tuple:
         return tuple(sorted(kwargs.items()))
 
-    def unpacked_kwargs(self) -> dict:
-        return dict(self.kwargs)
-
-    @property
-    def is_external(self) -> bool:
-        return self.call_id is None
-
 
 @dataclass(frozen=True)
 class ReplyMessage:

@@ -56,18 +56,6 @@ class ComponentType(enum.Enum):
         )
 
     @property
-    def attaches_call_id(self) -> bool:
-        """Does a caller of this kind attach globally unique call IDs?
-
-        Persistent-family callers do (condition 2).  Read-only callers do
-        not need duplicate detection (Section 3.2.3) but still use IDs so
-        their outgoing calls can be correlated; the paper says last-call
-        tables are not *maintained at* read-only components, and no
-        last-call entries are kept *for* them — both hold here.
-        """
-        return self.is_phoenix
-
-    @property
     def wire_value(self) -> str:
         return self.value
 

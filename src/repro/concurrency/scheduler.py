@@ -45,13 +45,18 @@ the innermost frame raises a fresh :class:`CrashSignal` marked
 ``stale=True`` — the process-boundary conversion in the runtime turns it
 into :class:`ComponentUnavailableError` *without* re-crashing the (by
 then possibly recovered) process.
+
+The serial runtime is the one-session case of the same hooks: every
+runtime holds a :class:`SerialScheduler` as ``runtime.scheduler``, and
+:meth:`DeterministicScheduler.run` installs itself only for the
+duration of a run.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import insort
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -161,13 +166,78 @@ class GroupCommitBatch:
         self.targets: dict[int, int] = {}
 
 
+class SerialScheduler:
+    """The one-session scheduler: ``runtime.scheduler`` whenever no
+    :class:`DeterministicScheduler` run is active.
+
+    One call chain runs at a time, so there is nobody to yield to, no
+    session to name, no clock, watermark or context claim to keep, and
+    the one session drives every recovery it meets.  A wait whose
+    predicate does not already hold could never be satisfied, so
+    :meth:`block_until` raises instead of waiting."""
+
+    __slots__ = ()
+
+    def yield_point(self, tag: str) -> None:
+        pass
+
+    def block_until(self, predicate: Callable[[], bool], tag: str) -> None:
+        if not predicate():
+            raise InvariantViolationError(
+                f"the serial runtime cannot block (waiting on {tag})"
+            )
+
+    def current_session(self) -> None:
+        return None
+
+    def current_session_id(self) -> None:
+        return None
+
+    def current_vc(self) -> None:
+        return None
+
+    def note_append(self, process: "AppProcess", log=None) -> None:
+        pass
+
+    def causal_commit_lsn(self, process: "AppProcess", log=None) -> None:
+        return None
+
+    def clamp_watermarks(self, process: "AppProcess") -> None:
+        pass
+
+    def enter_process(self, process: "AppProcess") -> bool:
+        return False
+
+    def exit_process(self) -> None:
+        pass
+
+    def acquire_context(self, context: "Context") -> bool:
+        return False
+
+    def release_context(self, context: "Context") -> None:
+        pass
+
+    def publish_context(self, context: "Context") -> None:
+        pass
+
+    def merge_context(self, context: "Context") -> None:
+        pass
+
+    def driving_recovery(self, process: "AppProcess") -> nullcontext:
+        return nullcontext()
+
+    def is_recovery_driver(self, process: "AppProcess") -> bool:
+        return True
+
+
 class DeterministicScheduler:
     """Seeded cooperative scheduler over a :class:`PhoenixRuntime`.
 
     ``run(fns)`` executes the session functions interleaved and returns
     their results in order; the first failing session aborts the rest
-    and its error is re-raised.  While a run is active the runtime's
-    ``sched_yield`` hooks route into :meth:`yield_point`.
+    and its error is re-raised.  For the duration of a run the scheduler
+    is ``runtime.scheduler``, so the runtime's hooks route into it; the
+    runtime's serial scheduler is restored when the run ends.
     """
 
     def __init__(
@@ -213,14 +283,14 @@ class DeterministicScheduler:
         #: the trace checker's serial max.
         self._serial_wm: dict[str, int] = {}
         self._step_index = 0
-        runtime.scheduler = self
 
     # ------------------------------------------------------------------
     # identity
     # ------------------------------------------------------------------
     def current_session(self) -> Session | None:
         """The session owning the calling thread (None on the main
-        thread, or before/after a run)."""
+        thread, or before/after a run: session threads exist only
+        during one)."""
         return self._by_thread.get(threading.get_ident())
 
     def current_session_id(self) -> int | None:
@@ -240,7 +310,7 @@ class DeterministicScheduler:
         """Snapshot of the calling session's clock, for TraceEvent.vc;
         None on the main thread or outside a run."""
         session = self.current_session()
-        if session is None or not self.active:
+        if session is None:
             return None
         return vector_clock.snapshot(self.session_clock(session))
 
@@ -281,7 +351,7 @@ class DeterministicScheduler:
         Clamped to ``end_lsn`` (a crash reuses LSNs;
         :meth:`clamp_watermarks` resets the stored entries too)."""
         session = self.current_session()
-        if session is None or not self.active:
+        if session is None:
             return None
         log = process.log if log is None else log
         name = log.process_name
@@ -298,9 +368,9 @@ class DeterministicScheduler:
         every stream of the process, each at its own boundary.  Also
         re-run after recovery's tail repair, which can truncate below
         the crash-time boundary."""
-        for log in self._process_logs(process):
-            name = log.process_name
-            bound = log.stable_lsn
+        for stream in process.streams:
+            name = stream.log.process_name
+            bound = stream.log.stable_lsn
             for wm in self._wms.values():
                 if wm.get(name, 0) > bound:
                     wm[name] = bound
@@ -309,13 +379,6 @@ class DeterministicScheduler:
                     wm[name] = bound
             if self._serial_wm.get(name, 0) > bound:
                 self._serial_wm[name] = bound
-
-    @staticmethod
-    def _process_logs(process: "AppProcess"):
-        streams = getattr(process, "streams", None)
-        if streams is None:
-            return [process.log]
-        return [stream.log for stream in streams]
 
     # ------------------------------------------------------------------
     # the main loop
@@ -333,9 +396,9 @@ class DeterministicScheduler:
         # Everything already in any log happens-before every session
         # event (the main thread never overlaps a run).
         self._serial_wm = {
-            log.process_name: log.end_lsn
+            stream.log.process_name: stream.log.end_lsn
             for process in self.runtime.processes()
-            for log in self._process_logs(process)
+            for stream in process.streams
         }
         self._step_index = 0
         self.policy.begin_run(self)
@@ -348,11 +411,14 @@ class DeterministicScheduler:
             )
             session.thread = thread
             thread.start()
+        serial = self.runtime.scheduler
+        self.runtime.scheduler = self
         try:
             self._loop()
         finally:
             self._abort_survivors()
             self.active = False
+            self.runtime.scheduler = serial
             self._batches.clear()
             self._recovery_drivers.clear()
             self._by_thread.clear()
@@ -528,12 +594,12 @@ class DeterministicScheduler:
     # ------------------------------------------------------------------
     def yield_point(self, tag: str) -> None:
         """Hand control back to the scheduler; a no-op on the main
-        thread and outside an active run.  The tag's family must be
-        registered in ``tags.YIELD_TAGS`` — a typo'd tag would silently
-        hide a durability boundary from schedule exploration, so it is
-        a hard error instead."""
+        thread.  The tag's family must be registered in
+        ``tags.YIELD_TAGS`` — a typo'd tag would silently hide a
+        durability boundary from schedule exploration, so it is a hard
+        error instead."""
         session = self.current_session()
-        if session is None or not self.active:
+        if session is None:
             return
         try:
             validate_tag(tag)
@@ -551,7 +617,7 @@ class DeterministicScheduler:
         resume: a promoted waiter may lose the race to another session
         (e.g. two sessions waiting on one context claim)."""
         session = self.current_session()
-        if session is None or not self.active:
+        if session is None:
             if not predicate():
                 raise InvariantViolationError(
                     f"main thread cannot block (waiting on {tag})"
@@ -593,10 +659,9 @@ class DeterministicScheduler:
             return
         process, crash_count = session.frames[-1]
         if process.crash_count != crash_count:
-            signal = CrashSignal(process.name, "interleaved crash")
-            signal.process = process
-            signal.stale = True
-            raise signal
+            raise CrashSignal(
+                process.name, "interleaved crash", process=process, stale=True
+            )
 
     # ------------------------------------------------------------------
     # per-context admission (one serving session per context)
@@ -608,7 +673,7 @@ class DeterministicScheduler:
         thread callers and same-session nesting (``begin_incoming``
         reports genuine re-entrancy there)."""
         session = self.current_session()
-        if session is None or not self.active:
+        if session is None:
             return False
         session.step_touches.add(context.process.name)
         if context.service_owner == session.index:
@@ -657,7 +722,7 @@ class DeterministicScheduler:
         the next admission merges it, keeping the happens-before order
         TRC108 checks complete."""
         session = self.current_session()
-        if session is None or not self.active:
+        if session is None:
             return
         vector_clock.merge_into(
             self._context_vcs.setdefault(context.uri, {}),
@@ -677,7 +742,7 @@ class DeterministicScheduler:
         the drainer's effects, so it must also inherit the drainer's
         clock even though no ``acquire_context`` interleaved."""
         session = self.current_session()
-        if session is None or not self.active:
+        if session is None:
             return
         stored = self._context_vcs.get(context.uri)
         if stored:
@@ -703,9 +768,6 @@ class DeterministicScheduler:
         finally:
             if self._recovery_drivers.get(process) is session:
                 del self._recovery_drivers[process]
-
-    def recovery_driver(self, process: "AppProcess") -> Session | None:
-        return self._recovery_drivers.get(process)
 
     def is_recovery_driver(self, process: "AppProcess") -> bool:
         return (
@@ -789,10 +851,10 @@ class DeterministicScheduler:
             # normally catches the crash first (it holds a frame for the
             # same process); cover direct callers with a stale signal so
             # the boundary converts without re-crashing the process.
-            signal = CrashSignal(coalescer.log_name, "group-commit write")
-            signal.process = coalescer.process
-            signal.stale = True
-            raise signal
+            raise CrashSignal(
+                coalescer.log_name, "group-commit write",
+                process=coalescer.process, stale=True,
+            )
         return False
 
     def _pipelined_force(
@@ -885,10 +947,10 @@ class DeterministicScheduler:
         vector_clock.merge_into(self.session_clock(session), batch.vc)
         vector_clock.merge_into(self.session_watermarks(session), batch.wm)
         if batch.error is not None:
-            signal = CrashSignal(log_name, "group-commit write")
-            signal.process = coalescer.process
-            signal.stale = True
-            raise signal
+            raise CrashSignal(
+                log_name, "group-commit write",
+                process=coalescer.process, stale=True,
+            )
         return False
 
     def _close_due_batches(self) -> None:

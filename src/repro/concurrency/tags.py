@@ -132,10 +132,6 @@ def tag_family(tag: str) -> str:
     return tag.split(":", 1)[0]
 
 
-def is_registered(tag: str) -> bool:
-    return tag_family(tag) in YIELD_TAGS
-
-
 def validate_tag(tag: str) -> None:
     """Raise (ValueError) if ``tag``'s family is not registered.
 

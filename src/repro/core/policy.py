@@ -30,6 +30,7 @@ from ..common.message_actions import (
 )
 from ..common.messages import MethodCallMessage, ReplyMessage
 from ..common.types import ComponentType
+from ..errors import CrashSignal
 from ..faults import plane as faultplane
 from ..log.records import MessageRecord
 from .config import RuntimeConfig
@@ -249,27 +250,30 @@ class LoggingPolicy:
         the context's own log stream, which under sharded logging is
         the only stream the send's causal target can live on."""
         if self.config.pipelined_commit:
-            scheduler = process.runtime.scheduler
-            if scheduler is not None and scheduler.active:
-                target = scheduler.causal_commit_lsn(process, log=log)
-                if target is not None:
-                    return target
+            target = process.runtime.scheduler.causal_commit_lsn(
+                process, log=log
+            )
+            if target is not None:
+                return target
         return log.end_lsn
 
     @staticmethod
-    def _still_claimable(trace, record_lsn: int, signal) -> bool:
+    def _still_claimable(
+        trace, record_lsn: int, signal: BaseException
+    ) -> bool:
         """Can an interrupted decision's appended record still exist?
 
-        A *stale* signal is a ghost unwind: the crash already happened
-        in another session and the process's :class:`CrashMark` is
-        already on the trace, so this event would be appended BEHIND the
-        mark and escape its volatile-record pruning.  The record's fate
+        Yes for any unwind but a stale :class:`CrashSignal`.  A *stale*
+        signal is a ghost unwind: the crash already happened in another
+        session and the process's :class:`CrashMark` is already on the
+        trace, so this event would be appended BEHIND the mark and
+        escape its volatile-record pruning.  The record's fate
         is already sealed by that mark: at/above its ``stable_lsn`` the
         record was wiped (and its LSN will be reused) — tracing it would
         claim a future record; below it the record is durable and still
         needs a claiming decision (e.g. a group-commit rider whose batch
         executed just before the crash)."""
-        if not getattr(signal, "stale", False):
+        if not (isinstance(signal, CrashSignal) and signal.stale):
             return True
         for entry in reversed(trace.entries):
             if isinstance(entry, CrashMark):
@@ -292,11 +296,6 @@ class LoggingPolicy:
         trace (pure observation: the conformance checker replays these
         against the stable stream; see ``repro.analysis``)."""
         scheduler = context.process.runtime.scheduler
-        session: int | None = None
-        vc: tuple[int, ...] | None = None
-        if scheduler is not None and scheduler.active:
-            session = scheduler.current_session_id()
-            vc = scheduler.current_vc()
         log = stream.log
         stream.trace.record(TraceEvent(
             kind=MESSAGES[row],
@@ -315,8 +314,8 @@ class LoggingPolicy:
             stable_lsn=log.stable_lsn,
             interrupted=interrupted,
             method=method,
-            session=session,
+            session=scheduler.current_session_id(),
             commit_lsn=decision.commit_lsn,
-            vc=vc,
+            vc=scheduler.current_vc(),
             replaying=context.replaying,
         ))

@@ -60,13 +60,14 @@ class ForceCoalescer:
     the rest ride along for free.  This wrapper counts those free rides
     as ``LogStats.coalesced_forces``.
 
-    With ``config.group_commit`` on *and* the deterministic scheduler
-    active, the coalescer additionally performs real group commit:
-    force requests from concurrent sessions arriving within one disk-
-    rotation window block on a shared :class:`GroupCommitBatch` and are
-    satisfied by one stable write (performed by the batch leader via
-    :meth:`execute_batch`).  With the flag off — or outside a scheduler
-    run — every request takes the serial path unchanged, so
+    With ``config.group_commit`` on *and* the request coming from a
+    deterministic-scheduler session, the coalescer additionally performs
+    real group commit: force requests from concurrent sessions arriving
+    within one disk-rotation window block on a shared
+    :class:`GroupCommitBatch` and are satisfied by one stable write
+    (performed by the batch leader via :meth:`execute_batch`).  With the
+    flag off — or from the one serial session — every request takes the
+    serial path unchanged, so
     ``forces_requested`` and ``forces_performed`` reproduce the paper's
     force counts exactly.
     """
@@ -95,8 +96,8 @@ class ForceCoalescer:
         return process is not None and process.config.pipelined_commit
 
     def force(self, commit_lsn: int | None = None) -> bool:
-        scheduler = self._group_scheduler()
-        if scheduler is None:
+        group = self._group_scheduler()
+        if group is None:
             return self.serial_force()
         if self._log.stable_lsn == self._log.end_lsn:
             # Nothing buffered: the force is free either way; don't hold
@@ -115,7 +116,7 @@ class ForceCoalescer:
             # belong to causally unrelated sessions (TRC107's slack).
             self.note_gated()
             return False
-        return scheduler.group_force(self, commit_lsn)
+        return group.group_force(self, commit_lsn)
 
     def note_gated(self) -> None:
         """Account one force request satisfied by causal gating: it
@@ -186,8 +187,8 @@ class ForceCoalescer:
             # lazy/background replay forces must not sit in a window.
             return None
         scheduler = process.runtime.scheduler
-        if scheduler is None or not scheduler.active:
-            return None
+        if scheduler.current_session() is None:
+            return None  # one session: nobody to share a window with
         return scheduler
 
 
@@ -311,11 +312,9 @@ class AppProcess:
         self.runtime.sched_yield(f"log.append:{self.name}")
         self.runtime.clock.advance(self.runtime.costs.log_buffer_write)
         lsn = stream.log.append(record)  # phx: disable=PHX005
-        scheduler = getattr(self.runtime, "scheduler", None)
-        if scheduler is not None and scheduler.active:
-            # Advance the appending session's durability watermark
-            # (pipelined causal commit; pure bookkeeping otherwise).
-            scheduler.note_append(self, log=stream.log)
+        # Advance the appending session's durability watermark
+        # (pipelined causal commit; pure bookkeeping otherwise).
+        self.runtime.scheduler.note_append(self, stream.log)
         self._maybe_publish_checkpoint()
         return lsn
 
@@ -656,9 +655,7 @@ class AppProcess:
         # Per-session durability watermarks are volatile too: entries
         # above the stable boundary point at wiped bytes whose LSNs the
         # next incarnation will reuse.
-        scheduler = getattr(self.runtime, "scheduler", None)
-        if scheduler is not None and scheduler.active:
-            scheduler.clamp_watermarks(self)
+        self.runtime.scheduler.clamp_watermarks(self)
         for entry in self.context_table.values():
             entry.context_ref = None
         self.context_table = {}
@@ -691,11 +688,9 @@ class AppProcess:
         # Eager recovery replayed every context outside the admission
         # path; publish the driving session's clock on each so later
         # admissions order happens-after the replay (TRC108).
-        scheduler = getattr(self.runtime, "scheduler", None)
-        if scheduler is not None and scheduler.active:
-            for context in self.contexts():
-                if context is not None:
-                    scheduler.publish_context(context)
+        scheduler = self.runtime.scheduler
+        for context in self.contexts():
+            scheduler.publish_context(context)
 
     def __repr__(self) -> str:
         return (

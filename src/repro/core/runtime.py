@@ -22,6 +22,7 @@ from ..analysis.registry import register_runtime
 from ..common.ids import parse_uri
 from ..common.messages import MethodCallMessage, ReplyMessage
 from ..common.types import ComponentType
+from ..concurrency.scheduler import SerialScheduler
 from ..errors import (
     ApplicationError,
     ComponentUnavailableError,
@@ -76,10 +77,11 @@ class PhoenixRuntime:
         self._exec_stacks: dict[int | None, list[Context]] = {None: []}
         self._processes: dict[tuple[str, str], AppProcess] = {}
 
-        #: The deterministic scheduler, while one is attached (see
-        #: repro.concurrency); the sched_yield hooks below no-op
-        #: without it, keeping the serial runtime byte-identical.
-        self.scheduler = None
+        #: The scheduler every hook calls: the one-session serial
+        #: scheduler, whose hooks do nothing, except while a
+        #: ``DeterministicScheduler.run`` has installed itself (see
+        #: repro.concurrency).
+        self.scheduler = SerialScheduler()
 
         # The LogPlan the sharded runtime routes by (repro.log.sharding).
         # ``install_log_plan`` pins one explicitly (benches and tests
@@ -174,10 +176,7 @@ class PhoenixRuntime:
     # execution stacks (which context is running right now, per session)
     # ------------------------------------------------------------------
     def _exec_stack_here(self) -> list[Context]:
-        scheduler = self.scheduler
-        key: int | None = None
-        if scheduler is not None and scheduler.active:
-            key = scheduler.current_session_id()
+        key = self.scheduler.current_session_id()
         stack = self._exec_stacks.get(key)
         if stack is None:
             stack = self._exec_stacks[key] = []
@@ -197,11 +196,9 @@ class PhoenixRuntime:
     # scheduler cooperation
     # ------------------------------------------------------------------
     def sched_yield(self, tag: str) -> None:
-        """A durability/network boundary: give the deterministic
-        scheduler (when attached) a chance to switch sessions."""
-        scheduler = self.scheduler
-        if scheduler is not None and scheduler.active:
-            scheduler.yield_point(tag)
+        """A durability/network boundary: give the scheduler a chance
+        to switch sessions."""
+        self.scheduler.yield_point(tag)
 
     # ------------------------------------------------------------------
     # crash hooks
@@ -263,9 +260,9 @@ class PhoenixRuntime:
             # external call has no such frame; convert there.
             if caller_ctx is not None:
                 raise
-            target = getattr(signal, "process", None)
+            target = signal.process
             if target is not None:
-                if not getattr(signal, "stale", False):
+                if not signal.stale:
                     target.crash()
                 raise ComponentUnavailableError(
                     uri, f"crashed at {signal.point}"
@@ -358,12 +355,10 @@ class PhoenixRuntime:
                     # concurrent sessions the process may by now be
                     # recovering, or recovered); the boundary must not
                     # crash it again.
-                    signal = CrashSignal(
-                        caller_ctx.process.name, "cascaded crash"
-                    )
-                    signal.process = caller_ctx.process
-                    signal.stale = True
-                    raise signal from None
+                    raise CrashSignal(
+                        caller_ctx.process.name, "cascaded crash",
+                        process=caller_ctx.process, stale=True,
+                    ) from None
                 if attempts > self.config.max_call_retries:
                     raise RetriesExhaustedError(
                         message.target_uri, attempts
@@ -379,7 +374,7 @@ class PhoenixRuntime:
                         # the signal is the caller's own (a cascade), it
                         # must keep unwinding; otherwise crash the target
                         # and let the next attempt re-run its recovery.
-                        target = getattr(signal, "process", None)
+                        target = signal.process
                         if target is None or target is caller_ctx.process:
                             raise
                         target.crash()
@@ -416,9 +411,7 @@ class PhoenixRuntime:
         )
         self.sched_yield(f"net.request:{process.name}")
         scheduler = self.scheduler
-        if scheduler is None or not scheduler.active:
-            scheduler = None
-        entered = scheduler.enter_process(process) if scheduler else False
+        entered = scheduler.enter_process(process)
         claimed: Context | None = None
         try:
             try:
@@ -430,8 +423,7 @@ class PhoenixRuntime:
                             )
                         self.restart_process(process)
                     if (
-                        scheduler is not None
-                        and process.state is ProcessState.RECOVERING
+                        process.state is ProcessState.RECOVERING
                         and not scheduler.is_recovery_driver(process)
                     ):
                         # Another session is driving this process's
@@ -474,24 +466,22 @@ class PhoenixRuntime:
                 else:
                     if lid != context.context_id:
                         context.check_subordinate_access()
-                    if scheduler is not None and scheduler.acquire_context(
-                        context
-                    ):
+                    if scheduler.acquire_context(context):
                         # Contexts are single-threaded: one session
                         # serves a context at a time; the rest wait at
                         # the boundary instead of looking re-entrant.
                         claimed = context
                     reply = context.interceptor.handle_incoming(message)
             except CrashSignal as signal:
-                if getattr(signal, "process", None) is process:
-                    if not getattr(signal, "stale", False):
+                if signal.process is process:
+                    if not signal.stale:
                         process.crash()
                     raise ComponentUnavailableError(
                         message.target_uri, f"crashed at {signal.point}"
                     ) from None
                 raise
         finally:
-            if claimed is not None and scheduler is not None:
+            if claimed is not None:
                 scheduler.release_context(claimed)
             if entered:
                 scheduler.exit_process()
@@ -511,10 +501,9 @@ class PhoenixRuntime:
             # Stale: the process is already crashed — the boundary
             # converts without crashing whatever incarnation is live by
             # the time the unwind reaches it.
-            signal = CrashSignal(process.name, "reply.after_send")
-            signal.process = process
-            signal.stale = True
-            raise signal
+            raise CrashSignal(
+                process.name, "reply.after_send", process=process, stale=True
+            )
         self.sched_yield(f"net.reply:{process.name}")
         return reply
 
@@ -566,14 +555,10 @@ class PhoenixRuntime:
         workers."""
         if process.state is not ProcessState.CRASHED:
             return
-        scheduler = self.scheduler
-        if scheduler is not None and scheduler.active:
-            # Mark this session as the recovery driver so concurrent
-            # sessions calling into the process park at the boundary
-            # instead of observing RECOVERING state mid-replay.
-            with scheduler.driving_recovery(process):
-                process.machine.recovery_service.restart(process)
-        else:
+        # Mark this session as the recovery driver so concurrent
+        # sessions calling into the process park at the boundary
+        # instead of observing RECOVERING state mid-replay.
+        with self.scheduler.driving_recovery(process):
             process.machine.recovery_service.restart(process)
 
     def ensure_recovered(self, process: AppProcess) -> None:

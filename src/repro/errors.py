@@ -111,9 +111,18 @@ class CrashSignal(BaseException):
     simulated crash.  It is translated into
     :class:`ComponentUnavailableError` at the context boundary of the
     crashed process and never escapes the runtime.
+
+    ``process`` is the live process the boundary must crash (None when
+    no process is known).  A ``stale`` signal is a ghost unwind: the
+    crash already happened, so the boundary converts it without
+    crashing the process again.
     """
 
-    def __init__(self, process_name: str, point: str):
+    def __init__(
+        self, process_name: str, point: str, process=None, stale: bool = False
+    ):
         super().__init__(f"injected crash of {process_name} at {point}")
         self.process_name = process_name
         self.point = point
+        self.process = process
+        self.stale = stale

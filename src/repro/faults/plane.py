@@ -109,25 +109,23 @@ class FaultPlane:
         for process in self._runtime.processes():
             if process.name == process_name:
                 return process
-            streams = getattr(process, "streams", None)
-            if streams is None:
-                if process.log.process_name == process_name:
-                    return process
-            elif any(
+            if any(
                 stream.log.process_name == process_name
-                for stream in streams
+                for stream in process.streams
             ):
-                # Sharded logging: each extra stream's machine-qualified
-                # name (``…@shard``) is its own fault-site namespace.
+                # Stream 0 is the machine-qualified log; under sharded
+                # logging each extra stream's name (``…@shard``) is its
+                # own fault-site namespace.
                 return process
         return None
 
     def _fire(self, spec: CrashSpec, process_name: str | None) -> CrashSignal:
         self._spec_index += 1
         self.fired.append(spec)
-        signal = CrashSignal(process_name or "<queued>", spec.render())
-        signal.process = self._resolve_process(process_name)
-        return signal
+        return CrashSignal(
+            process_name or "<queued>", spec.render(),
+            process=self._resolve_process(process_name),
+        )
 
     # ------------------------------------------------------------------
     def hit(self, site: str, process_name: str | None = None) -> None:
@@ -170,9 +168,10 @@ class FaultPlane:
     def torn_signal(self, site: str, process_name: str | None = None):
         """Build the crash signal that follows a torn flush."""
         spec = self.fired[-1] if self.fired else CrashSpec(site, 0, 0)
-        signal = CrashSignal(process_name or "<queued>", spec.render())
-        signal.process = self._resolve_process(process_name)
-        return signal
+        return CrashSignal(
+            process_name or "<queued>", spec.render(),
+            process=self._resolve_process(process_name),
+        )
 
     @property
     def exhausted(self) -> bool:

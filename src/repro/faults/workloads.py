@@ -151,9 +151,8 @@ def _ensure_all_recovered(runtime: PhoenixRuntime) -> None:
                 runtime.ensure_recovered(process)
             return
         except CrashSignal as signal:
-            target = getattr(signal, "process", None)
-            if target is not None and not getattr(signal, "stale", False):
-                target.crash()
+            if signal.process is not None and not signal.stale:
+                signal.process.crash()
         except (ComponentUnavailableError, ConnectionError):
             continue
     raise RecoveryError(

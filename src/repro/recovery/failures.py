@@ -113,9 +113,8 @@ class CrashInjector:
     def fire(self, point: str, process: "AppProcess") -> None:
         """Raise a crash signal if a crash is due at this point."""
         if self._armed and self._match(point, process):
-            signal = CrashSignal(process.name, point)
-            signal.process = process  # the runtime crashes it on catch
-            raise signal
+            # the runtime crashes the process on catch
+            raise CrashSignal(process.name, point, process=process)
 
     def fire_silent(self, point: str, process: "AppProcess") -> None:
         """Crash without unwinding (the reply already left)."""

@@ -47,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
 from ..core.tables import NO_LSN
-from ..errors import CrashSignal, LogCorruptionError, RecoveryError
+from ..errors import CrashSignal, LogCorruptionError
 from ..faults import plane as faultplane
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,18 +170,8 @@ class PendingRecovery:
             and stream_index(m.context_id) == stream
         ]
 
-    def _scheduler(self):
-        scheduler = self.runtime.scheduler
-        if scheduler is None or not scheduler.active:
-            return None
-        return scheduler
-
     def _current_owner_key(self) -> int | None:
-        scheduler = self._scheduler()
-        if scheduler is None:
-            return None
-        session = scheduler.current_session()
-        return None if session is None else session.index
+        return self.runtime.scheduler.current_session_id()
 
     # ------------------------------------------------------------------
     # the admission rule
@@ -211,13 +201,7 @@ class PendingRecovery:
                 if context_id in self.redo.buffers:
                     self._replay_component(mark)
                 return
-            scheduler = self._scheduler()
-            if scheduler is None:
-                raise RecoveryError(
-                    f"context {context_id} stuck {REPLAYING} with no "
-                    "scheduler to wait on"
-                )
-            scheduler.block_until(
+            self.runtime.scheduler.block_until(
                 lambda: mark.status == RECOVERED
                 or process.pending_recovery is not self,
                 tag=f"lazy-recovery:{process.name}#{context_id}",
@@ -262,12 +246,10 @@ class PendingRecovery:
         # Replay effects (including the live-continued tail call) bypass
         # context admission; publish the replayer's clock so the next
         # session admitted to this context is happens-after the replay.
-        scheduler = self._scheduler()
-        if scheduler is not None:
-            entry = process.context_table.get(context_id)
-            context = None if entry is None else entry.context_ref
-            if context is not None:
-                scheduler.publish_context(context)
+        entry = process.context_table.get(context_id)
+        context = None if entry is None else entry.context_ref
+        if context is not None:
+            self.runtime.scheduler.publish_context(context)
         self._maybe_finish()
 
     def _maybe_finish(self) -> None:
@@ -307,13 +289,7 @@ class PendingRecovery:
             if not busy:
                 self._maybe_finish()
                 return
-            scheduler = self._scheduler()
-            if scheduler is None or scheduler.current_session() is None:
-                raise RecoveryError(
-                    "recovery marks stuck replaying with no scheduler "
-                    "to wait on"
-                )
-            scheduler.block_until(
+            self.runtime.scheduler.block_until(
                 lambda: process.pending_recovery is not self
                 or not any(
                     m.status == REPLAYING for m in self.marks.values()
@@ -380,10 +356,10 @@ class PendingRecovery:
     # ------------------------------------------------------------------
     def spawn_workers(self) -> None:
         """Schedule the background drain as system sessions on the
-        deterministic scheduler (no-op outside an active run: the
-        serial runtime drains lazily and via ensure_recovered)."""
-        scheduler = self._scheduler()
-        if scheduler is None or scheduler.current_session() is None:
+        deterministic scheduler (no-op outside a session: the serial
+        runtime drains lazily and via ensure_recovered)."""
+        scheduler = self.runtime.scheduler
+        if scheduler.current_session() is None:
             return
         for __ in range(min(DRAIN_WORKERS, self.pending_count())):
             scheduler.spawn(
@@ -397,8 +373,8 @@ class PendingRecovery:
         watermark table, so the shards replay as independent parallel
         drains and lazy first-touch admission covers the window until
         the last drain retires the table."""
-        scheduler = self._scheduler()
-        if scheduler is None or scheduler.current_session() is None:
+        scheduler = self.runtime.scheduler
+        if scheduler.current_session() is None:
             return
         process = self.process
         groups: dict[int, list[int]] = {}
@@ -428,8 +404,8 @@ class PendingRecovery:
         # incarnation's retired table.  The trailing shard-drained site
         # is a crash site too, so the whole drain shares one
         # CrashSignal boundary.
-        scheduler = self._scheduler()
-        pushed = scheduler is not None and scheduler.enter_process(process)
+        scheduler = self.runtime.scheduler
+        pushed = scheduler.enter_process(process)
         try:
             for context_id in members:
                 if process.pending_recovery is not self:
@@ -445,9 +421,8 @@ class PendingRecovery:
                 name,
             )
         except CrashSignal as signal:
-            target = getattr(signal, "process", None)
-            if target is not None and not getattr(signal, "stale", False):
-                target.crash()
+            if signal.process is not None and not signal.stale:
+                signal.process.crash()
         finally:
             if pushed:
                 scheduler.exit_process()
@@ -467,9 +442,6 @@ class PendingRecovery:
                 # or a cascade).  There is no process boundary above a
                 # worker to convert the signal; handle it here and let
                 # the table die with the crash.
-                target = getattr(signal, "process", None)
-                if target is not None and not getattr(
-                    signal, "stale", False
-                ):
-                    target.crash()
+                if signal.process is not None and not signal.stale:
+                    signal.process.crash()
                 return

@@ -149,9 +149,7 @@ class RecoveryManager:
         # stable LSN, so clamp every session's watermark for this log to
         # the repaired boundary — they are rebuilt from fresh appends,
         # exactly like PendingRecovery.
-        scheduler = getattr(runtime, "scheduler", None)
-        if scheduler is not None and scheduler.active:
-            scheduler.clamp_watermarks(process)
+        runtime.scheduler.clamp_watermarks(process)
         # Pass-boundary crash sites: a second crash while recovery itself
         # is running must leave a log from which a fresh recovery still
         # reaches the same state (crash-during-recovery cascades).
@@ -219,12 +217,7 @@ class RecoveryManager:
         process = self.process
         name = process.name
         faultplane.site_hit(f"recovery.pass2:{name}", name)
-        scheduler = getattr(self.runtime, "scheduler", None)
-        if (
-            scheduler is not None
-            and scheduler.active
-            and scheduler.current_session() is not None
-        ):
+        if self.runtime.scheduler.current_session() is not None:
             if pending.pending_count():
                 process.pending_recovery = pending
                 pending.spawn_shard_workers()
@@ -590,15 +583,14 @@ class RecoveryManager:
         # ever acquiring the context, so the clock handoff must ride
         # the same state.  The drainer publishes; later callers that
         # find the context already drained inherit the drainer's clock.
-        scheduler = getattr(self.runtime, "scheduler", None)
-        if scheduler is not None and scheduler.active:
-            entry = self.process.context_table.get(context_id)
-            context = None if entry is None else entry.context_ref
-            if context is not None:
-                if pending is not None:
-                    scheduler.publish_context(context)
-                else:
-                    scheduler.merge_context(context)
+        entry = self.process.context_table.get(context_id)
+        context = None if entry is None else entry.context_ref
+        if context is not None:
+            scheduler = self.runtime.scheduler
+            if pending is not None:
+                scheduler.publish_context(context)
+            else:
+                scheduler.merge_context(context)
 
 
 # ----------------------------------------------------------------------

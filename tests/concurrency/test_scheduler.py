@@ -15,6 +15,7 @@ from repro.concurrency import DeterministicScheduler
 from repro.concurrency.bench import clock_bytes_per_traced_event
 from repro.concurrency.explore import derive_crash_specs, run_ledger
 from repro.concurrency.policies import ControlledPolicy, SeededRandomPolicy
+from repro.concurrency.scheduler import SerialScheduler
 from repro.errors import InvariantViolationError
 from repro.faults.plane import CrashSpec
 from repro.faults.workloads import run_bookstore_concurrent_ondemand
@@ -67,12 +68,51 @@ class TestDeterminism:
         assert a_runtime.clock.now == b_runtime.clock.now
 
     def test_scheduler_detaches_after_run(self):
-        runtime, process, results = _run(seed=1)
-        assert runtime.scheduler is not None
-        assert not runtime.scheduler.active
+        runtime, process, counters = _deploy(2)
+        serial = runtime.scheduler
+        scheduler = DeterministicScheduler(runtime, seed=1)
+        assert runtime.scheduler is serial  # attached for a run only
+        seen = []
+
+        def session():
+            seen.append(runtime.scheduler)
+            return counters[0].increment()
+
+        assert scheduler.run([session]) == [1]
+        assert seen == [scheduler]
+        assert runtime.scheduler is serial
+
+        # A run whose session failed restores it too (the finally path).
+        def bad():
+            counters[1].increment()
+            raise ValueError("session exploded")
+
+        with pytest.raises(ValueError, match="session exploded"):
+            scheduler.run([bad])
+        assert runtime.scheduler is serial
         # The runtime is still usable serially afterwards.
         counter = process.create_component(Counter)
         assert counter.increment() == 1
+
+
+class TestSerialScheduler:
+    def test_a_fresh_runtime_holds_the_serial_scheduler(self):
+        runtime = PhoenixRuntime()
+        assert isinstance(runtime.scheduler, SerialScheduler)
+        assert not isinstance(runtime.scheduler, DeterministicScheduler)
+        assert runtime.scheduler.current_session_id() is None
+        assert runtime.scheduler.is_recovery_driver(None)
+
+    def test_block_until_returns_on_a_true_predicate(self):
+        SerialScheduler().block_until(lambda: True, tag="drain-all:p")
+
+    def test_block_until_raises_naming_the_tag_on_a_false_one(self):
+        with pytest.raises(
+            InvariantViolationError, match="waiting on lazy-recovery:p#3"
+        ):
+            SerialScheduler().block_until(
+                lambda: False, tag="lazy-recovery:p#3"
+            )
 
 
 class TestInterleaving:

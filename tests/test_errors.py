@@ -45,6 +45,13 @@ class TestHierarchy:
         assert issubclass(CrashSignal, BaseException)
         assert not issubclass(CrashSignal, Exception)
 
+    def test_crash_signal_defaults_to_a_fresh_crash_of_no_process(self):
+        signal = CrashSignal("p", "method.before")
+        assert signal.process is None
+        assert signal.stale is False
+        assert signal.process_name == "p"
+        assert signal.point == "method.before"
+
     def test_component_unavailable_carries_uri(self):
         exc = ComponentUnavailableError("phoenix://a/p/1", "crashed")
         assert exc.uri == "phoenix://a/p/1"
