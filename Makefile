@@ -89,14 +89,15 @@ explore-nightly:
 		--workload ledger-pipelined --budget 800 --specs 3
 
 # Deterministic crash-point sweep (docs/internals.md section 9): every
-# durability boundary of every workload, crash -> recover -> compare
-# against the fault-free golden run.  `sweep` is the full nightly pass;
-# `sweep-smoke` is the sampled per-push subset (~100 points, seconds).
+# durability boundary and message-pipeline point of every workload,
+# crash -> recover -> compare against the fault-free golden run.  `sweep`
+# is the full nightly pass; `sweep-smoke` is the sampled per-push subset
+# (~440 points, under a minute).
 sweep:
 	PYTHONPATH=src python -m repro.faults sweep
 
 sweep-smoke:
-	PYTHONPATH=src python -m repro.faults sweep --torn-stride 8 --stride 4
+	PYTHONPATH=src python -m repro.faults sweep --message-stride 8 --stride 5
 
 bench:
 	pytest benchmarks/ --benchmark-only

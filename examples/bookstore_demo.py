@@ -19,6 +19,7 @@ from repro.apps.bookstore import (
     OptimizationLevel,
     deploy_bookstore,
 )
+from repro.faults import arm
 
 ITERATIONS = 10
 
@@ -57,7 +58,7 @@ def main() -> None:
     clean = buyer.run_iteration()
     print(f"clean iteration: total ${clean['total']}")
     for point in ("method.after", "reply.before_send", "incoming.after_log"):
-        app.runtime.injector.arm("bookstore-app", point)
+        arm(app.runtime, "bookstore-app", point)
         outcome = buyer.run_iteration()
         print(
             f"crash at {point:22s} -> total ${outcome['total']} "

@@ -15,6 +15,7 @@ Run with::
 """
 
 from repro import PersistentComponent, PhoenixRuntime, persistent
+from repro.faults import arm
 
 
 @persistent
@@ -78,7 +79,7 @@ def main() -> None:
     print(f"{'failure point':28s} {'result':>10s} {'store execs':>12s} "
           f"{'crashes':>8s}")
     for index, (point, description) in enumerate(FAILURE_POINTS, start=2):
-        runtime.injector.arm("middle", point)
+        arm(runtime, "middle", point)
         result = front.insert(f"key-{index}", index)
         runtime.ensure_recovered(middle_process)
         executions = store_process.component_table[1].instance.executions

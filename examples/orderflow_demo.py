@@ -15,6 +15,7 @@ Run with::
 
 from repro import ApplicationError
 from repro.apps.orderflow import deploy_orderflow
+from repro.faults import arm
 
 
 def place(desk, customer, sku, quantity):
@@ -54,7 +55,7 @@ def main() -> None:
         ("method.after", "orderflow-backend"),
         ("reply.before_send", "orderflow-backend"),
     ):
-        runtime.injector.arm(process_name, point)
+        arm(runtime, process_name, point)
         place(desk, "bob", "widget", 3)
     runtime.crash_process(app.desk_process)
     runtime.crash_process(app.backend_process)

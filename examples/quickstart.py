@@ -17,6 +17,7 @@ from repro import (
     persistent,
     read_only_method,
 )
+from repro.faults import arm
 
 
 @persistent
@@ -68,7 +69,7 @@ def main() -> None:
     print(f"history survived: {account.statement()}")
 
     print("\n== crashes mid-call are recognized failures ==")
-    runtime.injector.arm("bank", "method.after")
+    arm(runtime, "bank", "method.after")
     try:
         account.deposit(1.0)
     except ComponentUnavailableError as exc:

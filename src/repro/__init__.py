@@ -14,8 +14,10 @@ deterministic simulation substrate:
   the Section 3.5 multi-call optimization), processes and the runtime;
 * :mod:`repro.checkpoint` — context state records and process
   checkpoints (Section 4);
-* :mod:`repro.recovery` — crash injection, the per-machine recovery
-  service, and two-pass recovery;
+* :mod:`repro.recovery` — the per-machine recovery service and
+  recovery;
+* :mod:`repro.faults` — the fault plane: named crash sites, crash
+  injection and the crash-point sweep;
 * :mod:`repro.apps.bookstore` — the paper's online bookstore
   application (Section 5.5);
 * :mod:`repro.bench` — the experiment harness regenerating every table
@@ -72,7 +74,6 @@ from .errors import (
     SerializationError,
     UnknownComponentClassError,
 )
-from .recovery import CrashInjector
 from .sim import Cluster, CostModel, DiskGeometry
 
 __version__ = "0.1.0"
@@ -97,7 +98,6 @@ __all__ = [
     "Cluster",
     "CostModel",
     "DiskGeometry",
-    "CrashInjector",
     "PhoenixError",
     "ApplicationError",
     "ComponentUnavailableError",

@@ -1,8 +1,8 @@
 """The Phoenix/App runtime facade.
 
 Owns the simulated cluster, the configuration switches, the component
-class registry, the crash injector and the execution stack, and runs the
-message pipeline that proxies call into:
+class registry and the execution stack, and runs the message pipeline
+that proxies call into:
 
     client interceptor -> network -> server interceptor -> method
                        <- network <-
@@ -30,8 +30,8 @@ from ..errors import (
     DeploymentError,
     RetriesExhaustedError,
 )
+from ..faults import plane as faultplane
 from ..log.serialization import serialized_size
-from ..recovery.failures import CrashInjector
 from ..recovery.recovery_service import RecoveryService
 from ..sim.cluster import Cluster
 from .component import ComponentClassRegistry
@@ -69,7 +69,6 @@ class PhoenixRuntime:
         self.clock = self.cluster.clock
         self.costs = self.cluster.costs
         self.registry = ComponentClassRegistry()
-        self.injector = CrashInjector()
         # Execution stacks are per *session* (the deterministic
         # scheduler's unit of concurrency); key None is the main thread
         # and the serial runtime.  A process-global stack would let one
@@ -206,14 +205,20 @@ class PhoenixRuntime:
     def fire_hook(
         self, point: str, process: AppProcess, context: Context | None = None
     ) -> None:
-        """Give the crash injector a chance to kill ``process`` here.
+        """Cross Figure 2 pipeline ``point`` of ``process``: fault-plane
+        site ``<point>:<process>`` (``repro.faults.plane.PIPELINE_POINTS``).
 
         Hooks are quiet during replay: recovery re-executes application
-        code, and injection points belong to the original execution.
+        code, and crash points belong to the original execution, so a
+        replayed call neither fires nor advances a count.  The site name
+        is built only when a plane is installed: every served call
+        crosses five to ten hooks.
         """
         if context is not None and context.replaying:
             return
-        self.injector.fire(point, process)
+        plane = faultplane._PLANE
+        if plane is not None:
+            plane.hit(f"{point}:{process.name}", process.name, process)
 
     # ------------------------------------------------------------------
     # the call pipeline
@@ -491,7 +496,10 @@ class PhoenixRuntime:
         )
         # An after-send crash: the reply is already with the caller, the
         # server dies afterwards (Figure 2, failure point 3).
-        self.injector.fire_silent("reply.after_send", process)
+        try:
+            self.fire_hook("reply.after_send", process)
+        except CrashSignal:
+            process.crash()
         if (
             caller_ctx is not None
             and caller_ctx.process is process

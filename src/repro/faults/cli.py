@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``sweep`` — discover every crash point and run the full sweep (or a
-  sampled smoke subset with ``--stride``/``--torn-stride``); prints one
-  line per failure and exits non-zero if any point fails.
+  sampled smoke subset with ``--stride``/``--message-stride``); prints
+  one line per failure and exits non-zero if any point fails.
 * ``list`` — discover and print the crash plan without running it.
 * ``run POINT_ID [...]`` — re-execute specific schedules by ID (the
   round trip for reproducing a failure from a sweep report line).
@@ -41,7 +41,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     result = run_sweep(
         workloads=args.workloads or None,
-        torn_stride=args.torn_stride,
+        message_stride=args.message_stride,
         composites=not args.no_composites,
         stride=args.stride,
         progress=progress,
@@ -58,7 +58,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     plan, __ = discover_plan(
         workloads=args.workloads or None,
-        torn_stride=args.torn_stride,
+        message_stride=args.message_stride,
         composites=not args.no_composites,
     )
     sampled = plan.sample(args.stride)
@@ -107,11 +107,12 @@ def _add_plan_options(parser: argparse.ArgumentParser) -> None:
         help="limit to this workload (repeatable; default: all)",
     )
     parser.add_argument(
-        "--torn-stride",
+        "--message-stride",
         type=int,
         default=1,
         metavar="N",
-        help="tear only every N-th flush (default 1: every flush)",
+        help="keep every N-th crossing of each stable-flush and "
+        "message-pipeline site; the first always stays (default 1: all)",
     )
     parser.add_argument(
         "--stride",

@@ -11,7 +11,8 @@ recording :class:`~repro.faults.plane.FaultPlane` journals every site
 crossing, and the plan derives
 
 * one point per plain site hit (force boundaries, the Algorithm-3
-  window, checkpoint boundaries), and
+  window, checkpoint boundaries, Figure 2's message-pipeline points),
+  and
 * several torn-write points per stable flush — cuts inside the 10-byte
   frame header (1, 3 and 9 bytes: a bare magic byte, a sliced length
   prefix, one byte short of a full header) plus mid-payload and
@@ -26,6 +27,7 @@ Point IDs render as ``workload:site@occurrence`` (torn points append
 
     bookstore:log.force.before:bookstore-app@3
     bookstore:log.flush:bookstore-app@2+9B
+    bookstore:reply.after_send:bookstore-app@5
     orderflow:log.force.before:orderflow-desk@4/recovery.pass1:orderflow-desk@1
 
 and parse back via :meth:`CrashPoint.parse` — that round trip is how a
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plane import CrashSpec, SiteHit
+from .plane import PIPELINE_POINTS, CrashSpec, SiteHit
 
 #: Torn-write cuts that land *inside* the frame header (magic u16 +
 #: length u32 + crc u32 = 10 bytes): fewer bytes than the length prefix
@@ -110,24 +112,29 @@ def points_from_journal(
     workload: str,
     journal: list[SiteHit],
     header_cuts: tuple[int, ...] = HEADER_CUTS,
-    torn_stride: int = 1,
+    message_stride: int = 1,
 ) -> list[CrashPoint]:
     """Derive single-spec crash points from a golden run's journal.
 
-    ``torn_stride`` keeps every plain point but only tears every N-th
-    flush (flushes dominate the point count; the stride trades coverage
-    for sweep time without touching the force/checkpoint boundaries).
+    Stable flushes and pipeline-site crossings recur once per message
+    and dominate the point count.  ``message_stride`` keeps one of those
+    only when ``(occurrence - 1) % message_stride == 0`` — counted per
+    site, so every site keeps its first crossing — and trades coverage
+    for sweep time without touching the force, checkpoint and recovery
+    boundaries, which are always kept.
     """
     points: list[CrashPoint] = []
-    flush_index = 0
     for hit in journal:
+        per_message = (
+            hit.nbytes is not None
+            or hit.site.split(":", 1)[0] in PIPELINE_POINTS
+        )
+        if per_message and (hit.occurrence - 1) % message_stride:
+            continue
         if hit.nbytes is None:
             points.append(
                 CrashPoint(workload, (CrashSpec(hit.site, hit.occurrence),))
             )
-            continue
-        flush_index += 1
-        if (flush_index - 1) % torn_stride != 0:
             continue
         for cut in torn_cuts(hit.nbytes, header_cuts):
             points.append(

@@ -94,17 +94,18 @@ def _cap_composites(points: list[CrashPoint]) -> list[CrashPoint]:
 
 def discover_plan(
     workloads: list[str] | None = None,
-    torn_stride: int = 1,
+    message_stride: int = 1,
     composites: bool = True,
     golden: dict[str, RunOutcome] | None = None,
 ) -> tuple[CrashPlan, dict[str, RunOutcome]]:
-    """Golden-run the workloads and enumerate their crash points."""
+    """Golden-run the workloads and enumerate their crash points
+    (``message_stride``: see :func:`~repro.faults.plan.points_from_journal`)."""
     names = list(workloads or WORKLOADS)
     golden = golden or _golden_runs(names)
     points: list[CrashPoint] = []
     for name in names:
         base_points = points_from_journal(
-            name, golden[name].journal, torn_stride=torn_stride
+            name, golden[name].journal, message_stride=message_stride
         )
         points.extend(base_points)
         if not composites:
@@ -184,14 +185,20 @@ def _dict_diff(got: dict, want: dict) -> str:
 
 def run_sweep(
     workloads: list[str] | None = None,
-    torn_stride: int = 1,
+    message_stride: int = 1,
     composites: bool = True,
     stride: int = 1,
     progress=None,
+    torn_stride: int | None = None,
 ) -> SweepResult:
-    """Discover the plan and run every (stride-sampled) point."""
+    """Discover the plan and run every (stride-sampled) point.
+
+    ``torn_stride`` is ``message_stride``'s former name, still passed by
+    the benchmark's ``perf/child.py``."""
     plan, golden = discover_plan(
-        workloads, torn_stride=torn_stride, composites=composites
+        workloads,
+        message_stride=message_stride if torn_stride is None else torn_stride,
+        composites=composites,
     )
     sampled = plan.sample(stride)
     results: list[PointResult] = []

@@ -1,12 +1,9 @@
-"""Failure injection, the per-machine recovery service, and recovery."""
+"""The per-machine recovery service and recovery."""
 
-from .failures import KNOWN_POINTS, CrashInjector
 from .recovery_manager import RecoveryManager, recover_context
 from .recovery_service import RecoveryService
 
 __all__ = [
-    "KNOWN_POINTS",
-    "CrashInjector",
     "RecoveryManager",
     "recover_context",
     "RecoveryService",

@@ -24,6 +24,7 @@ from repro.analysis.trace_check import check_runtime_force_bounds
 from repro.apps.bookstore import BookBuyer, OptimizationLevel, deploy_bookstore
 from repro.apps.orderflow import deploy_orderflow
 from repro.common import message_actions
+from repro.faults import arm
 
 APPS = Path(__file__).resolve().parents[2] / "src" / "repro" / "apps"
 
@@ -78,7 +79,7 @@ class TestWorkloadsStayWithinBounds:
         # judge only spans that closed cleanly
         app = deploy_orderflow()
         app.desk.place_order("ada", "widget", 1)
-        app.runtime.injector.arm("orderflow-backend", "reply.before_send")
+        arm(app.runtime, "orderflow-backend", "reply.before_send")
         app.desk.place_order("ada", "widget", 2)
         app.runtime.crash_process(app.desk_process)
         app.desk.place_order("ada", "widget", 3)

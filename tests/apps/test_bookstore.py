@@ -8,6 +8,7 @@ from repro.apps.bookstore import (
     OptimizationLevel,
     deploy_bookstore,
 )
+from repro.faults import arm
 
 LEVELS = list(OptimizationLevel)
 
@@ -108,7 +109,7 @@ class TestCrashResilience:
         # crash the server process during the next iterations
         runtime = app.runtime
         for point in ("method.after", "reply.before_send", "incoming.after_log"):
-            runtime.injector.arm("bookstore-app", point)
+            arm(runtime, "bookstore-app", point)
             outcome = buyer.run_iteration()
             assert outcome["total"] == clean["total"]
             assert outcome["basket_size"] == clean["basket_size"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ApplicationError, ComponentUnavailableError
 from repro.apps.orderflow import deploy_orderflow
+from repro.faults import arm
 
 
 @pytest.fixture
@@ -81,7 +82,7 @@ class TestCrashResilience:
     @pytest.mark.parametrize("point", BACKEND_POINTS)
     def test_backend_crash_masked(self, app, point):
         app.desk.place_order("ada", "widget", 1)
-        app.runtime.injector.arm("orderflow-backend", point)
+        arm(app.runtime, "orderflow-backend", point)
         order = app.desk.place_order("ada", "widget", 2)
         assert order["stock_left"] == 997
         inventory = backend_instance(app, 1)
@@ -98,8 +99,9 @@ class TestCrashResilience:
         the books and the stock must agree exactly: every reservation
         is accounted for by a recorded order, no partial effects."""
         app.desk.place_order("ada", "widget", 1)
-        app.runtime.injector.arm(
-            "orderflow-desk", "reply_received.before_log", occurrence=3
+        arm(
+            app.runtime, "orderflow-desk", "reply_received.before_log",
+            occurrence=3,
         )
         try:
             app.desk.place_order("ada", "widget", 5)
@@ -176,7 +178,7 @@ class TestMulticall:
         app = deploy_orderflow(multicall=True)
         app.desk.place_order("ada", "widget", 1)
         for point in ("method.after", "reply.before_send"):
-            app.runtime.injector.arm("orderflow-backend", point)
+            arm(app.runtime, "orderflow-backend", point)
             app.desk.place_order("ada", "widget", 1)
         inventory = backend_instance(app, 1)
         assert inventory.reservations == 3

@@ -22,6 +22,15 @@ from repro import (
     read_only_method,
     subordinate,
 )
+from repro.faults import uninstall_plane
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_fault_plane():
+    """Uninstall any fault plane a test left installed (``arm`` installs
+    one), so an armed crash cannot fire in the next test."""
+    yield
+    uninstall_plane()
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import PersistentComponent, PhoenixRuntime, persistent
+from repro.faults import arm
 from tests.conftest import Counter
 
 
@@ -67,7 +68,7 @@ class TestKwargs:
         other = runtime.spawn_process("q", machine="beta")
         forwarder = other.create_component(Forwarder, args=(flexible,))
         forwarder.go(1, c=5)
-        runtime.injector.arm("p", "reply.before_send")
+        arm(runtime, "p", "reply.before_send")
         assert forwarder.go(2, c=6) == (2, 2, 6, None)
         instance = process.component_table[1].instance
         assert len(instance.calls) == 2  # exactly once

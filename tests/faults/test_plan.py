@@ -71,12 +71,32 @@ class TestPointsFromJournal:
         assert len(torn) == 2 * expected_per_flush
         assert all(1 <= p.specs[0].cut < 40 for p in torn)
 
-    def test_torn_stride_skips_flushes_but_keeps_plain_points(self):
-        points = points_from_journal("w", self.JOURNAL, torn_stride=2)
+    def test_message_stride_thins_flushes_but_keeps_plain_points(self):
+        points = points_from_journal("w", self.JOURNAL, message_stride=2)
         plain = [p for p in points if p.specs[0].cut is None]
         torn = [p for p in points if p.specs[0].cut is not None]
         assert len(plain) == 2  # never sampled away
         assert {p.specs[0].occurrence for p in torn} == {1}  # 2nd skipped
+
+    def test_message_stride_counts_pipeline_crossings_per_site(self):
+        journal = [
+            SiteHit("method.before:p", 1),
+            SiteHit("method.before:q", 1),
+            SiteHit("method.before:p", 2),
+            SiteHit("reply.after_send:p", 1),
+            SiteHit("method.before:p", 3),
+            SiteHit("log.force.before:p", 1),
+            SiteHit("log.force.before:p", 2),
+        ]
+        points = points_from_journal("w", journal, message_stride=2)
+        assert [p.point_id for p in points] == [
+            "w:method.before:p@1",  # every site keeps its first crossing
+            "w:method.before:q@1",
+            "w:reply.after_send:p@1",
+            "w:method.before:p@3",
+            "w:log.force.before:p@1",  # force boundaries are never thinned
+            "w:log.force.before:p@2",
+        ]
 
 
 class TestCompositePoints:

@@ -69,10 +69,11 @@ class TestArmedMode:
         assert [s.render() for s in plane.fired] == ["a@3"]
 
     def test_specs_fire_in_order(self):
-        """A two-spec plan (crash-during-recovery): the second spec is
-        inert until the first has fired — a crossing of its site before
-        then still advances the global occurrence count (which is why
-        composite plans name occurrences journaled on an ARMED run)."""
+        """A two-spec plan (crash-during-recovery) fires in order even
+        though any pending spec may match: the composite's second spec
+        names an occurrence journaled on an ARMED run, after the first
+        spec fired, so the count of its site cannot reach it earlier —
+        a crossing before then only advances that count."""
         plane = FaultPlane(
             specs=(CrashSpec("a", 2), CrashSpec("recovery.pass2:p", 2))
         )
@@ -97,7 +98,7 @@ class TestArmedMode:
         plane = FaultPlane(
             specs=(CrashSpec("x", 1), CrashSpec("f", 2, cut=1))
         )
-        assert plane.flush_cut("f", 10) is None  # plain spec is next
+        assert plane.flush_cut("f", 10) is None  # occurrence 1: unarmed
         with pytest.raises(CrashSignal):
             plane.hit("x")
         assert plane.flush_cut("f", 10) == 1  # occurrence 2

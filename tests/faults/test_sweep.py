@@ -1,15 +1,17 @@
 """The sweep end to end: discovery coverage and the smoke subset.
 
-The full sweep (every point of every workload, ~800+ schedules) runs
+The full sweep (every point of every workload) runs
 nightly in CI and via ``make sweep``; setting ``REPRO_SWEEP_FULL=1``
 runs it here too.  The tier-1 path keeps a sampled smoke subset that
-still crosses every site family in under a couple of seconds.
+still crosses the durability and message-pipeline site families.
 """
 
 import os
 
 import pytest
 
+from repro.faults import PIPELINE_POINTS
+from repro.faults.plan import CrashPoint
 from repro.faults.sweep import discover_plan, run_point, run_sweep
 from repro.faults.workloads import WORKLOADS
 
@@ -17,7 +19,7 @@ from repro.faults.workloads import WORKLOADS
 class TestDiscovery:
     @pytest.fixture(scope="class")
     def plan(self):
-        plan, __ = discover_plan(torn_stride=4)
+        plan, __ = discover_plan(message_stride=4)
         return plan
 
     def test_plan_covers_at_least_fifty_points(self, plan):
@@ -52,6 +54,9 @@ class TestDiscovery:
             "recovery.lazy_replay.before",
             "recovery.lazy_replay.after",
             "recovery.drain_worker",
+            # Figure 2's ten message-pipeline points, the silent
+            # after-send kill (reply.after_send) included
+            *PIPELINE_POINTS,
         } <= families
 
     @pytest.mark.parametrize(
@@ -88,17 +93,28 @@ class TestDiscovery:
 
 class TestSmokeSweep:
     def test_sampled_sweep_passes_every_point(self):
-        result = run_sweep(torn_stride=8, stride=4)
+        result = run_sweep(message_stride=8, stride=5)
         assert len(result.results) >= 50
+        assert any(
+            r.point_id.split(":")[1] in PIPELINE_POINTS for r in result.results
+        )
         assert result.ok, "\n".join(
             f"{r.point_id}: {'; '.join(r.failures)}" for r in result.failed
         )
 
+    def test_silent_after_send_kill_passes_the_oracle(self):
+        """Figure 2's third failure point: the server dies after its
+        reply left, and the caller never sees the crash."""
+        point = CrashPoint.parse("bookstore:reply.after_send:bookstore-app@1")
+        golden = WORKLOADS["bookstore"]()
+        outcome = WORKLOADS["bookstore"](specs=point.specs)
+        assert outcome.fired == ["reply.after_send:bookstore-app@1"]
+        result = run_point(point, golden)
+        assert result.ok, "\n".join(result.failures)
+
     def test_a_stale_spec_is_reported_not_ignored(self):
         """A point whose site is never crossed must fail loudly (a stale
         plan means the sweep is no longer testing what it claims)."""
-        from repro.faults.plan import CrashPoint
-
         point = CrashPoint.parse("bookstore:log.force.before:no-such@999")
         golden = WORKLOADS["bookstore"]()
         result = run_point(point, golden)

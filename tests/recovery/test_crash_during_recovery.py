@@ -9,6 +9,7 @@ freshly crash while serving recovery's call.  Those cascades must heal.
 import pytest
 
 from repro import PersistentComponent, PhoenixRuntime, persistent
+from repro.faults import arm
 from tests.conftest import KvStore, Relay
 
 
@@ -23,7 +24,7 @@ class TestCascadedRecovery:
         relay = relay_process.create_component(Relay, args=(store,))
         relay.put("a", 1)
         # crash the relay mid-call so its last msg4 is unlogged
-        runtime.injector.arm("rp", "reply_received.before_log")
+        arm(runtime, "rp", "reply_received.before_log")
         try:
             relay.put("b", 2)
         except Exception:
@@ -45,14 +46,14 @@ class TestCascadedRecovery:
         relay_process = runtime.spawn_process("rp", machine="alpha")
         relay = relay_process.create_component(Relay, args=(store,))
         relay.put("a", 1)
-        runtime.injector.arm("rp", "reply_received.before_log")
+        arm(runtime, "rp", "reply_received.before_log")
         try:
             relay.put("b", 2)
         except Exception:
             pass
         # arm the store to die when the NEXT call reaches it — which
         # will be the relay-recovery's live continuation
-        runtime.injector.arm("sp", "method.after")
+        arm(runtime, "sp", "method.after")
         assert relay.put("c", 3) == (3, 3)
         assert store_process.component_table[1].instance.executions == 3
         assert store_process.crash_count == 1

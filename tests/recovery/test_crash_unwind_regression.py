@@ -21,6 +21,7 @@ from repro import (
     RuntimeConfig,
     persistent,
 )
+from repro.faults import arm, uninstall_plane
 from tests.conftest import KvStore
 
 
@@ -52,10 +53,10 @@ def build_world():
 class TestCrashInMethodBeforeUnwinds:
     def test_both_backends_crashing_midcall_stays_exactly_once(self):
         runtime, gateway, processes = build_world()
-        runtime.injector.arm("left", "method.before")
-        runtime.injector.arm("right", "method.before")
+        arm(runtime, "left", "method.before")
+        arm(runtime, "right", "method.before")
         assert gateway.write_both("k1", 0) == (1, 1)  # put returns size
-        runtime.injector.disarm_all()
+        uninstall_plane()
         for name in ("left", "right"):
             process = processes[name]
             runtime.ensure_recovered(process)
@@ -65,9 +66,9 @@ class TestCrashInMethodBeforeUnwinds:
 
     def test_gateway_context_is_reusable_after_backend_crash(self):
         runtime, gateway, processes = build_world()
-        runtime.injector.arm("left", "method.before")
+        arm(runtime, "left", "method.before")
         gateway.write_both("k1", 1)
-        runtime.injector.disarm_all()
+        uninstall_plane()
         # Before the fix this raised ConfigurationError (re-entrant
         # call): the gateway context was wedged busy.
         assert gateway.write_both("k2", 2) == (2, 2)
@@ -75,9 +76,9 @@ class TestCrashInMethodBeforeUnwinds:
 
     def test_crashed_process_context_is_not_left_busy(self):
         runtime, gateway, processes = build_world()
-        runtime.injector.arm("right", "method.before")
+        arm(runtime, "right", "method.before")
         gateway.write_both("k1", 5)
-        runtime.injector.disarm_all()
+        uninstall_plane()
         right = processes["right"]
         runtime.ensure_recovered(right)
         for entry in right.context_table.values():

@@ -20,7 +20,7 @@ from repro import (
     RuntimeConfig,
     persistent,
 )
-from repro.recovery.failures import KNOWN_POINTS
+from repro.faults import PIPELINE_POINTS, arm, uninstall_plane
 from tests.conftest import KvStore
 
 
@@ -56,7 +56,7 @@ class Gateway(PersistentComponent):
 
 OPS = ("write_left", "write_right", "write_both", "read", "erase")
 # Crash points that can fire somewhere in this workload.
-POINTS = sorted(KNOWN_POINTS)
+POINTS = sorted(PIPELINE_POINTS)
 TARGETS = ("gw", "left", "right")
 
 
@@ -105,7 +105,7 @@ def run_workload(ops, crashes=(), checkpoint_every=None):
                 ("outgoing", "reply_received")
             ) and op == "read":
                 continue  # reads of read-only methods skip those hooks
-            runtime.injector.arm(target, point)
+            arm(runtime, target, point)
         bound = getattr(gateway, op)
         args = (key, value) if op.startswith("write") else (key,)
         from repro import ComponentUnavailableError
@@ -116,7 +116,7 @@ def run_workload(ops, crashes=(), checkpoint_every=None):
             # external retry; under-the-gateway state is exactly-once,
             # which is what we assert below
             replies.append((op, key, bound(*args)))
-        runtime.injector.disarm_all()
+        uninstall_plane()
     states = {}
     for name in ("left", "right"):
         process = processes[name]

@@ -17,7 +17,7 @@ from repro import (
 )
 from repro.common.ids import parse_uri
 from repro.core import ProcessState
-from repro.faults.plane import FaultPlane, installed
+from repro.faults.plane import FaultPlane, arm, installed
 from repro.log import iter_frames, log_manager
 from repro.recovery.incremental import PENDING, PendingRecovery
 from tests.conftest import Counter
@@ -72,7 +72,7 @@ def _run_caller_below_callee(crash_point: str | None):
         if crash_point is not None:
             # After the caller forced its incoming call and before it
             # sends the call on: the callee never saw it.
-            runtime.injector.arm("p", crash_point)
+            arm(runtime, "p", crash_point)
         replies.append(front.bump(9))
     replies.append(front.bump(10))
     counts = tuple(

@@ -13,6 +13,7 @@ from repro import (
     persistent,
 )
 from repro.core import ProcessState
+from repro.faults import arm
 from tests.conftest import Counter, Doubler, KvStore, Relay, TallyOwner
 
 
@@ -63,7 +64,7 @@ class TestFigure2FailurePoints:
         (store_process, store, mid_process, mid,
          front_process, front) = three_tier(runtime)
         front.put("warm", 0)
-        runtime.injector.arm("mid", point)
+        arm(runtime, "mid", point)
         result = front.put("key", 1)
         assert result == (2, (2, 2))  # front count, (mid count, store size)
         store_instance = store_process.component_table[1].instance
@@ -86,7 +87,7 @@ class TestFigure2FailurePoints:
         (store_process, store, mid_process, mid,
          front_process, front) = three_tier(runtime)
         front.put("warm", 0)
-        runtime.injector.arm("store", point)
+        arm(runtime, "store", point)
         result = front.put("key", 1)
         assert result == (2, (2, 2))
         store_instance = store_process.component_table[1].instance
@@ -97,7 +98,7 @@ class TestFigure2FailurePoints:
         (store_process, store, mid_process, mid,
          front_process, front) = three_tier(runtime)
         front.put("warm", 0)
-        runtime.injector.arm("store", "reply.after_send")
+        arm(runtime, "store", "reply.after_send")
         # the reply already left: the call succeeds, then the store dies
         assert front.put("key", 1) == (2, (2, 2))
         assert store_process.crash_count == 1
@@ -109,8 +110,8 @@ class TestFigure2FailurePoints:
         (store_process, store, mid_process, mid,
          front_process, front) = three_tier(runtime)
         front.put("warm", 0)
-        runtime.injector.arm("mid", "reply.before_send")
-        runtime.injector.arm("store", "method.after")
+        arm(runtime, "mid", "reply.before_send")
+        arm(runtime, "store", "method.after")
         assert front.put("key", 1) == (2, (2, 2))
         assert store_process.component_table[1].instance.executions == 2
 

@@ -16,6 +16,7 @@ from repro import (
     UnknownComponentClassError,
 )
 from repro.errors import CrashSignal
+from repro.faults import arm
 
 
 class TestHierarchy:
@@ -93,7 +94,7 @@ class TestCrashSignalCannotBeSwallowed:
         swallower = process.create_component(Swallower, args=(store,))
         swallower.try_hard("a")
         # crash the swallower's own process at its outgoing-call hook
-        runtime.injector.arm("p", "outgoing.before_log")
+        arm(runtime, "p", "outgoing.before_log")
         with pytest.raises(ComponentUnavailableError):
             swallower.try_hard("b")
         runtime.ensure_recovered(process)

@@ -19,6 +19,7 @@ from repro import (
     read_only,
     subordinate,
 )
+from repro.faults import arm
 
 
 @persistent
@@ -153,7 +154,7 @@ def run_soak(runtime, operations=40, with_crashes=True):
     for index in range(operations):
         if with_crashes and index in CRASH_SCHEDULE:
             target, point = CRASH_SCHEDULE[index]
-            runtime.injector.arm(target, point)
+            arm(runtime, target, point)
         key, value = f"key-{index}", index * 10
         results.append(gateway.write(key, value))
     # settle every process
