@@ -7,7 +7,7 @@
 # is the older pytest guardrail set under benchmarks/.
 
 .PHONY: install test bench perf perf-smoke report examples all clean \
-	lint infer check sweep sweep-smoke concurrency sharded \
+	lint infer check sweep sweep-smoke concurrency \
 	explore-smoke explore-nightly plan plan-write
 
 install:
@@ -51,22 +51,17 @@ plan-write:
 
 # The local all-in-one.  CI (.github/workflows/check.yml) runs each
 # prerequisite as its own named step, once, and then only the pytest line.
-check: lint infer plan concurrency sharded explore-smoke
+check: lint infer plan concurrency explore-smoke
 	PYTHONPATH=src python -m pytest -x -q
 
-# Same-seed determinism gate (docs/internals.md section 11): the
-# concurrent bookstore workload runs twice under the deterministic
-# scheduler; stable logs, traces, clock and replies must be
-# byte-identical across the runs.
+# Same-seed determinism gate (docs/internals.md sections 9 and 11):
+# every leg of the workload catalogue runs twice with one seed; stable
+# logs (per stream), traces, clock and replies must be byte-identical,
+# multi-session legs must stay conformant under an alternate seed, every
+# leg of a workload must give the same replies and state, and only
+# sharded legs may fan out to per-shard streams.
 concurrency:
 	PYTHONPATH=src python -m repro.concurrency
-
-# Sharded-logging gate (docs/internals.md section 16): the committed
-# LogPlan executed — the sharded concurrent bookstore run twice must be
-# byte-identical per stream, fan out to real per-shard streams, and
-# return the same replies/state as the flag-off single-log run.
-sharded:
-	PYTHONPATH=src python -m repro.concurrency sharded
 
 # Schedule-space model checker (docs/internals.md section 13).
 # `explore-smoke` is the per-push gate: full DPOR enumeration of the

@@ -129,8 +129,8 @@ _RULES = [
         "co-shard the two components (they share a process signature, "
         "so the cut is avoidable), or raise --cut-threshold if the "
         "partition is deliberate",
-        "Section 3.5 + ROADMAP item 1 (cross-log force traffic is the "
-        "multi-log scale-out's unit of cost)",
+        "Section 3.5 + docs/internals.md section 16 (cross-log force "
+        "traffic is the multi-log scale-out's unit of cost)",
     ),
     Rule(
         "PHX016",
@@ -138,8 +138,8 @@ _RULES = [
         "regenerate the committed plan (make plan-write) after wiring "
         "changes, or fix the apps/*/deploy wiring to match the planned "
         "placement",
-        "ROADMAP item 1 (the plan is the contract the multi-log "
-        "runtime implements against; drift silently unplans "
+        "docs/internals.md section 16 (the plan is the contract the "
+        "multi-log runtime implements against; drift silently unplans "
         "components)",
     ),
 ]

@@ -229,6 +229,8 @@ class _CausalIndex:
             event for event in self._kept
             if event.record_lsn < mark.stable_lsn
         ]
+        if len(survivors) == len(self._kept):
+            return  # nothing was volatile: the index stands as built
         self._kept = []
         self._serial_max = NO_LSN
         self._comps = {}
@@ -266,8 +268,8 @@ def _causal_violations(trace: ProtocolTrace) -> list[Violation]:
 
     This is strictly weaker than TRC101's whole-log-prefix condition —
     records of causally unrelated sessions may stay volatile — and it is
-    exactly the constraint ROADMAP item 3's pipelined/per-session forces
-    must keep: recoverability only needs the happens-before cone of a
+    exactly the constraint pipelined causal commit's per-session forces
+    (docs/internals.md section 14) must keep: recoverability only needs the happens-before cone of a
     send on disk (cf. partially constrained transaction logs).  Inert on
     serial traces (``vc is None``), where TRC101 subsumes it.
     """
@@ -654,7 +656,10 @@ def check_runtime_force_bounds(
 def check_log(log, trace: ProtocolTrace | None = None) -> list[Violation]:
     """Check one finished log (and its trace, when available)."""
     try:
-        records = list(log.scan(log.base_lsn))
+        # Every check below reads message records only; the filtered
+        # scan skips decoding the rest (state and checkpoint records are
+        # the large ones).
+        records = list(log.scan(log.base_lsn, kinds=(MessageRecord,)))
     except Exception:
         # A torn tail awaiting recovery's repair pass: the stream is not
         # finished, so there is nothing to assert yet.

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import sys
 
-from .check import run_determinism_check, run_sharded_check
+from .check import run_determinism_check
 
 if __name__ == "__main__":
-    if len(sys.argv) > 1 and sys.argv[1] == "sharded":
-        sys.exit(run_sharded_check())
     sys.exit(run_determinism_check())

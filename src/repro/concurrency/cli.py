@@ -54,7 +54,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 
     # The same space under pipelined causal commit: the relaxed commit
     # points, gated sends, and log.submit in-flight states must stay
-    # clean on TRC101–TRC108 across the whole reduced space.
+    # clean on TRC101–TRC109 across the whole reduced space.
     pipelined = explore(
         workload="ledger-pipelined", n_sessions=2, max_schedules=budget
     )
@@ -76,12 +76,14 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         print("FAIL: DPOR did not prune below naive enumeration")
         ok = False
 
-    from .explore import encode_schedule_id
+    from ..faults.workloads import run
+    from .explore import EXPLORE_WORKLOADS, encode_schedule_id
     from .policies import ControlledPolicy
-    from .explore import EXPLORE_WORKLOADS
 
     for workload in ("ledger", "ledger-pipelined"):
-        probe = EXPLORE_WORKLOADS[workload](2, ControlledPolicy([1, 1, 0]))
+        probe = run(
+            *EXPLORE_WORKLOADS[workload], policy=ControlledPolicy([1, 1, 0])
+        )
         schedule_id = encode_schedule_id(workload, 2, probe.choices)
         __, diverged = verify_schedule(schedule_id)
         if diverged:

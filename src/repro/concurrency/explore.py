@@ -23,8 +23,9 @@ reduction in the style of Flanagan & Godefroid:
    re-exploration: a fully-explored sibling choice stays asleep down
    the new branch until a step's footprint intersects its own.
 
-Every explored schedule runs the full conformance oracle
-(TRC101–TRC108 via :func:`check_runtime`); a violating or crashing
+Every explored schedule runs the sweep's oracle
+(:func:`repro.faults.workloads.run`: TRC101–TRC109, then crash every
+process and recover twice to the same state); a violating or crashing
 schedule is reported as a replayable SCHEDULE_ID which
 ``repro-explore run <SCHEDULE_ID>`` reproduces byte-identically (same
 stable logs, same traces, same clock).  Exploration composes with
@@ -33,8 +34,8 @@ same step of every re-run, so the explorer enumerates *schedules
 around the crash*.
 
 The built-in workload (``ledger``) is deliberately small: N sessions,
-each incrementing a private counter on its own process and posting to
-one shared ledger process.  Private steps commute (disjoint
+each posting to one shared ledger process and incrementing a private
+counter on its own process.  Private steps commute (disjoint
 footprints); only the shared-ledger touches conflict, so DPOR
 collapses the exponential interleaving space to the few orders of the
 shared operations — the pruning ratio the smoke target asserts.
@@ -47,13 +48,9 @@ from typing import Callable, Sequence
 
 from ..core import PersistentComponent, PhoenixRuntime, persistent
 from ..core.config import RuntimeConfig
-from ..errors import ComponentUnavailableError, RecoveryError
-from ..faults.plane import CrashSpec, FaultPlane, installed
+from ..faults.plane import CrashSpec
+from ..faults.workloads import RunOutcome, Workload, run
 from .policies import ControlledPolicy, ReplayPolicy, ScheduleStep
-from .scheduler import DeterministicScheduler
-
-#: Driver retry budget per step, mirroring the sweep workloads.
-MAX_ATTEMPTS = 30
 
 #: Base-36 digits used to encode choice sequences in SCHEDULE_IDs.
 _B36 = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -87,152 +84,56 @@ class PrivateCounter(PersistentComponent):
         return self.count
 
 
-@dataclass
-class RunResult:
-    """One schedule's complete observable outcome."""
-
-    choices: list[int]
-    steps: list[ScheduleStep]
-    replies: object
-    violations: list[str]
-    fingerprint: dict[str, bytes]
-    fired: list[str]
-    error: str | None = None
-    #: Site-hit journal (record mode only) — crash-sweep composition
-    #: derives its armed specs from this.
-    journal: list = field(default_factory=list)
-
-
-def _run_ledger(
-    config: RuntimeConfig,
-    n_sessions: int,
-    policy,
-    specs: tuple[CrashSpec, ...] = (),
-    record: bool = False,
-) -> RunResult:
-    """The ledger script under an arbitrary runtime config (shared by
-    the registered workload variants below)."""
-    from ..analysis.trace_check import check_runtime
-    from ..faults.workloads import (
-        _determinism_fingerprint,
-        _ensure_all_recovered,
-    )
-
-    runtime = PhoenixRuntime(config=config)
+def _deploy_ledger(runtime: PhoenixRuntime, sessions: int) -> dict:
     runtime.external_client_machine = "alpha"
     shared_process = runtime.spawn_process("shared", machine="beta")
-    ledger = shared_process.create_component(SharedLedger)
-    counters = []
-    for index in range(n_sessions):
+    targets = {"ledger": shared_process.create_component(SharedLedger)}
+    for index in range(sessions):
         process = runtime.spawn_process(f"private-{index}", machine="beta")
-        counters.append(process.create_component(PrivateCounter))
+        targets[f"counter{index}"] = process.create_component(PrivateCounter)
+    return targets
 
-    def make_session(index: int):
-        counter = counters[index]
-        # Conflicting call first, commuting calls after: races stay
-        # near the root of the schedule tree (cheap to reverse), while
-        # the private suffix is where naive enumeration goes
-        # exponential and DPOR prunes.
-        calls = (
-            lambda: ledger.post(f"s{index}", index),
-            lambda: counter.increment(),
-            lambda: counter.increment(),
-        )
 
-        def session() -> list:
-            replies = []
-            for call in calls:
-                for __ in range(MAX_ATTEMPTS):
-                    try:
-                        replies.append(call())
-                        break
-                    except (ComponentUnavailableError, ConnectionError):
-                        continue
-                else:
-                    raise RecoveryError(
-                        f"ledger session {index} exhausted {MAX_ATTEMPTS} "
-                        f"attempts (specs={specs!r})"
-                    )
-            return replies
-
-        return session
-
-    plane = FaultPlane(specs=tuple(specs), record=record)
-    plane.bind(runtime)
-    scheduler = DeterministicScheduler(runtime, policy=policy)
-    error: str | None = None
-    replies: object = None
-    with installed(plane):
-        try:
-            replies = scheduler.run(
-                [make_session(i) for i in range(n_sessions)]
-            )
-            _ensure_all_recovered(runtime)
-        except Exception as exc:  # a counterexample, not an abort
-            error = f"{type(exc).__name__}: {exc}"
-    violations = [
-        f"{process_name}: {violation.render()}"
-        for process_name, violation in check_runtime(runtime)
-    ]
-    # Non-recording policies (the seeded default) have no step log;
-    # exploration and replay always use a recording policy.
-    steps = list(getattr(policy, "steps", ()))
-    return RunResult(
-        choices=[step.chosen for step in steps],
-        steps=steps,
-        replies=replies,
-        violations=violations,
-        fingerprint=_determinism_fingerprint(runtime),
-        fired=[spec.render() for spec in plane.fired],
-        error=error,
-        journal=list(plane.journal),
+def _ledger_steps(index: int) -> tuple:
+    # Conflicting call first, commuting calls after: races stay near
+    # the root of the schedule tree (cheap to reverse), while the
+    # private suffix is where naive enumeration goes exponential and
+    # DPOR prunes.
+    counter = f"counter{index}"
+    return (
+        ("ledger", "post", (f"s{index}", index)),
+        (counter, "increment", ()),
+        (counter, "increment", ()),
     )
 
 
-def run_ledger(
-    n_sessions: int,
-    policy,
-    specs: tuple[CrashSpec, ...] = (),
-    record: bool = False,
-) -> RunResult:
-    """N external sessions, each: private increment, shared post,
-    private increment.  Group commit stays off — the batch window
-    couples otherwise-independent sessions through the simulated
-    clock, which would make *every* pair of steps dependent and
-    DPOR-pointless."""
-    return _run_ledger(
-        RuntimeConfig.optimized(group_commit=False),
-        n_sessions, policy, specs=specs, record=record,
-    )
+#: N external sessions, each: shared post, then two private increments.
+#: Group commit stays off — the batch window couples otherwise
+#: independent sessions through the simulated clock, which would make
+#: *every* pair of steps dependent and DPOR-pointless.  Sessions call
+#: the components directly: a shared driver process would put every
+#: step in every footprint.
+LEDGER = Workload(
+    name="ledger",
+    config=RuntimeConfig.optimized(group_commit=False),
+    deploy=_deploy_ledger,
+    script=_ledger_steps,
+    sessions=2,
+    runners=False,
+)
 
-
-def run_ledger_pipelined(
-    n_sessions: int,
-    policy,
-    specs: tuple[CrashSpec, ...] = (),
-    record: bool = False,
-) -> RunResult:
-    """The same script under ``pipelined_commit`` with a zero-width
-    batch window: batches close the moment their leader blocks, so no
-    simulated-clock sleep ever couples otherwise-independent sessions
-    (footprint-based dependence stays sound), while the causal commit
-    points, the gated sends, and the ``log.submit`` in-flight state all
-    enter the explored space."""
-    return _run_ledger(
-        RuntimeConfig.optimized(
-            group_commit=False,
-            pipelined_commit=True,
-            group_commit_window_ms=0.0,
-        ),
-        n_sessions, policy, specs=specs, record=record,
-    )
-
-
-#: Registry of explorable workloads (name -> callable with the
-#: ``run_ledger`` signature).  SCHEDULE_IDs embed the registry key.
-EXPLORE_WORKLOADS: dict[str, Callable[..., RunResult]] = {
-    "ledger": run_ledger,
-    "ledger-pipelined": run_ledger_pipelined,
+#: Explorable legs: name -> ``(workload, flags)``.  SCHEDULE_IDs embed
+#: the key.  ``ledger-pipelined`` runs the same script under
+#: ``pipelined_commit`` with a zero-width batch window: batches close
+#: the moment their leader blocks, so no simulated-clock sleep ever
+#: couples otherwise-independent sessions (footprint-based dependence
+#: stays sound), while the causal commit points, the gated sends, and
+#: the ``log.submit`` in-flight state all enter the explored space.
+EXPLORE_WORKLOADS: dict[str, tuple[Workload, dict]] = {
+    "ledger": (LEDGER, {}),
+    "ledger-pipelined": (
+        LEDGER, {"pipelined_commit": True, "group_commit_window_ms": 0.0}
+    ),
 }
 
 
@@ -241,11 +142,12 @@ def derive_crash_specs(
 ) -> list[CrashSpec]:
     """Golden-run the workload with a recording plane and pick a spread
     of durability-boundary crash points to compose with exploration."""
-    run = EXPLORE_WORKLOADS[workload](
-        n_sessions, ControlledPolicy([]), record=True
+    golden = run(
+        *EXPLORE_WORKLOADS[workload], record=True,
+        policy=ControlledPolicy([]), sessions=n_sessions,
     )
     hits = [
-        hit for hit in run.journal
+        hit for hit in golden.journal
         if hit.site.startswith("log.force.before:")
     ]
     if not hits or limit <= 0:
@@ -303,23 +205,25 @@ def decode_schedule_id(
     return workload, n_sessions, specs, choices
 
 
-def run_schedule(schedule_id: str) -> RunResult:
+def run_schedule(schedule_id: str) -> RunOutcome:
     """Re-execute one explored schedule exactly (ReplayPolicy)."""
     workload, n_sessions, specs, choices = decode_schedule_id(schedule_id)
-    policy = ReplayPolicy(choices)
-    return EXPLORE_WORKLOADS[workload](n_sessions, policy, specs=specs)
+    return run(
+        *EXPLORE_WORKLOADS[workload], specs=specs,
+        policy=ReplayPolicy(choices), sessions=n_sessions,
+    )
 
 
-def verify_schedule(schedule_id: str) -> tuple[RunResult, list[str]]:
+def verify_schedule(schedule_id: str) -> tuple[RunOutcome, list[str]]:
     """Run a SCHEDULE_ID twice; return the first run and the keys of
     any fingerprint artifacts that differ (empty = byte-identical)."""
     first = run_schedule(schedule_id)
     second = run_schedule(schedule_id)
-    keys = sorted(set(first.fingerprint) | set(second.fingerprint))
+    keys = sorted(set(first.determinism) | set(second.determinism))
     diverged = [
         key
         for key in keys
-        if first.fingerprint.get(key) != second.fingerprint.get(key)
+        if first.determinism.get(key) != second.determinism.get(key)
     ]
     if first.choices != second.choices:
         diverged.append("choices")
@@ -376,15 +280,22 @@ class ExploreResult:
 
 def _happens_before_masks(steps: list[ScheduleStep]) -> list[int]:
     """masks[i] = bitmask of steps happens-before step i (transitive
-    closure of program order ∪ footprint dependence)."""
+    closure of program order ∪ footprint dependence).  One session's
+    steps, and the steps touching one item, are each a chain, so step
+    i's cone is the union of the latest such step's cone per chain."""
     masks = [0] * len(steps)
+    last_of_session: dict[int, int] = {}
+    last_touching: dict[object, int] = {}
     for i, step in enumerate(steps):
         mask = 0
-        for j in range(i):
-            prior = steps[j]
-            if prior.chosen == step.chosen or (prior.touched & step.touched):
+        for j in (last_of_session.get(step.chosen),
+                  *(last_touching.get(item) for item in step.touched)):
+            if j is not None:
                 mask |= masks[j] | (1 << j)
         masks[i] = mask
+        last_of_session[step.chosen] = i
+        for item in step.touched:
+            last_touching[item] = i
     return masks
 
 
@@ -394,13 +305,15 @@ def _update_backtracks(steps: list[ScheduleStep], nodes: list[_Node]) -> None:
     sessions, no happens-before chain through an intermediate step —
     schedule the later session for exploration at the earlier node."""
     masks = _happens_before_masks(steps)
+    touching: dict[object, list[int]] = {}
     for i, step in enumerate(steps):
-        for j in range(i):
-            prior = steps[j]
-            if prior.chosen == step.chosen:
-                continue
-            if not (prior.touched & step.touched):
-                continue
+        racing = {
+            j for item in step.touched for j in touching.get(item, ())
+            if steps[j].chosen != step.chosen
+        }
+        for item in step.touched:
+            touching.setdefault(item, []).append(i)
+        for j in racing:
             immediate = True
             for k in range(j + 1, i):
                 if (masks[k] >> j) & 1 and (masks[i] >> k) & 1:
@@ -444,7 +357,6 @@ def explore(
 ) -> ExploreResult:
     """Depth-first schedule exploration with DPOR (or, with ``naive``,
     full enumeration of the interleaving tree for ratio comparison)."""
-    run_workload = EXPLORE_WORKLOADS[workload]
     result = ExploreResult(
         workload=workload, n_sessions=n_sessions, specs=tuple(specs),
         naive=naive,
@@ -452,23 +364,25 @@ def explore(
     nodes: list[_Node] = []
     prefix: list[int] = []
     while result.schedules < max_schedules:
-        policy = ControlledPolicy(prefix)
-        run = run_workload(n_sessions, policy, specs=specs)
+        outcome = run(
+            *EXPLORE_WORKLOADS[workload], specs=specs,
+            policy=ControlledPolicy(prefix), sessions=n_sessions,
+        )
         result.schedules += 1
-        steps = run.steps
+        steps = outcome.steps
         result.max_depth = max(result.max_depth, len(steps))
-        if run.violations or run.error:
+        if outcome.violations or outcome.error:
             result.counterexamples.append(Counterexample(
                 schedule_id=encode_schedule_id(
-                    workload, n_sessions, run.choices, specs
+                    workload, n_sessions, outcome.choices, specs
                 ),
-                violations=run.violations,
-                error=run.error,
+                violations=outcome.violations,
+                error=outcome.error,
             ))
             if log is not None:
                 log(
                     f"counterexample at schedule {result.schedules}: "
-                    f"{run.violations or run.error}"
+                    f"{outcome.violations or outcome.error}"
                 )
             if stop_on_violation:
                 return result

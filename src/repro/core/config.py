@@ -90,8 +90,8 @@ class RuntimeConfig:
     group_commit: bool = False
     group_commit_window_ms: float | None = None
 
-    # Pipelined causal commit (extension; ROADMAP item 3, after
-    # partially constrained transaction logs): relax Algorithm 2's
+    # Pipelined causal commit (extension; docs/internals.md section 14,
+    # after partially constrained transaction logs): relax Algorithm 2's
     # global "force all previous records" point to the *causal* prefix
     # TRC107 proves sufficient.  Each session keeps a per-log durability
     # watermark (the highest LSN it causally knows, maintained by the
@@ -106,8 +106,8 @@ class RuntimeConfig:
     # byte-identical to group commit alone.
     pipelined_commit: bool = False
 
-    # On-demand recovery (extension; ROADMAP item 2, after Sauer &
-    # Härder's instant restart and Lomet's logical recovery): restart
+    # On-demand recovery (extension; docs/internals.md section 12, after
+    # Sauer & Härder's instant restart and Lomet's logical recovery): restart
     # runs only the analysis pass (repair tail, re-mark, restore
     # checkpointed state) and then admits new calls; each remaining
     # context is replayed lazily on first access from its own frame
@@ -118,8 +118,8 @@ class RuntimeConfig:
     # Table 7 model and the benchmark tables are calibrated against it.
     on_demand_recovery: bool = False
 
-    # Sharded multi-log runtime (extension; ROADMAP item 1, the
-    # executable half of the committed ``plans/apps.logplan.json``): a
+    # Sharded multi-log runtime (extension; docs/internals.md section 16,
+    # the executable half of the committed ``plans/apps.logplan.json``): a
     # process hosts one ``LogManager`` stream per plan shard assigned to
     # it, a :class:`~repro.log.sharding.ShardRouter` resolves
     # ``record.context_id -> shard -> stream`` at deploy time (unplanned

@@ -222,7 +222,7 @@ class AppProcess:
         # checker (repro.analysis) replays it against the stable stream.
         self.protocol_trace = ProtocolTrace()
 
-        # Log streams (ROADMAP item 1; docs/internals.md section 16).
+        # Log streams (docs/internals.md section 16).
         # Stream 0 IS the legacy log/coalescer/trace — the flag-off
         # runtime routes every record through the exact objects above.
         # With ``config.sharded_logging`` on and a committed plan

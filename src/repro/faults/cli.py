@@ -18,7 +18,7 @@ import time
 
 from .plan import CrashPoint
 from .sweep import discover_plan, run_point, run_sweep
-from .workloads import WORKLOADS
+from .workloads import WORKLOADS, run_leg
 
 
 def _print_failures(result) -> None:
@@ -83,7 +83,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 2
     golden = {
-        name: WORKLOADS[name]()
+        name: run_leg(name)
         for name in sorted({p.workload for p in points})
     }
     failed = 0

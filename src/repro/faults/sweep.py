@@ -7,16 +7,16 @@ crashes per Phoenix workload, a secondary armed-and-recording run
 journals which ``recovery.*`` pass boundaries the repair actually
 crosses, and each of those becomes a two-spec point.
 
-``run_point`` re-executes the point's workload armed and asserts the
-full oracle:
+``run_point`` re-executes the point's leg armed and asserts the full
+oracle:
 
 1. every armed spec fired (the plan is not stale),
-2. the workload completed (drivers retried through the crash),
-3. the TRC101-105 trace/log invariants hold on every process,
+2. the workload completed (sessions retried through the crash),
+3. the run's own oracle holds (:func:`~repro.faults.workloads.run`):
+   TRC101-109 on every process, and crash-everything-and-recover-again
+   yields the same state (recover-twice idempotency),
 4. replies are identical to the golden run (exactly-once delivery),
-5. component state is byte-identical to the golden run,
-6. crash-everything-and-recover-again yields that same state
-   (recover-twice idempotency).
+5. component state is byte-identical to the golden run.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .plan import CrashPlan, CrashPoint, composite_points, points_from_journal
 from .plane import CrashSpec
-from .workloads import WORKLOADS, RunOutcome
+from .workloads import WORKLOADS, RunOutcome, dict_diff, run_leg
 
 #: Cap on crash-during-recovery points derived per base crash.
 MAX_COMPOSITES_PER_BASE = 8
@@ -55,7 +55,9 @@ class SweepResult:
 
 
 def _golden_runs(workloads: list[str]) -> dict[str, RunOutcome]:
-    return {name: WORKLOADS[name](record=True) for name in workloads}
+    return {
+        name: run_leg(name, record=True).raise_error() for name in workloads
+    }
 
 
 def _composite_bases(points: list[CrashPoint]) -> list[CrashSpec]:
@@ -113,7 +115,7 @@ def discover_plan(
         for base in _composite_bases(base_points):
             # Secondary discovery: run armed with the base crash and
             # record which recovery pass boundaries the repair crosses.
-            armed = WORKLOADS[name](specs=(base,), record=True)
+            armed = run_leg(name, specs=(base,), record=True)
             points.extend(
                 _cap_composites(composite_points(name, base, armed.journal))
             )
@@ -121,15 +123,14 @@ def discover_plan(
 
 
 def run_point(point: CrashPoint, golden: RunOutcome) -> PointResult:
-    failures: list[str] = []
-    try:
-        outcome = WORKLOADS[point.workload](specs=point.specs)
-    except BaseException as exc:  # CrashSignal escapes are failures too
+    outcome = run_leg(point.workload, specs=point.specs)
+    if outcome.error is not None:
         return PointResult(
             point.point_id,
             ok=False,
-            failures=[f"workload did not complete: {type(exc).__name__}: {exc}"],
+            failures=[f"workload did not complete: {outcome.error}"],
         )
+    failures: list[str] = []
     expected = [spec.render() for spec in point.specs]
     if outcome.fired != expected:
         failures.append(
@@ -145,12 +146,7 @@ def run_point(point: CrashPoint, golden: RunOutcome) -> PointResult:
     if outcome.state != golden.state:
         failures.append(
             "state diverged from golden run: "
-            f"{_dict_diff(outcome.state, golden.state)}"
-        )
-    if outcome.state_after_recover != golden.state:
-        failures.append(
-            "recover-twice state diverged: "
-            f"{_dict_diff(outcome.state_after_recover, golden.state)}"
+            f"{dict_diff(outcome.state, golden.state)}"
         )
     return PointResult(
         point.point_id,
@@ -161,26 +157,15 @@ def run_point(point: CrashPoint, golden: RunOutcome) -> PointResult:
 
 
 def _first_diff(got: list, want: list) -> str:
-    if len(got) != len(want):
-        return f"{len(got)} replies vs {len(want)}"
-    for index, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            return f"step {index}: {g!r} != {w!r}"
-    return "?"
-
-
-def _dict_diff(got: dict, want: dict) -> str:
-    missing = sorted(set(want) - set(got))
-    extra = sorted(set(got) - set(want))
-    changed = sorted(k for k in set(got) & set(want) if got[k] != want[k])
-    parts = []
-    if missing:
-        parts.append(f"missing {missing}")
-    if extra:
-        parts.append(f"extra {extra}")
-    if changed:
-        parts.append(f"changed {changed}")
-    return "; ".join(parts) or "?"
+    """The first differing reply: its session, then its step."""
+    for session, (g, w) in enumerate(zip(got, want)):
+        if g == w:
+            continue
+        for index, (a, b) in enumerate(zip(g, w)):
+            if a != b:
+                return f"session {session} step {index}: {a!r} != {b!r}"
+        return f"session {session}: {len(g)} replies vs {len(w)}"
+    return f"{len(got)} sessions vs {len(want)}"
 
 
 def run_sweep(

@@ -1,35 +1,40 @@
-"""The three sweep workloads: bookstore, orderflow, queued substrate.
+"""The workload catalogue: every leg the sweep, explorer and gates run.
 
-Each workload is a deterministic script that can be executed fault-free
-(the *golden* run, with a recording plane that journals every crash
-site) or armed with crash specs.  Either way it must run to completion:
-the drivers retry through injected crashes exactly the way the paper's
-external clients do, so after the sweep's one-shot crash has fired and
-recovery has run, the workload finishes and its observable outcome can
-be compared byte-for-byte against the golden run.
+A :class:`Workload` is one application script — deploy, one step script
+per session, an optional warm-up — written once against a base
+:class:`RuntimeConfig`.  A *leg* is a workload under a flag set
+(``RuntimeConfig`` overrides), as the paper's Table 8 runs one bookstore
+under successive logging configurations.  The catalogue is a table of
+``(workload, flags)`` rows (:data:`WORKLOADS` here, ``EXPLORE_WORKLOADS``
+in :mod:`repro.concurrency.explore`) and :func:`run` is the one driver.
 
-The two Phoenix workloads are driven through a :class:`ScriptRunner` —
-a persistent, memoizing component in its own process on the client
-machine.  The external client's retry is the paper's window of
-vulnerability (external call IDs cannot be duplicate-detected), so the
-runner memoizes each step's result under its step index: a re-delivered
-step returns the cached result instead of re-executing, while crashes
-of the *server* tier are masked by ordinary persistent-caller duplicate
+A run is deterministic: fault-free (the *golden* run, with a recording
+plane that journals every crash site) or armed with crash specs, it
+runs to completion, because sessions retry through injected crashes
+the way the paper's external clients do.  The external client's retry
+is the paper's window of vulnerability (external call IDs cannot be
+duplicate-detected), so application sessions call through a
+:class:`ScriptRunner`: a persistent component on the client machine
+that memoizes each step's result under its step index, while crashes
+of the server tier are masked by ordinary persistent-caller duplicate
 detection.  With that one idempotency layer at the edge, every injected
 crash must leave replies and component state byte-identical to the
 golden run — anything else is a recovery bug.
 
-The queued workload drives the TP-monitor substrate (recoverable queues
-+ durable state store + 2PC) with a client that resolves in-doubt
-transactions after every crash, checking queue contents to decide
-whether an interrupted operation committed or must be resubmitted.
+The ``queued`` leg drives the TP-monitor substrate (recoverable queues
++ durable state store + 2PC), a different substrate with its own
+runner: its client resolves in-doubt transactions after every crash,
+checking queue contents to decide whether an interrupted operation
+committed or must be resubmitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import Callable
 
-from ..analysis.trace_check import check_runtime
+from ..analysis.trace_check import check_runtime, check_runtime_force_bounds
 from ..apps.bookstore.deploy import deploy_bookstore
 from ..apps.orderflow.deploy import deploy_orderflow
 from ..checkpoint.fields import capture_fields
@@ -52,37 +57,87 @@ from ..queues import (
 from ..sim.cluster import Cluster
 from .plane import CrashSpec, FaultPlane, SiteHit, installed
 
-#: Attempts before a driver declares a schedule unrecoverable.  Specs
+#: Attempts before a session declares a schedule unrecoverable.  Specs
 #: are one-shot, so anything above a handful means recovery is looping.
 MAX_ATTEMPTS = 30
+
+#: The scheduler seed of every multi-session run unless one is given.
+#: Identical seeds make the pre-crash schedule of an armed run identical
+#: to the golden run, which is what lets one-shot specs fire at the
+#: recorded hit.
+CONCURRENT_SEED = 5824
 
 
 @dataclass
 class RunOutcome:
-    """Everything the sweep compares between golden and crashed runs."""
+    """Everything one leg's run shows the sweep, explorer and gates."""
 
     workload: str
-    replies: list
-    state: dict[str, bytes]
-    state_after_recover: dict[str, bytes]
+    #: One reply list per session, in session order.
+    replies: list = field(default_factory=list)
+    state: dict[str, bytes] = field(default_factory=dict)
+    state_after_recover: dict[str, bytes] = field(default_factory=dict)
     journal: list[SiteHit] = field(default_factory=list)
     fired: list[str] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     retries: int = 0
-    #: Byte fingerprint of the run's durable artifacts (stable logs,
-    #: protocol traces, final clock).  Only the concurrent workload
-    #: fills it; two same-seed runs must produce equal fingerprints.
-    #: NOT compared between golden and crashed runs — a crash legally
-    #: changes the schedule from the injection point on.
-    determinism: dict[str, bytes] = field(default_factory=dict)
-    #: Per-process, per-event trace reprs (concurrent workload only):
-    #: what the determinism check diffs to report the *first divergent
-    #: trace event* when two runs disagree.
-    trace_reprs: dict[str, list[str]] = field(default_factory=dict)
+    #: Fingerprint of the run's durable artifacts: each stream's stable
+    #: log bytes (``log:<stream>``) and trace events (``trace:<stream>``,
+    #: what the determinism gate diffs for the *first divergent trace
+    #: event*), and the final clock.  Two same-seed runs must produce
+    #: equal fingerprints.  NOT compared between golden and crashed
+    #: runs — a crash legally changes the schedule from the injection
+    #: point on.
+    determinism: dict[str, object] = field(default_factory=dict)
+    #: The scheduling steps a recording policy observed (explorer runs).
+    steps: list = field(default_factory=list)
+    #: The exception that escaped the run: the sweep reports it as an
+    #: incomplete workload, the explorer as a counterexample.
+    exception: BaseException | None = field(default=None, repr=False)
+
+    @property
+    def choices(self) -> list[int]:
+        return [step.chosen for step in self.steps]
+
+    @property
+    def error(self) -> str | None:
+        exc = self.exception
+        return None if exc is None else f"{type(exc).__name__}: {exc}"
+
+    def raise_error(self) -> RunOutcome:
+        """Re-raise the exception that escaped the run, if any, and
+        otherwise return the outcome: for callers that need the run to
+        have completed."""
+        if self.exception is not None:
+            raise self.exception
+        return self
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One application script, runnable under any flag set."""
+
+    name: str
+    config: RuntimeConfig
+    #: ``deploy(runtime, sessions)`` -> step target name -> proxy.
+    deploy: Callable[[PhoenixRuntime, int], dict]
+    #: Session index -> that session's steps, ``(target, method, args)``.
+    script: Callable[[int], tuple]
+    sessions: int = 1
+    #: ``warmup(targets, sessions)``, run before the fault plane arms.
+    warmup: Callable[[dict, int], None] | None = None
+    #: Synthetic shard split installed when the flags turn on
+    #: ``sharded_logging``; accepted verbatim by
+    #: :func:`repro.log.sharding.plan_shards`.
+    shards: tuple | None = None
+    #: Sessions call through memoizing :class:`ScriptRunner`\ s.  False
+    #: calls targets directly: a shared driver process would put every
+    #: step in every DPOR footprint.
+    runners: bool = True
 
 
 # ----------------------------------------------------------------------
-# the Phoenix driver component
+# the driver component
 # ----------------------------------------------------------------------
 @persistent
 class ScriptRunner(PersistentComponent):
@@ -161,66 +216,192 @@ def _ensure_all_recovered(runtime: PhoenixRuntime) -> None:
     )
 
 
-def _run_phoenix(
-    name: str,
-    deploy,
-    steps: tuple,
-    specs: tuple[CrashSpec, ...],
-    record: bool,
-) -> RunOutcome:
-    runtime, targets, client_machine = deploy()
-    driver_process = runtime.spawn_process("sweep-driver", machine=client_machine)
-    runner = driver_process.create_component(ScriptRunner, args=(targets,))
+@cache
+def _force_bounds():
+    """Static force bounds (TRC106), built once per process: building
+    the whole-program model is the expensive part."""
+    from pathlib import Path
 
-    plane = FaultPlane(specs=tuple(specs), record=record)
-    plane.bind(runtime)
-    replies: list = []
-    retries = 0
-    with installed(plane):
-        for index, (target, method, args) in enumerate(steps):
-            for __ in range(MAX_ATTEMPTS):
-                try:
-                    replies.append(runner.step(index, target, method, args))
-                    break
-                except (ComponentUnavailableError, ConnectionError):
-                    retries += 1
-            else:
-                raise RecoveryError(
-                    f"{name} step {index} did not complete within "
-                    f"{MAX_ATTEMPTS} attempts (specs={specs!r})"
-                )
-        # Still inside the plane: the on-demand drain happens here, so a
-        # golden/armed run journals its ``recovery.*`` crossings and
-        # composite specs can fire mid-drain.  No-op (and journal-silent)
-        # when recovery already completed eagerly in the step loop.
-        _ensure_all_recovered(runtime)
-    state = _capture_state(runtime)
-    violations = [
-        f"{process_name}: {violation.render()}"
-        for process_name, violation in check_runtime(runtime)
-    ]
-    violations.extend(_plan_violations(runtime))
-    # Recover-twice idempotency: crash every process and recover again —
-    # replay must regenerate byte-identical state (and the second
-    # recovery must tolerate whatever the first one left on the logs).
+    from ..analysis.infer import build_cost_model
+    from ..analysis.model import ProgramModel, iter_py_files
+
+    apps = Path(__file__).resolve().parents[1] / "apps"
+    model = ProgramModel.from_paths(list(iter_py_files([apps])))
+    return build_cost_model(model).force_bounds()
+
+
+def _violations(runtime: PhoenixRuntime) -> list[str]:
+    """TRC101-109: the trace/log invariants, the static force bounds,
+    and every committed LogPlan's force budgets (silent when no plan
+    file is present, or ``REPRO_LOG_PLANS`` is set empty)."""
+    from ..analysis.plan import check_runtime_plan, committed_plans
+
+    found = list(check_runtime(runtime))
+    found.extend(check_runtime_force_bounds(runtime, _force_bounds()))
+    for plan in committed_plans():
+        found.extend(check_runtime_plan(runtime, plan))
+    return [f"{name}: {violation.render()}" for name, violation in found]
+
+
+def _fingerprint(runtime: PhoenixRuntime, outcome: RunOutcome) -> None:
+    """Per log stream, processes in name order: stream 0 keeps the bare
+    process name, extra shard streams get ``@shard-id`` keys.  Trace
+    events are immutable tuples of plain values, so the snapshot
+    compares by value like bytes would."""
+    for process in sorted(runtime.processes(), key=lambda p: p.name):
+        for index, stream in enumerate(process.streams):
+            key = process.name if index == 0 else (
+                f"{process.name}@{stream.shard_id}"
+            )
+            outcome.determinism[f"log:{key}"] = stream.log.stable_bytes()
+            outcome.determinism[f"trace:{key}"] = tuple(stream.trace.entries)
+    outcome.determinism["clock"] = runtime.clock.now
+
+
+def _recover_twice(runtime: PhoenixRuntime, outcome: RunOutcome) -> None:
+    """Recover-twice idempotency: crash every process and recover again
+    — replay must regenerate byte-identical state, and the second
+    recovery must tolerate whatever the first one left on the logs."""
+    outcome.state = _capture_state(runtime)
     for process in runtime.processes():
         process.crash()
     _ensure_all_recovered(runtime)
-    state_after = _capture_state(runtime)
-    violations.extend(
+    outcome.state_after_recover = _capture_state(runtime)
+    outcome.violations.extend(
         f"{process_name}: {violation.render()}"
         for process_name, violation in check_runtime(runtime)
     )
-    return RunOutcome(
-        workload=name,
-        replies=replies,
-        state=state,
-        state_after_recover=state_after,
-        journal=plane.journal,
-        fired=[spec.render() for spec in plane.fired],
-        violations=violations,
-        retries=retries,
+    _check_recover_twice(outcome)
+
+
+def _check_recover_twice(outcome: RunOutcome) -> None:
+    if outcome.state_after_recover != outcome.state:
+        diff = dict_diff(outcome.state_after_recover, outcome.state)
+        outcome.violations.append(f"recover-twice state diverged: {diff}")
+
+
+def dict_diff(got: dict, want: dict) -> str:
+    missing = sorted(set(want) - set(got))
+    extra = sorted(set(got) - set(want))
+    changed = sorted(k for k in set(got) & set(want) if got[k] != want[k])
+    parts = []
+    if missing:
+        parts.append(f"missing {missing}")
+    if extra:
+        parts.append(f"extra {extra}")
+    if changed:
+        parts.append(f"changed {changed}")
+    return "; ".join(parts) or "?"
+
+
+def run(
+    workload: Workload,
+    flags: dict | None = None,
+    specs: tuple[CrashSpec, ...] = (),
+    record: bool = False,
+    seed: int | None = None,
+    policy=None,
+    sessions: int | None = None,
+) -> RunOutcome:
+    """Run one leg — ``workload`` under ``flags`` — and apply the oracle.
+
+    Deploy, create the driver process and runners, warm up, arm the
+    fault plane (that order is fixed: the disk's spindle phase is a
+    function of simulated time), then run the sessions: one on the main
+    thread under the serial scheduler, more under a
+    :class:`DeterministicScheduler` drawing from ``seed`` (default
+    :data:`CONCURRENT_SEED`) or driven by ``policy``.  The on-demand
+    drain runs inside the plane, so a recording run journals its
+    ``recovery.*`` crossings and composite specs can fire mid-drain.
+
+    The oracle is the same for every leg: TRC101-109, the determinism
+    fingerprint, the state capture and recover-twice.  An exception
+    escaping the run is returned in the outcome, not raised; callers
+    that need a completed run call :meth:`RunOutcome.raise_error`.
+    """
+    n = workload.sessions if sessions is None else sessions
+    runtime = PhoenixRuntime(
+        config=workload.config.with_overrides(**(flags or {}))
     )
+    if workload.shards is not None and runtime.config.sharded_logging:
+        runtime.install_log_plan(workload.shards)
+    targets = workload.deploy(runtime, n)
+    if workload.runners:
+        driver = runtime.spawn_process("sweep-driver", machine="alpha")
+        runners = [
+            driver.create_component(ScriptRunner, args=(targets,))
+            for __ in range(n)
+        ]
+
+        def call(session, index, target, method, args):
+            return runners[session].step(index, target, method, args)
+
+    else:
+
+        def call(session, index, target, method, args):
+            return getattr(targets[target], method)(*args)
+
+    if workload.warmup is not None:
+        workload.warmup(targets, n)
+
+    retries = [0] * n
+
+    def make_session(session: int):
+        steps = workload.script(session)
+
+        def run_session() -> list:
+            replies: list = []
+            for index, (target, method, args) in enumerate(steps):
+                for __ in range(MAX_ATTEMPTS):
+                    try:
+                        replies.append(call(session, index, target, method, args))
+                        break
+                    except (ComponentUnavailableError, ConnectionError):
+                        retries[session] += 1
+                else:
+                    raise RecoveryError(
+                        f"{workload.name} session {session} step {index} did "
+                        f"not complete within {MAX_ATTEMPTS} attempts "
+                        f"(specs={specs!r})"
+                    )
+            return replies
+
+        return run_session
+
+    plane = FaultPlane(specs=tuple(specs), record=record)
+    plane.bind(runtime)
+    outcome = RunOutcome(workload.name)
+    with installed(plane):
+        try:
+            if n == 1 and policy is None:
+                outcome.replies = [make_session(0)()]
+            else:
+                from ..concurrency import DeterministicScheduler
+
+                scheduler = DeterministicScheduler(
+                    runtime,
+                    seed=CONCURRENT_SEED if seed is None else seed,
+                    policy=policy,
+                )
+                outcome.replies = scheduler.run(
+                    [make_session(i) for i in range(n)]
+                )
+            _ensure_all_recovered(runtime)
+        except (Exception, CrashSignal) as exc:
+            outcome.exception = exc
+    outcome.journal = plane.journal
+    outcome.fired = [spec.render() for spec in plane.fired]
+    outcome.retries = sum(retries)
+    # Non-recording policies (the seeded default) have no step log.
+    outcome.steps = list(getattr(policy, "steps", ()))
+    _fingerprint(runtime, outcome)
+    outcome.violations = _violations(runtime)
+    if outcome.error is None:
+        try:
+            _recover_twice(runtime, outcome)
+        except (Exception, CrashSignal) as exc:
+            outcome.exception = exc
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -245,154 +426,55 @@ BOOKSTORE_STEPS = (
 )
 
 
-def _deploy_bookstore_workload():
-    config = RuntimeConfig.optimized(
+def _deploy_bookstore(runtime: PhoenixRuntime, sessions: int) -> dict:
+    app = deploy_bookstore(runtime=runtime)
+    return {
+        "store0": app.stores[0],
+        "store1": app.stores[1],
+        "grabber": app.price_grabber,
+        "tax": app.tax_calculator,
+        "seller": app.seller,
+    }
+
+
+#: One buyer, twelve steps, with state saves, process checkpoints and
+#: log truncation on.
+BOOKSTORE = Workload(
+    name="bookstore",
+    config=RuntimeConfig.optimized(
         checkpoint=CheckpointConfig(
             context_state_every_n_calls=2,
             process_checkpoint_every_n_saves=2,
             truncate_log=True,
         )
-    )
-    runtime = PhoenixRuntime(config=config)
-    app = deploy_bookstore(runtime=runtime)
-    targets = {
-        "store0": app.stores[0],
-        "store1": app.stores[1],
-        "grabber": app.price_grabber,
-        "tax": app.tax_calculator,
-        "seller": app.seller,
-    }
-    return runtime, targets, "alpha"
-
-
-def run_bookstore(
-    specs: tuple[CrashSpec, ...] = (), record: bool = False
-) -> RunOutcome:
-    return _run_phoenix(
-        "bookstore", _deploy_bookstore_workload, BOOKSTORE_STEPS, specs, record
-    )
-
-
-def _deploy_bookstore_ondemand_workload():
-    config = RuntimeConfig.optimized(
-        on_demand_recovery=True,
-        checkpoint=CheckpointConfig(
-            context_state_every_n_calls=2,
-            process_checkpoint_every_n_saves=2,
-            truncate_log=True,
-        ),
-    )
-    runtime = PhoenixRuntime(config=config)
-    app = deploy_bookstore(runtime=runtime)
-    targets = {
-        "store0": app.stores[0],
-        "store1": app.stores[1],
-        "grabber": app.price_grabber,
-        "tax": app.tax_calculator,
-        "seller": app.seller,
-    }
-    return runtime, targets, "alpha"
-
-
-def run_bookstore_ondemand(
-    specs: tuple[CrashSpec, ...] = (), record: bool = False
-) -> RunOutcome:
-    """The bookstore with incremental recovery on: a crashed server is
-    re-admitted after analysis, the steps' own deliveries trigger lazy
-    per-component replay, and the post-step barrier drains the rest —
-    covering ``recovery.admit_early`` and ``recovery.lazy_replay.*``
-    crash sites (the log-truncation interaction rides along)."""
-    return _run_phoenix(
-        "bookstore-ondemand",
-        _deploy_bookstore_ondemand_workload,
-        BOOKSTORE_STEPS,
-        specs,
-        record,
-    )
-
-
-# ----------------------------------------------------------------------
-# concurrent bookstore (deterministic scheduler, N interleaved buyers)
-# ----------------------------------------------------------------------
-#: Sessions in the concurrent bookstore workload; buyer i shops only at
-#: store i, so per-session replies and component state are independent
-#: of the interleaving and byte-comparable against the golden run.
-CONCURRENT_BUYERS = 4
-
-#: The scheduler seed for both golden and armed runs.  Identical seeds
-#: make the pre-crash schedule of an armed run identical to the golden
-#: run, which is what lets one-shot specs fire at the recorded hit.
-CONCURRENT_SEED = 5824
-
-#: Synthetic shard split for the sharded sweep workload (the committed
-#: plan hosts the whole bookstore on one shard, which would leave the
-#: extra streams idle).  Accepted verbatim by
-#: :func:`repro.log.sharding.plan_shards`; unlisted components (the
-#: driver's runners, checkpoint control records) stay on stream 0.
-SHARDED_SWEEP_SHARDS = (
-    {
-        "id": "store-tier",
-        "processes": ["bookstore-app"],
-        "components": ["Bookstore"],
-    },
-    {
-        "id": "seller-tier",
-        "processes": ["bookstore-app"],
-        "components": [
-            "BookSeller",
-            "BookSellerRemoteBaskets",
-            "BasketManager",
-            "BasketManagerPersistent",
-            "ShoppingBasket",
-            "ShoppingBasketPersistent",
-        ],
-    },
-    {
-        "id": "pricing-tier",
-        "processes": ["bookstore-app"],
-        "components": [
-            "PriceGrabber",
-            "PriceGrabberPersistent",
-            "TaxCalculator",
-            "TaxCalculatorPersistent",
-        ],
-    },
+    ),
+    deploy=_deploy_bookstore,
+    script=lambda session: BOOKSTORE_STEPS,
 )
 
-_FORCE_BOUNDS = None
+
+# ----------------------------------------------------------------------
+# bookstore buyers (deterministic scheduler, N interleaved sessions)
+# ----------------------------------------------------------------------
+def _buyer_ids(sessions: int) -> tuple:
+    return tuple(f"buyer-{i}" for i in range(sessions))
 
 
-def _concurrent_force_bounds():
-    """Lazily built static force bounds (TRC106) shared by every run in
-    this process; building the whole-program model is the expensive
-    part, so it happens once."""
-    global _FORCE_BOUNDS
-    if _FORCE_BOUNDS is None:
-        from pathlib import Path
-
-        from ..analysis.infer import build_cost_model
-        from ..analysis.model import ProgramModel, iter_py_files
-
-        apps = Path(__file__).resolve().parents[1] / "apps"
-        model = ProgramModel.from_paths(list(iter_py_files([apps])))
-        _FORCE_BOUNDS = build_cost_model(model).force_bounds()
-    return _FORCE_BOUNDS
+def _deploy_buyers(runtime: PhoenixRuntime, sessions: int) -> dict:
+    app = deploy_bookstore(
+        runtime=runtime, n_stores=sessions, buyer_ids=_buyer_ids(sessions)
+    )
+    targets = {"grabber": app.price_grabber, "tax": app.tax_calculator,
+               "seller": app.seller}
+    for index, store in enumerate(app.stores):
+        targets[f"store{index}"] = store
+    return targets
 
 
-def _plan_violations(runtime) -> list[str]:
-    """TRC109: replay this runtime's traces against every committed
-    LogPlan's force budgets.  Silent when no plan file is present (or
-    ``REPRO_LOG_PLANS`` is set empty)."""
-    from ..analysis.plan import check_runtime_plan, committed_plans
-
-    return [
-        f"{process_name}: {violation.render()}"
-        for plan in committed_plans()
-        for process_name, violation in check_runtime_plan(runtime, plan)
-    ]
-
-
-def _concurrent_buyer_steps(index: int) -> tuple:
+def _buyer_steps(index: int) -> tuple:
+    # Buyer i shops only at store i, so per-session replies and
+    # component state are independent of the interleaving and
+    # byte-comparable against the golden run.
     buyer = f"buyer-{index}"
     store = f"store{index}"
     return (
@@ -409,217 +491,56 @@ def _concurrent_buyer_steps(index: int) -> tuple:
     )
 
 
-def _determinism_fingerprint(runtime: PhoenixRuntime) -> dict[str, bytes]:
-    fingerprint: dict[str, bytes] = {}
-    for process in sorted(runtime.processes(), key=lambda p: p.name):
-        # Stream 0 keeps the legacy keys so flag-off fingerprints stay
-        # byte-identical; extra shard streams get their own entries.
-        for index, stream in enumerate(process.streams):
-            suffix = "" if index == 0 else f"@{stream.shard_id}"
-            fingerprint[f"log:{process.name}{suffix}"] = (
-                stream.log.stable_bytes()
-            )
-            fingerprint[f"trace:{process.name}{suffix}"] = repr(
-                stream.trace.entries
-            ).encode()
-    fingerprint["clock"] = repr(runtime.clock.now).encode()
-    return fingerprint
+def _touch_baskets(targets: dict, sessions: int) -> None:
+    # Touching every basket in fixed order pins the seller's lazy
+    # subordinate creation order, so component positions in the state
+    # capture don't depend on which buyer reaches the seller first in a
+    # (crash-perturbed) schedule.
+    for buyer_id in _buyer_ids(sessions):
+        targets["seller"].show_basket(buyer_id)
 
 
-def run_bookstore_concurrent(
-    specs: tuple[CrashSpec, ...] = (),
-    record: bool = False,
-    on_demand: bool = False,
-    workload_name: str = "bookstore-concurrent",
-    seed: int | None = None,
-    pipelined: bool = False,
-    sharded: bool = False,
-) -> RunOutcome:
-    """The bookstore driven by ``CONCURRENT_BUYERS`` interleaved
-    sessions under the deterministic scheduler, with group commit on.
+#: The committed plan hosts the whole bookstore on one shard, which
+#: would leave the extra streams idle, so sharded legs install this
+#: three-way split instead: real cross-stream traffic (seller spans
+#: force the pricing tier's stream, never the store tier's) is what
+#: exercises per-stream watermarks and parallel shard recovery.
+#: Unlisted components (the driver's runners, checkpoint control
+#: records) stay on stream 0.
+BUYER_SHARDS = tuple(
+    {"id": shard, "processes": ["bookstore-app"], "components": classes}
+    for shard, classes in (
+        ("store-tier", ["Bookstore"]),
+        ("seller-tier", [
+            "BookSeller", "BookSellerRemoteBaskets", "BasketManager",
+            "BasketManagerPersistent", "ShoppingBasket",
+            "ShoppingBasketPersistent",
+        ]),
+        ("pricing-tier", [
+            "PriceGrabber", "PriceGrabberPersistent", "TaxCalculator",
+            "TaxCalculatorPersistent",
+        ]),
+    )
+)
 
-    Each buyer session drives its own memoizing :class:`ScriptRunner`
-    (all runners share one driver process, so its log interleaves too)
-    and retries through injected crashes like the serial workloads.
-    The outcome carries the run's determinism fingerprint in addition
-    to the usual sweep-comparable fields.
-
-    With ``on_demand`` the server processes recover incrementally: a
-    mid-run crash admits calls after analysis, buyer sessions trigger
-    lazy per-component replay, and background drain workers join the
-    seeded interleaving (``recovery.drain_worker`` coverage).
-    """
-    from ..concurrency import DeterministicScheduler
-
-    config = RuntimeConfig.optimized(
+#: Four interleaved buyers under group commit, each driving its own
+#: runner (all runners share one driver process, so its log interleaves
+#: too).
+BOOKSTORE_BUYERS = Workload(
+    name="bookstore-buyers",
+    config=RuntimeConfig.optimized(
         group_commit=True,
-        pipelined_commit=pipelined,
-        on_demand_recovery=on_demand,
-        sharded_logging=sharded,
         checkpoint=CheckpointConfig(
             context_state_every_n_calls=2,
             process_checkpoint_every_n_saves=2,
         ),
-    )
-    runtime = PhoenixRuntime(config=config)
-    if sharded:
-        # The committed plan keeps the whole bookstore in one shard, so
-        # the sweep installs a synthetic three-way split instead: real
-        # cross-stream traffic (seller spans force the pricing tier's
-        # stream, never the store tier's) is what exercises per-stream
-        # watermarks and parallel shard recovery.
-        runtime.install_log_plan(SHARDED_SWEEP_SHARDS)
-    buyer_ids = tuple(f"buyer-{i}" for i in range(CONCURRENT_BUYERS))
-    app = deploy_bookstore(
-        runtime=runtime, n_stores=CONCURRENT_BUYERS, buyer_ids=buyer_ids
-    )
-    targets = {"grabber": app.price_grabber, "tax": app.tax_calculator,
-               "seller": app.seller}
-    for index, store in enumerate(app.stores):
-        targets[f"store{index}"] = store
-
-    driver_process = runtime.spawn_process("sweep-driver", machine="alpha")
-    runners = [
-        driver_process.create_component(ScriptRunner, args=(targets,))
-        for __ in range(CONCURRENT_BUYERS)
-    ]
-
-    # Serial warmup, before the fault plane arms: touching every basket
-    # in fixed order pins the seller's lazy subordinate creation order,
-    # so component positions in the state capture don't depend on which
-    # buyer reaches the seller first in a (crash-perturbed) schedule.
-    for buyer_id in buyer_ids:
-        app.seller.show_basket(buyer_id)
-
-    retry_counts = [0] * CONCURRENT_BUYERS
-
-    def make_session(index: int):
-        runner = runners[index]
-        steps = _concurrent_buyer_steps(index)
-
-        def session() -> list:
-            replies: list = []
-            for step_index, (target, method, args) in enumerate(steps):
-                for __ in range(MAX_ATTEMPTS):
-                    try:
-                        replies.append(
-                            runner.step(step_index, target, method, args)
-                        )
-                        break
-                    except (ComponentUnavailableError, ConnectionError):
-                        retry_counts[index] += 1
-                else:
-                    raise RecoveryError(
-                        f"buyer {index} step {step_index} did not complete "
-                        f"within {MAX_ATTEMPTS} attempts (specs={specs!r})"
-                    )
-            return replies
-
-        return session
-
-    plane = FaultPlane(specs=tuple(specs), record=record)
-    plane.bind(runtime)
-    scheduler = DeterministicScheduler(
-        runtime, seed=CONCURRENT_SEED if seed is None else seed
-    )
-    with installed(plane):
-        per_session = scheduler.run(
-            [make_session(i) for i in range(CONCURRENT_BUYERS)]
-        )
-        # In-plane drain barrier, as in :func:`_run_phoenix` (with
-        # on-demand recovery, components no session touched after the
-        # crash are still pending here).
-        _ensure_all_recovered(runtime)
-
-    determinism = _determinism_fingerprint(runtime)
-    trace_reprs = {
-        f"{process.name}{'' if index == 0 else f'@{stream.shard_id}'}": [
-            repr(entry) for entry in stream.trace.entries
-        ]
-        for process in sorted(runtime.processes(), key=lambda p: p.name)
-        for index, stream in enumerate(process.streams)
-    }
-    state = _capture_state(runtime)
-    violations = [
-        f"{process_name}: {violation.render()}"
-        for process_name, violation in check_runtime(runtime)
-    ]
-    from ..analysis.trace_check import check_runtime_force_bounds
-
-    violations.extend(
-        f"{process_name}: {violation.render()}"
-        for process_name, violation in check_runtime_force_bounds(
-            runtime, _concurrent_force_bounds()
-        )
-    )
-    violations.extend(_plan_violations(runtime))
-    for process in runtime.processes():
-        process.crash()
-    _ensure_all_recovered(runtime)
-    state_after = _capture_state(runtime)
-    violations.extend(
-        f"{process_name}: {violation.render()}"
-        for process_name, violation in check_runtime(runtime)
-    )
-    return RunOutcome(
-        workload=workload_name,
-        replies=per_session,
-        state=state,
-        state_after_recover=state_after,
-        journal=plane.journal,
-        fired=[spec.render() for spec in plane.fired],
-        violations=violations,
-        retries=sum(retry_counts),
-        determinism=determinism,
-        trace_reprs=trace_reprs,
-    )
-
-
-def run_bookstore_concurrent_ondemand(
-    specs: tuple[CrashSpec, ...] = (), record: bool = False
-) -> RunOutcome:
-    """The concurrent bookstore with incremental recovery on: background
-    drain workers join the seeded interleaving, so this workload is what
-    sweeps the ``recovery.drain_worker`` sites."""
-    return run_bookstore_concurrent(
-        specs,
-        record,
-        on_demand=True,
-        workload_name="bookstore-concurrent-ondemand",
-    )
-
-
-def run_bookstore_concurrent_sharded(
-    specs: tuple[CrashSpec, ...] = (), record: bool = False
-) -> RunOutcome:
-    """The concurrent bookstore with ``sharded_logging`` on: the server
-    process hosts one log stream per shard of a synthetic three-way
-    split, commits force only the stream a decision's causal target
-    lives on, and recovery replays the shards as independent drains —
-    sweeping the per-stream torn-tail sites and the
-    ``recovery.shard.drained`` boundaries."""
-    return run_bookstore_concurrent(
-        specs,
-        record,
-        workload_name="bookstore-sharded",
-        sharded=True,
-    )
-
-
-def run_bookstore_concurrent_pipelined(
-    specs: tuple[CrashSpec, ...] = (), record: bool = False
-) -> RunOutcome:
-    """The concurrent bookstore with ``pipelined_commit`` on: committing
-    sends gate on per-session causal watermarks instead of the global
-    end of log, so this workload is what sweeps crash recovery around
-    the relaxed force ordering (watermarks must die with the process —
-    recovery rebuilds them from fresh appends)."""
-    return run_bookstore_concurrent(
-        specs,
-        record,
-        workload_name="bookstore-concurrent-pipelined",
-        pipelined=True,
-    )
+    ),
+    deploy=_deploy_buyers,
+    script=_buyer_steps,
+    sessions=4,
+    warmup=_touch_baskets,
+    shards=BUYER_SHARDS,
+)
 
 
 # ----------------------------------------------------------------------
@@ -637,27 +558,20 @@ ORDERFLOW_STEPS = (
     ("desk", "order_history", ("bob",)),
 )
 
-
-def _deploy_orderflow_workload():
-    config = RuntimeConfig.optimized(
+ORDERFLOW = Workload(
+    name="orderflow",
+    config=RuntimeConfig.optimized(
         multicall_optimization=True,
         checkpoint=CheckpointConfig(
             context_state_every_n_calls=3,
             process_checkpoint_every_n_saves=2,
         ),
-    )
-    runtime = PhoenixRuntime(config=config)
-    app = deploy_orderflow(runtime=runtime)
-    targets = {"desk": app.desk}
-    return runtime, targets, "alpha"
-
-
-def run_orderflow(
-    specs: tuple[CrashSpec, ...] = (), record: bool = False
-) -> RunOutcome:
-    return _run_phoenix(
-        "orderflow", _deploy_orderflow_workload, ORDERFLOW_STEPS, specs, record
-    )
+    ),
+    deploy=lambda runtime, sessions: {
+        "desk": deploy_orderflow(runtime=runtime).desk
+    },
+    script=lambda session: ORDERFLOW_STEPS,
+)
 
 
 # ----------------------------------------------------------------------
@@ -804,34 +718,60 @@ def run_queued(
     driver = _QueuedDriver()
     plane = FaultPlane(specs=tuple(specs), record=record)
     replies: list = []
-    with installed(plane):
-        for operation, args in QUEUED_OPS:
-            replies.append(driver.call(operation, args))
-    state = driver.snapshot()
-    # Recover-twice idempotency for the substrate: a full crash of every
-    # resource manager must rebuild identical contents from the logs.
-    driver.recover_all()
-    state_after = driver.snapshot()
-    return RunOutcome(
-        workload="queued",
-        replies=replies,
-        state=state,
-        state_after_recover=state_after,
-        journal=plane.journal,
-        fired=[spec.render() for spec in plane.fired],
-        violations=[],
-        retries=driver.retries,
-    )
+    outcome = RunOutcome("queued", replies=[replies])  # one session
+    try:
+        with installed(plane):
+            for operation, args in QUEUED_OPS:
+                replies.append(driver.call(operation, args))
+        outcome.state = driver.snapshot()
+        # Recover-twice idempotency for the substrate: a full crash of
+        # every resource manager must rebuild identical contents from
+        # the logs.
+        driver.recover_all()
+        outcome.state_after_recover = driver.snapshot()
+    except (Exception, CrashSignal) as exc:
+        outcome.exception = exc
+    else:
+        _check_recover_twice(outcome)
+    outcome.journal = plane.journal
+    outcome.fired = [spec.render() for spec in plane.fired]
+    outcome.retries = driver.retries
+    return outcome
 
 
-#: name -> runner; the sweep's unit of work.
-WORKLOADS = {
-    "bookstore": run_bookstore,
-    "bookstore-ondemand": run_bookstore_ondemand,
-    "bookstore-concurrent": run_bookstore_concurrent,
-    "bookstore-concurrent-ondemand": run_bookstore_concurrent_ondemand,
-    "bookstore-concurrent-pipelined": run_bookstore_concurrent_pipelined,
-    "bookstore-sharded": run_bookstore_concurrent_sharded,
-    "orderflow": run_orderflow,
-    "queued": run_queued,
+#: The sweep's Phoenix legs: name -> ``(workload, flags)``.
+PHOENIX_LEGS: dict[str, tuple[Workload, dict]] = {
+    "bookstore": (BOOKSTORE, {}),
+    # incremental recovery: a crashed server is re-admitted after
+    # analysis, the steps' own deliveries trigger lazy per-component
+    # replay, and the post-step barrier drains the rest
+    "bookstore-ondemand": (BOOKSTORE, {"on_demand_recovery": True}),
+    "bookstore-concurrent": (BOOKSTORE_BUYERS, {}),
+    # background drain workers join the seeded interleaving: the
+    # ``recovery.drain_worker`` sites
+    "bookstore-concurrent-ondemand": (
+        BOOKSTORE_BUYERS, {"on_demand_recovery": True}
+    ),
+    # committing sends gate on per-session causal watermarks, which
+    # must die with the process (recovery rebuilds them)
+    "bookstore-concurrent-pipelined": (
+        BOOKSTORE_BUYERS, {"pipelined_commit": True}
+    ),
+    # one log stream per shard of BUYER_SHARDS: per-stream torn tails
+    # and the ``recovery.shard.drained`` boundaries
+    "bookstore-sharded": (BOOKSTORE_BUYERS, {"sharded_logging": True}),
+    "orderflow": (ORDERFLOW, {}),
 }
+
+#: Every sweep leg: the Phoenix rows, then the queued substrate, which
+#: has its own runner.
+WORKLOADS = {**PHOENIX_LEGS, "queued": run_queued}
+
+
+def run_leg(
+    name: str, specs: tuple[CrashSpec, ...] = (), record: bool = False
+) -> RunOutcome:
+    """Run the sweep leg called ``name`` (see :func:`run`)."""
+    if name in PHOENIX_LEGS:
+        return run(*PHOENIX_LEGS[name], specs=specs, record=record)
+    return WORKLOADS[name](specs, record)

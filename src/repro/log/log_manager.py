@@ -498,8 +498,10 @@ class LogManager:
         offset = 0
         selected = None
         if kinds is not None:
-            wanted = {record_kind(cls) for cls in kinds}
-            selected = bytes(kind in wanted for kind in range(256))
+            table = bytearray(256)
+            for cls in kinds:
+                table[record_kind(cls)] = 1
+            selected = bytes(table)
             if on_boundary:
                 # The columns are copied: the caller may append, flush
                 # or truncate while this generator is suspended.

@@ -1,8 +1,9 @@
 """Shard routing: the committed :class:`LogPlan` made executable.
 
-PR 9's planner partitions the deployed components into log shards and
-commits the partition as ``plans/apps.logplan.json``.  This module is
-the runtime half (ROADMAP item 1): behind ``config.sharded_logging`` a
+The shard planner (docs/internals.md section 15) partitions the
+deployed components into log shards and commits the partition as
+``plans/apps.logplan.json``.  This module is the runtime half
+(docs/internals.md section 16): behind ``config.sharded_logging`` a
 process hosts one :class:`~repro.log.log_manager.LogManager` *stream*
 per shard the plan assigns to it, and the :class:`ShardRouter` resolves
 ``record.context_id -> shard -> stream`` so every append, force and

@@ -3,7 +3,7 @@
 The headline properties from docs/internals.md section 13:
 
 * DPOR enumerates the *full* reduced N=2 schedule space of the ledger
-  workload with zero TRC101-108 violations, in strictly fewer
+  workload with zero TRC101-109 violations, in strictly fewer
   schedules than naive DFS needs.
 * Every explored schedule is replayable: its SCHEDULE_ID reruns
   byte-identically (same fingerprint, same trace).
@@ -21,6 +21,9 @@ from repro.common import message_actions
 from repro.concurrency import ControlledPolicy, SeededRandomPolicy
 from repro.concurrency import explore as ex
 from repro.concurrency.scheduler import DeterministicScheduler
+from repro.faults.workloads import run
+
+LEDGER = ex.EXPLORE_WORKLOADS["ledger"]
 
 
 def test_schedule_id_roundtrip():
@@ -72,15 +75,15 @@ def test_dpor_prunes_strictly_more_than_naive():
 def test_schedules_replay_byte_identically():
     # Probe an interesting interleaving, then replay its SCHEDULE_ID
     # twice: every determinism artifact must be byte-identical.
-    probe = ex.run_ledger(2, ControlledPolicy([1, 1, 0]))
-    assert probe.error is None and probe.violations == []
+    probe = run(*LEDGER, policy=ControlledPolicy([1, 1, 0])).raise_error()
+    assert probe.violations == []
     sid = ex.encode_schedule_id("ledger", 2, probe.choices, ())
     replayed, diverged = ex.verify_schedule(sid)
     assert diverged == []
-    assert replayed.error is None
+    replayed.raise_error()
     assert replayed.violations == []
     assert replayed.choices == probe.choices
-    assert replayed.fingerprint == probe.fingerprint
+    assert replayed.determinism == probe.determinism
 
 
 @pytest.mark.no_conformance_check  # the mutated runtimes *should* violate
@@ -129,9 +132,11 @@ def test_exploration_composes_with_crash_points():
     specs = ex.derive_crash_specs("ledger", 2, limit=1)
     assert specs
     # The armed spec actually fires under the golden schedule...
-    armed = ex.run_ledger(2, ControlledPolicy([]), specs=tuple(specs))
+    armed = run(
+        *LEDGER, specs=tuple(specs), policy=ControlledPolicy([])
+    ).raise_error()
     assert armed.fired == [spec.render() for spec in specs]
-    assert armed.error is None and armed.violations == []
+    assert armed.violations == []
     # ...and a bounded exploration *around* the crash stays conformant.
     result = ex.explore(
         "ledger", n_sessions=2, specs=tuple(specs), max_schedules=40,
@@ -143,7 +148,7 @@ def test_exploration_composes_with_crash_points():
 def test_default_seeded_run_ignores_exploration_machinery():
     # With exploration off (the seeded default policy), two same-seed
     # runs are byte-identical — the explorer must not perturb them.
-    first = ex.run_ledger(2, SeededRandomPolicy(seed=99))
-    second = ex.run_ledger(2, SeededRandomPolicy(seed=99))
-    assert first.error is None and first.violations == []
-    assert first.fingerprint == second.fingerprint
+    first = run(*LEDGER, policy=SeededRandomPolicy(seed=99)).raise_error()
+    second = run(*LEDGER, policy=SeededRandomPolicy(seed=99)).raise_error()
+    assert first.violations == []
+    assert first.determinism == second.determinism

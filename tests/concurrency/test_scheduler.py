@@ -13,12 +13,12 @@ from repro.analysis import vector_clock
 from repro.analysis.trace_check import record_signature
 from repro.concurrency import DeterministicScheduler
 from repro.concurrency.bench import clock_bytes_per_traced_event
-from repro.concurrency.explore import derive_crash_specs, run_ledger
+from repro.concurrency.explore import EXPLORE_WORKLOADS, derive_crash_specs
 from repro.concurrency.policies import ControlledPolicy, SeededRandomPolicy
 from repro.concurrency.scheduler import SerialScheduler
 from repro.errors import InvariantViolationError
 from repro.faults.plane import CrashSpec
-from repro.faults.workloads import run_bookstore_concurrent_ondemand
+from repro.faults.workloads import PHOENIX_LEGS, run
 
 from ..conftest import Counter
 
@@ -460,8 +460,9 @@ class TestReadySetMatchesARescan:
     def test_ledger_fault_free_and_crashed(self):
         policy_cls = _checking(ControlledPolicy)
         for specs in [(), *((spec,) for spec in derive_crash_specs())]:
-            result = run_ledger(2, policy_cls(), specs=specs)
-            assert result.error is None, result.error
+            result = run(
+                *EXPLORE_WORKLOADS["ledger"], specs=specs, policy=policy_cls()
+            ).raise_error()
             assert not result.violations
             assert result.fired == [spec.render() for spec in specs]
         assert policy_cls.decisions > 0
@@ -475,16 +476,18 @@ class TestReadySetMatchesARescan:
         monkeypatch.setattr(
             "repro.concurrency.scheduler.SeededRandomPolicy", policy_cls
         )
-        golden = run_bookstore_concurrent_ondemand(record=True)
+        leg = PHOENIX_LEGS["bookstore-concurrent-ondemand"]
+        golden = run(*leg, record=True).raise_error()
         force_hits = [
             hit
             for hit in golden.journal
             if hit.site.startswith("log.force.before:beta-bookstore-app")
         ]
         chosen = force_hits[len(force_hits) // 2]
-        armed = run_bookstore_concurrent_ondemand(
-            specs=(CrashSpec(chosen.site, chosen.occurrence),), record=True
-        )
+        armed = run(
+            *leg, specs=(CrashSpec(chosen.site, chosen.occurrence),),
+            record=True,
+        ).raise_error()
         assert armed.fired and armed.replies == golden.replies
         assert not armed.violations
         sites = {hit.site.split(":")[0] for hit in armed.journal}

@@ -26,7 +26,7 @@ from repro import (
 )
 from repro.apps.bookstore import BookBuyer, OptimizationLevel, deploy_bookstore
 from repro.checkpoint.fields import capture_fields
-from repro.faults.workloads import run_bookstore, run_orderflow
+from repro.faults.workloads import PHOENIX_LEGS, run
 from repro.log import encode_record, log_manager
 from repro.log.records import MessageRecord
 from repro.log.serialization import Writer, encode_value
@@ -120,8 +120,10 @@ class TestEncodeOnce:
         # and 7 are also logged: 33 encodes without the shared encoding
         assert len(encoded) == 26
 
-    @pytest.mark.parametrize("run", [run_bookstore, run_orderflow])
-    def test_logged_bytes_equal_a_fresh_encoding(self, monkeypatch, run):
+    @pytest.mark.parametrize(
+        "leg", ["bookstore", "orderflow"], ids=lambda leg: f"run_{leg}"
+    )
+    def test_logged_bytes_equal_a_fresh_encoding(self, monkeypatch, leg):
         original = log_manager.encode_record_into
         checked: list[MessageRecord] = []
 
@@ -134,7 +136,7 @@ class TestEncodeOnce:
                 checked.append(record)
 
         monkeypatch.setattr(log_manager, "encode_record_into", spy)
-        assert not run().violations
+        assert not run(*PHOENIX_LEGS[leg]).raise_error().violations
         assert checked
 
     def test_a_caller_mutating_its_argument_changes_nothing_sent(

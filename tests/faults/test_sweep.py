@@ -12,8 +12,18 @@ import pytest
 
 from repro.faults import PIPELINE_POINTS
 from repro.faults.plan import CrashPoint
-from repro.faults.sweep import discover_plan, run_point, run_sweep
-from repro.faults.workloads import WORKLOADS
+from repro.faults.sweep import _first_diff, discover_plan, run_point, run_sweep
+from repro.faults.workloads import WORKLOADS, run_leg
+
+
+def test_first_diff_names_the_session_and_step():
+    golden = [["a", "b"], ["c", "d"]]
+    assert _first_diff([["a", "b"], ["c", "x"]], golden) == (
+        "session 1 step 1: 'x' != 'd'"
+    )
+    assert _first_diff([["a", "b"], ["c"]], golden) == (
+        "session 1: 1 replies vs 2"
+    )
 
 
 class TestDiscovery:
@@ -106,8 +116,8 @@ class TestSmokeSweep:
         """Figure 2's third failure point: the server dies after its
         reply left, and the caller never sees the crash."""
         point = CrashPoint.parse("bookstore:reply.after_send:bookstore-app@1")
-        golden = WORKLOADS["bookstore"]()
-        outcome = WORKLOADS["bookstore"](specs=point.specs)
+        golden = run_leg("bookstore").raise_error()
+        outcome = run_leg("bookstore", specs=point.specs).raise_error()
         assert outcome.fired == ["reply.after_send:bookstore-app@1"]
         result = run_point(point, golden)
         assert result.ok, "\n".join(result.failures)
@@ -116,7 +126,7 @@ class TestSmokeSweep:
         """A point whose site is never crossed must fail loudly (a stale
         plan means the sweep is no longer testing what it claims)."""
         point = CrashPoint.parse("bookstore:log.force.before:no-such@999")
-        golden = WORKLOADS["bookstore"]()
+        golden = run_leg("bookstore").raise_error()
         result = run_point(point, golden)
         assert not result.ok
         assert any("specs fired" in f for f in result.failures)

@@ -1,9 +1,9 @@
 """Sharded logging: plan normalization, the router, stream routing,
 per-stream truncation, and parallel shard recovery (serial runtime).
 
-The committed LogPlan made executable (ROADMAP item 1): behind
-``config.sharded_logging`` a process hosts one log stream per shard the
-plan assigns to it.  Flag-off, stream 0 IS the legacy log — these tests
+The committed LogPlan made executable (docs/internals.md section 16):
+behind ``config.sharded_logging`` a process hosts one log stream per
+shard the plan assigns to it.  Flag-off, stream 0 IS the legacy log — these tests
 pin that identity — and flag-on, every append/force/replay touches
 exactly the stream its component lives on.
 """

@@ -12,12 +12,7 @@ import pytest
 
 from repro import PhoenixRuntime, RuntimeConfig
 from repro.faults.plane import CrashSpec, FaultPlane, installed
-from repro.faults.workloads import (
-    _capture_state,
-    run_bookstore,
-    run_bookstore_concurrent_ondemand,
-    run_bookstore_ondemand,
-)
+from repro.faults.workloads import PHOENIX_LEGS, _capture_state, run
 from tests.conftest import Counter
 
 COUNTERS = 4
@@ -111,15 +106,17 @@ class TestRecoverTwice:
 
 class TestWorkloadParity:
     def test_ondemand_workload_matches_eager_golden(self):
-        eager = run_bookstore()
-        ondemand = run_bookstore_ondemand()
+        eager = run(*PHOENIX_LEGS["bookstore"]).raise_error()
+        ondemand = run(*PHOENIX_LEGS["bookstore-ondemand"]).raise_error()
         assert ondemand.replies == eager.replies
         assert ondemand.state == eager.state
         assert ondemand.state_after_recover == eager.state_after_recover
         assert not ondemand.violations
 
     def test_crashed_ondemand_run_matches_its_golden(self):
-        golden = run_bookstore_ondemand(record=True)
+        golden = run(
+            *PHOENIX_LEGS["bookstore-ondemand"], record=True
+        ).raise_error()
         force_hits = [
             hit
             for hit in golden.journal
@@ -129,7 +126,9 @@ class TestWorkloadParity:
             force_hits[len(force_hits) // 2].site,
             force_hits[len(force_hits) // 2].occurrence,
         )
-        armed = run_bookstore_ondemand(specs=(spec,), record=True)
+        armed = run(
+            *PHOENIX_LEGS["bookstore-ondemand"], specs=(spec,), record=True
+        ).raise_error()
         assert armed.fired == [spec.render()]
         assert armed.replies == golden.replies
         assert armed.state == golden.state
@@ -141,14 +140,12 @@ class TestWorkloadParity:
 
 class TestConcurrentDrainDeterminism:
     @pytest.mark.parametrize("seed", [5824, 1234])
-    def test_same_seed_same_crash_same_bytes(self, seed, monkeypatch):
+    def test_same_seed_same_crash_same_bytes(self, seed):
         """Two same-seed crashed runs with background drain workers in
         the interleaving produce byte-identical logs, traces and
         clocks."""
-        monkeypatch.setattr(
-            "repro.faults.workloads.CONCURRENT_SEED", seed
-        )
-        golden = run_bookstore_concurrent_ondemand(record=True)
+        leg = PHOENIX_LEGS["bookstore-concurrent-ondemand"]
+        golden = run(*leg, record=True, seed=seed).raise_error()
         force_hits = [
             hit
             for hit in golden.journal
@@ -156,8 +153,8 @@ class TestConcurrentDrainDeterminism:
         ]
         chosen = force_hits[len(force_hits) // 2]
         spec = CrashSpec(chosen.site, chosen.occurrence)
-        first = run_bookstore_concurrent_ondemand(specs=(spec,), record=True)
-        second = run_bookstore_concurrent_ondemand(specs=(spec,))
+        first = run(*leg, specs=(spec,), record=True, seed=seed).raise_error()
+        second = run(*leg, specs=(spec,), seed=seed).raise_error()
         assert first.fired == [spec.render()]
         assert first.determinism == second.determinism
         assert first.replies == second.replies
@@ -167,16 +164,18 @@ class TestConcurrentDrainDeterminism:
         assert not first.violations
 
     def test_drain_workers_join_the_interleaving(self):
-        golden = run_bookstore_concurrent_ondemand(record=True)
+        leg = PHOENIX_LEGS["bookstore-concurrent-ondemand"]
+        golden = run(*leg, record=True).raise_error()
         force_hits = [
             hit
             for hit in golden.journal
             if hit.site.startswith("log.force.before:beta-bookstore-app")
         ]
         chosen = force_hits[len(force_hits) // 2]
-        armed = run_bookstore_concurrent_ondemand(
-            specs=(CrashSpec(chosen.site, chosen.occurrence),), record=True
-        )
+        armed = run(
+            *leg, specs=(CrashSpec(chosen.site, chosen.occurrence),),
+            record=True,
+        ).raise_error()
         sites = {hit.site.split(":")[0] for hit in armed.journal}
         assert "recovery.drain_worker" in sites
 

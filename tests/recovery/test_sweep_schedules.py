@@ -8,7 +8,7 @@ nightly; these are the ones that found recovery-edge bugs, kept on the
 per-push path so the specific regressions cannot come back silently.
 
 The oracle per point: the armed specs fired, the workload completed,
-TRC101-105 hold on every log, replies and component state are
+TRC101-109 hold on every log, replies and component state are
 byte-identical to a fault-free golden run, and crashing everything and
 recovering *again* reproduces that same state.
 """
@@ -17,7 +17,7 @@ import pytest
 
 from repro.faults.plan import CrashPoint
 from repro.faults.sweep import run_point
-from repro.faults.workloads import WORKLOADS
+from repro.faults.workloads import PHOENIX_LEGS, run
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def golden():
     """Fault-free outcomes, one per workload (shared: they are what
     every schedule is compared against)."""
     return {
-        name: WORKLOADS[name]()
+        name: run(*PHOENIX_LEGS[name]).raise_error()
         for name in (
             "bookstore",
             "orderflow",
@@ -285,10 +285,10 @@ class TestShardedCrashSchedules:
 class TestShardedDeterminism:
     """Two same-seed sharded runs must produce byte-identical per-stream
     logs, traces and clocks — the sweep's schedule replay (and the
-    ``make sharded`` gate) depend on it."""
+    ``make concurrency`` gate) depend on it."""
 
     def test_same_seed_fingerprints_match(self, golden):
-        again = WORKLOADS["bookstore-sharded"]()
+        again = run(*PHOENIX_LEGS["bookstore-sharded"]).raise_error()
         base = golden["bookstore-sharded"]
         assert set(again.determinism) == set(base.determinism)
         for key in sorted(base.determinism):
