@@ -86,8 +86,9 @@ explore-nightly:
 # Deterministic crash-point sweep (docs/internals.md section 9): every
 # durability boundary and message-pipeline point of every workload,
 # crash -> recover -> compare against the fault-free golden run.  `sweep`
-# is the full nightly pass; `sweep-smoke` is the sampled per-push subset
-# (~440 points, under a minute).
+# is the full nightly pass; `sweep-smoke` is the sampled local subset
+# (~440 points, under a minute) — the same points tier-1 runs as
+# tests/faults/test_sweep.py::TestSmokeSweep.
 sweep:
 	PYTHONPATH=src python -m repro.faults sweep
 

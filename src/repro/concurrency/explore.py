@@ -124,15 +124,17 @@ LEDGER = Workload(
 
 #: Explorable legs: name -> ``(workload, flags)``.  SCHEDULE_IDs embed
 #: the key.  ``ledger-pipelined`` runs the same script under
-#: ``pipelined_commit`` with a zero-width batch window: batches close
-#: the moment their leader blocks, so no simulated-clock sleep ever
-#: couples otherwise-independent sessions (footprint-based dependence
-#: stays sound), while the causal commit points, the gated sends, and
-#: the ``log.submit`` in-flight state all enter the explored space.
+#: ``pipelined_commit`` (which rides on ``group_commit``) with a
+#: zero-width batch window: batches close the moment their leader
+#: blocks, so no simulated-clock sleep ever couples otherwise-
+#: independent sessions (footprint-based dependence stays sound), while
+#: the causal commit points, the gated sends, and the ``log.submit``
+#: in-flight state all enter the explored space.
 EXPLORE_WORKLOADS: dict[str, tuple[Workload, dict]] = {
     "ledger": (LEDGER, {}),
     "ledger-pipelined": (
-        LEDGER, {"pipelined_commit": True, "group_commit_window_ms": 0.0}
+        LEDGER, {"group_commit": True, "pipelined_commit": True,
+                 "group_commit_window_ms": 0.0}
     ),
 }
 

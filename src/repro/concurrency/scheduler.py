@@ -32,11 +32,17 @@ Between a session's append and the force that makes it stable there is
 deliberately *no* yield: the append+force pair is the unit the paper's
 commit conditions reason about.
 
-The scheduler also implements **group commit** (``config.group_commit``):
-force requests arriving within one disk-rotation window on the same
-process log join a shared :class:`GroupCommitBatch` and are satisfied by
-a single stable-store write, performed by the batch's first waiter (the
-leader) once the window closes.
+The scheduler is also the one **commit gate**: every committing send
+asks it for its commit point (:meth:`commit_point`) and then for the
+force that makes the point stable (:meth:`force`), so it is the only
+runtime code that reads ``config.group_commit`` and
+``config.pipelined_commit``.  Under group commit, force requests
+arriving within one disk-rotation window on the same log stream join a
+shared :class:`GroupCommitBatch` and are satisfied by a single
+stable-store write, performed by the batch's first waiter (the leader)
+once the window closes.  Under pipelined causal commit the commit point
+relaxes to the session's causal watermark and a send whose prefix is
+already stable skips its force (docs/internals.md section 14).
 
 Crash handling: a session suspended inside a process that another
 session crashes is a *ghost* of a dead incarnation.  Each session keeps
@@ -61,13 +67,14 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..analysis import vector_clock
+from ..core.process import ProcessState
 from ..errors import CrashSignal, InvariantViolationError
 from .policies import SchedulePolicy, ScheduleStep, SeededRandomPolicy
 from .tags import YIELD_TAGS, validate_tag
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.context import Context
-    from ..core.process import AppProcess, ForceCoalescer
+    from ..core.process import AppProcess, LogStream
     from ..core.runtime import PhoenixRuntime
 
 
@@ -130,7 +137,7 @@ class Session:
 
 
 class GroupCommitBatch:
-    """One shared in-flight group write against one process's log.
+    """One shared in-flight group write against one log stream.
 
     Two-phase completion: ``closed`` (the window expired; the leader may
     write) then ``done`` (the write finished or failed; riders may
@@ -139,13 +146,10 @@ class GroupCommitBatch:
     already flushed by someone else.
     """
 
-    __slots__ = ("coalescer", "deadline", "seq", "waiters", "closed",
-                 "done", "error", "vc", "wm", "targets")
+    __slots__ = ("deadline", "seq", "waiters", "closed", "done", "error",
+                 "vc", "wm", "targets")
 
-    def __init__(
-        self, coalescer: "ForceCoalescer", deadline: float, seq: int
-    ):
-        self.coalescer = coalescer
+    def __init__(self, deadline: float, seq: int):
         self.deadline = deadline
         self.seq = seq
         self.waiters: list[int] = []
@@ -171,10 +175,12 @@ class SerialScheduler:
     :class:`DeterministicScheduler` run is active.
 
     One call chain runs at a time, so there is nobody to yield to, no
-    session to name, no clock, watermark or context claim to keep, and
-    the one session drives every recovery it meets.  A wait whose
-    predicate does not already hold could never be satisfied, so
-    :meth:`block_until` raises instead of waiting."""
+    session to name, no clock, watermark or context claim to keep, no
+    window to share a force with, and the one session drives every
+    recovery it meets.  Every commit point is Algorithm 2's ``end_lsn``
+    and every force is the stream's own.  A wait whose predicate does
+    not already hold could never be satisfied, so :meth:`block_until`
+    raises instead of waiting."""
 
     __slots__ = ()
 
@@ -196,11 +202,14 @@ class SerialScheduler:
     def current_vc(self) -> None:
         return None
 
-    def note_append(self, process: "AppProcess", log=None) -> None:
+    def note_append(self, log) -> None:
         pass
 
-    def causal_commit_lsn(self, process: "AppProcess", log=None) -> None:
-        return None
+    def commit_point(self, log) -> int:
+        return log.end_lsn
+
+    def force(self, stream: "LogStream", commit_lsn: int | None = None) -> bool:
+        return stream.force()
 
     def clamp_watermarks(self, process: "AppProcess") -> None:
         pass
@@ -259,7 +268,7 @@ class DeterministicScheduler:
         self._main_turn = _held_lock()
         self._abort = False
         self.active = False
-        self._batches: dict["ForceCoalescer", GroupCommitBatch] = {}
+        self._batches: dict["LogStream", GroupCommitBatch] = {}
         self._batch_seq = 0
         self._recovery_drivers: dict["AppProcess", Session | None] = {}
         #: Per-session vector clocks (session index -> live clock),
@@ -320,15 +329,13 @@ class DeterministicScheduler:
     def session_watermarks(self, session: Session) -> dict[str, int]:
         return self._wms.setdefault(session.index, {})
 
-    def note_append(self, process: "AppProcess", log=None) -> None:
-        """Record that the calling session appended to ``process``'s
-        log (``log`` names the specific stream under sharded logging —
-        watermarks are per-(session, stream) since every stream has its
-        own name): its watermark for that log advances to the
-        post-append end LSN.  ``vector_clock.merge_into`` is a generic
-        pointwise max, so the same helper merges these dicts across
-        sync edges."""
-        log = process.log if log is None else log
+    def note_append(self, log) -> None:
+        """Record that the calling session appended to ``log`` (one
+        stream of a process — watermarks are per-(session, stream) since
+        every stream has its own name): its watermark for that log
+        advances to the post-append end LSN.  ``vector_clock.merge_into``
+        is a generic pointwise max, so the same helper merges these
+        dicts across sync edges."""
         name = log.process_name
         end = log.end_lsn
         session = self.current_session()
@@ -340,20 +347,24 @@ class DeterministicScheduler:
         if end > wm.get(name, 0):
             wm[name] = end
 
-    def causal_commit_lsn(
-        self, process: "AppProcess", log=None
-    ) -> int | None:
-        """The calling session's commit target for ``process``'s log
-        (``log`` selects the stream under sharded logging): the highest
-        LSN in its causal prefix.  Everything the session appended or
-        learned of through a sync edge is below it; records of causally
-        unrelated sessions are not — exactly the slack TRC107 permits.
-        Clamped to ``end_lsn`` (a crash reuses LSNs;
-        :meth:`clamp_watermarks` resets the stored entries too)."""
+    def commit_point(self, log) -> int:
+        """The LSN a committing message on ``log`` (the context's own
+        stream) must make stable.
+
+        Algorithm 2 "forces all previous messages": the whole-log
+        ``end_lsn``, a global ordering point.  Under
+        ``config.pipelined_commit`` a session's commit point relaxes to
+        its *causal* watermark: the highest LSN in its causal prefix.
+        Everything the session appended or learned of through a sync
+        edge is below it; records of causally unrelated sessions are not
+        — exactly the slack TRC107 permits, and TRC107 recomputes that
+        cone independently from the trace's vector clocks, so an
+        under-computed watermark cannot pass unnoticed.  Clamped to
+        ``end_lsn`` (a crash reuses LSNs; :meth:`clamp_watermarks`
+        resets the stored entries too)."""
         session = self.current_session()
-        if session is None:
-            return None
-        log = process.log if log is None else log
+        if session is None or not self.runtime.config.pipelined_commit:
+            return log.end_lsn
         name = log.process_name
         target = max(
             self.session_watermarks(session).get(name, 0),
@@ -776,12 +787,49 @@ class DeterministicScheduler:
         )
 
     # ------------------------------------------------------------------
-    # group commit
+    # the commit gate: serial force, causal gate or group batch
     # ------------------------------------------------------------------
+    def force(self, stream: "LogStream", commit_lsn: int | None = None) -> bool:
+        """Make ``stream`` stable through ``commit_lsn`` (its whole
+        buffer when None); returns whether this request wrote.
+
+        Without ``config.group_commit``, while the process is not
+        RUNNING or still owes on-demand replay (a window wait inside
+        replay would distort recovery timing for no sharing), and on the
+        main thread (nobody to share a window with), the stream forces
+        alone — exactly the serial runtime's force."""
+        process = stream.process
+        if (
+            not self.runtime.config.group_commit
+            or process.state is not ProcessState.RUNNING
+            or process.pending_recovery is not None
+            or self.current_session() is None
+        ):
+            return stream.force()
+        log = stream.log
+        if log.stable_lsn == log.end_lsn:
+            # Nothing buffered: the force is free either way; don't hold
+            # the session in a window for it.
+            return stream.force()
+        if (
+            self.runtime.config.pipelined_commit
+            and commit_lsn is not None
+            and log.stable_lsn >= commit_lsn
+        ):
+            # Causally-gated send: the requester's whole causal prefix
+            # is already durable (another session's force flushed it),
+            # so Algorithm 2's "force all previous" is satisfied for
+            # everything this send could depend on — release it without
+            # a write or a window wait.  Volatile bytes above the target
+            # belong to causally unrelated sessions (TRC107's slack).
+            stream.note_gated()
+            return False
+        return self.group_force(stream, commit_lsn)
+
     def group_force(
-        self, coalescer: "ForceCoalescer", commit_lsn: int | None = None
+        self, stream: "LogStream", commit_lsn: int | None = None
     ) -> bool:
-        """Join (or open) the coalescer's group-commit batch.
+        """Join (or open) the stream's group-commit batch.
 
         The first waiter becomes the leader: it blocks until the window
         closes, then performs the one shared write.  Later waiters are
@@ -794,33 +842,23 @@ class DeterministicScheduler:
         batch opens while this one is in flight; a waiter whose commit
         target an earlier in-flight write already covered releases
         immediately instead of waiting for its own batch; and a closed
-        batch whose every remaining target is stable skips its write."""
+        batch whose every remaining target is stable skips its write.
+        A plain batch merges each waiter's clock at join time, a
+        pipelined one only at write time (see :meth:`_pipelined_force`).
+        """
         session = self.current_session()
-        if session is None:
-            return coalescer.serial_force()
-        if coalescer.pipelined:
-            return self._pipelined_force(session, coalescer, commit_lsn)
-        batch = self._batches.get(coalescer)
-        if batch is None or batch.closed:
-            self._batch_seq += 1
-            batch = GroupCommitBatch(
-                coalescer,
-                deadline=self.clock.now + coalescer.group_window_ms(),
-                seq=self._batch_seq,
-            )
-            self._batches[coalescer] = batch
-            batch.waiters.append(session.index)
-            session.step_touches.add(coalescer.process.name)
-            vector_clock.merge_into(batch.vc, self.session_clock(session))
-            vector_clock.merge_into(
-                batch.wm, self.session_watermarks(session)
-            )
+        if self.runtime.config.pipelined_commit:
+            return self._pipelined_force(session, stream, commit_lsn)
+        batch, leading = self._join_batch(session, stream)
+        vector_clock.merge_into(batch.vc, self.session_clock(session))
+        vector_clock.merge_into(batch.wm, self.session_watermarks(session))
+        if leading:
             try:
                 self.block_until(
                     lambda: batch.closed,
-                    tag=f"group-commit:{coalescer.log_name}",
+                    tag=f"group-commit:{stream.name}",
                 )
-                return coalescer.execute_batch(len(batch.waiters) - 1)
+                return stream.execute_batch(len(batch.waiters) - 1)
             except BaseException as exc:
                 batch.error = exc
                 raise
@@ -835,14 +873,10 @@ class DeterministicScheduler:
                 vector_clock.merge_into(
                     self.session_watermarks(session), batch.wm
                 )
-                if self._batches.get(coalescer) is batch:
-                    del self._batches[coalescer]
-        batch.waiters.append(session.index)
-        session.step_touches.add(coalescer.process.name)
-        vector_clock.merge_into(batch.vc, self.session_clock(session))
-        vector_clock.merge_into(batch.wm, self.session_watermarks(session))
+                if self._batches.get(stream) is batch:
+                    del self._batches[stream]
         self.block_until(
-            lambda: batch.done, tag=f"group-ride:{coalescer.log_name}"
+            lambda: batch.done, tag=f"group-ride:{stream.name}"
         )
         vector_clock.merge_into(self.session_clock(session), batch.vc)
         vector_clock.merge_into(self.session_watermarks(session), batch.wm)
@@ -852,15 +886,15 @@ class DeterministicScheduler:
             # same process); cover direct callers with a stale signal so
             # the boundary converts without re-crashing the process.
             raise CrashSignal(
-                coalescer.log_name, "group-commit write",
-                process=coalescer.process, stale=True,
+                stream.name, "group-commit write",
+                process=stream.process, stale=True,
             )
         return False
 
     def _pipelined_force(
         self,
         session: Session,
-        coalescer: "ForceCoalescer",
+        stream: "LogStream",
         commit_lsn: int | None,
     ) -> bool:
         """Pipelined batch semantics.  Clock merges here are deliberate:
@@ -870,40 +904,29 @@ class DeterministicScheduler:
         hide a real TRC108 race.  Instead the leader joins the remaining
         waiters' clocks at write time, and only waiters that stayed for
         the write merge the batch clock back."""
-        log_name = coalescer.log_name
-        target = (
-            commit_lsn if commit_lsn is not None else coalescer.end_lsn
-        )
-        batch = self._batches.get(coalescer)
-        if batch is None or batch.closed:
-            self._batch_seq += 1
-            batch = GroupCommitBatch(
-                coalescer,
-                deadline=self.clock.now + coalescer.group_window_ms(),
-                seq=self._batch_seq,
-            )
-            self._batches[coalescer] = batch
-            batch.waiters.append(session.index)
-            batch.targets[session.index] = target
-            session.step_touches.add(coalescer.process.name)
+        log = stream.log
+        target = commit_lsn if commit_lsn is not None else log.end_lsn
+        batch, leading = self._join_batch(session, stream)
+        batch.targets[session.index] = target
+        if leading:
             try:
                 self.block_until(
                     lambda: batch.closed or (
                         len(batch.waiters) == 1
-                        and coalescer.stable_lsn >= target
+                        and log.stable_lsn >= target
                     ),
-                    tag=f"group-commit:{log_name}",
+                    tag=f"group-commit:{stream.name}",
                 )
                 if not batch.closed:
                     # An earlier in-flight write covered our causal
                     # prefix and nobody joined: cancel the batch.
                     batch.waiters.remove(session.index)
-                    coalescer.note_gated()
+                    stream.note_gated()
                     return False
                 # The window closed; the write is now in flight.  Yield
                 # before performing it so other sessions can open (and
                 # even close) the next batch underneath it.
-                self.yield_point(f"log.submit:{log_name}")
+                self.yield_point(f"log.submit:{stream.name}")
                 riders = len(batch.waiters) - 1
                 for index in batch.waiters:
                     vector_clock.merge_into(batch.vc, self._vcs[index])
@@ -913,12 +936,12 @@ class DeterministicScheduler:
                 needed = max(
                     batch.targets[index] for index in batch.waiters
                 )
-                if coalescer.stable_lsn >= needed:
+                if log.stable_lsn >= needed:
                     # Every remaining waiter's prefix was covered by an
                     # earlier in-flight write: elide the disk write.
-                    coalescer.note_write_skip(1 + riders)
+                    stream.note_write_skip(1 + riders)
                     return False
-                return coalescer.execute_batch(riders)
+                return stream.execute_batch(riders)
             except BaseException as exc:
                 batch.error = exc
                 raise
@@ -928,30 +951,46 @@ class DeterministicScheduler:
                 vector_clock.merge_into(
                     self.session_watermarks(session), batch.wm
                 )
-                if self._batches.get(coalescer) is batch:
-                    del self._batches[coalescer]
-        batch.waiters.append(session.index)
-        batch.targets[session.index] = target
-        session.step_touches.add(coalescer.process.name)
+                if self._batches.get(stream) is batch:
+                    del self._batches[stream]
         self.block_until(
-            lambda: batch.done or coalescer.stable_lsn >= target,
-            tag=f"group-ride:{log_name}",
+            lambda: batch.done or log.stable_lsn >= target,
+            tag=f"group-ride:{stream.name}",
         )
         if not batch.done:
             # Early release: an earlier in-flight write made our causal
             # prefix stable before our own batch got to the platter.
             batch.waiters.remove(session.index)
             del batch.targets[session.index]
-            coalescer.note_gated()
+            stream.note_gated()
             return False
         vector_clock.merge_into(self.session_clock(session), batch.vc)
         vector_clock.merge_into(self.session_watermarks(session), batch.wm)
         if batch.error is not None:
             raise CrashSignal(
-                log_name, "group-commit write",
-                process=coalescer.process, stale=True,
+                stream.name, "group-commit write",
+                process=stream.process, stale=True,
             )
         return False
+
+    def _join_batch(
+        self, session: Session, stream: "LogStream"
+    ) -> tuple[GroupCommitBatch, bool]:
+        """Add ``session`` to the stream's open batch, opening one (with
+        the session as its leader) when none is open; returns the batch
+        and whether the session leads it."""
+        batch = self._batches.get(stream)
+        leading = batch is None or batch.closed
+        if leading:
+            self._batch_seq += 1
+            batch = GroupCommitBatch(
+                deadline=self.clock.now + stream.group_window_ms(),
+                seq=self._batch_seq,
+            )
+            self._batches[stream] = batch
+        batch.waiters.append(session.index)
+        session.step_touches.add(stream.process.name)
+        return batch, leading
 
     def _close_due_batches(self) -> None:
         for batch in self._batches.values():

@@ -38,16 +38,6 @@ class LastCallEntry:
     in_progress: bool = True  # reply not yet produced
 
 
-class DuplicateCall(Exception):
-    """Internal signal: the incoming call was already executed; carries
-    the entry whose stored reply must be returned.  (An exception rather
-    than a return flag so interceptor code reads linearly.)"""
-
-    def __init__(self, entry: LastCallEntry):
-        super().__init__(f"duplicate call {entry.call_id}")
-        self.entry = entry
-
-
 class LastCallTable:
     """Process-wide duplicate-detection table."""
 

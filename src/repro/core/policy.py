@@ -171,8 +171,9 @@ class LoggingPolicy:
             # read AFTER the append: the commit covers the own record;
             # with no record — the message is re-creatable by replay —
             # everything before the send (its causal prefix, under
-            # pipelined commit) must still be stable
-            commit = self._commit_point(process, log)
+            # pipelined commit) must still be stable.  The scheduler is
+            # the commit gate: it picks the point and decides the force.
+            commit = process.runtime.scheduler.commit_point(log)
             try:
                 performed = process.log_force(
                     commit_lsn=commit, context_id=context_id
@@ -235,27 +236,6 @@ class LoggingPolicy:
             return True
         current.forced_once = True
         return False
-
-    def _commit_point(self, process, log) -> int:
-        """The LSN a committing message must make stable.
-
-        The paper's Algorithm 2 uses the whole-log ``end_lsn`` ("force
-        all previous messages") — a global ordering point.  With
-        ``config.pipelined_commit`` on and the deterministic scheduler
-        active, the commit point relaxes to the sending session's
-        *causal* watermark: the highest LSN in its happens-before cone.
-        TRC107 recomputes that cone independently from the trace's
-        vector clocks, so an under-computed watermark here cannot pass
-        unnoticed.  With the flag off this is exactly ``end_lsn`` — of
-        the context's own log stream, which under sharded logging is
-        the only stream the send's causal target can live on."""
-        if self.config.pipelined_commit:
-            target = process.runtime.scheduler.causal_commit_lsn(
-                process, log=log
-            )
-            if target is not None:
-                return target
-        return log.end_lsn
 
     @staticmethod
     def _still_claimable(

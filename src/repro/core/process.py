@@ -19,15 +19,11 @@ from typing import TYPE_CHECKING
 from ..analysis.trace import ProtocolTrace
 from ..common.ids import component_uri
 from ..common.types import ComponentType
-from ..errors import (
-    ComponentUnavailableError,
-    ConfigurationError,
-    DeploymentError,
-)
+from ..errors import ComponentUnavailableError, DeploymentError
 from ..faults import plane as faultplane
 from ..log.log_manager import LogManager
 from ..log.records import CreationRecord
-from ..log.sharding import LogStream, ShardRouter
+from ..log.sharding import ShardRouter
 from .attributes import declared_type, read_only_method_names
 from .component import PersistentComponent
 from .config import RuntimeConfig
@@ -50,108 +46,84 @@ class ProcessState(enum.Enum):
     RECOVERING = "recovering"
 
 
-class ForceCoalescer:
-    """Force requests satisfied by a shared (or same-instant) write.
+class LogStream:
+    """One log stream of a process: its :class:`LogManager`, its
+    protocol trace, and the accounting of the forces requested on it.
+
+    Stream 0 of every process wraps the legacy ``process.log`` /
+    ``process.protocol_trace`` objects themselves (``shard_id is
+    None``), so the flag-off runtime goes through exactly the objects it
+    always had; sharded logging adds one stream per hosted plan shard
+    (docs/internals.md section 16).
 
     Several protocol sites can request a force at the same simulated
     instant — e.g. a multicall's per-callee forces, or Algorithm 2
     forcing "all previous messages" for components that share one log.
     Only the first request finds buffered bytes and pays a disk write;
-    the rest ride along for free.  This wrapper counts those free rides
-    as ``LogStats.coalesced_forces``.
-
-    With ``config.group_commit`` on *and* the request coming from a
-    deterministic-scheduler session, the coalescer additionally performs
-    real group commit: force requests from concurrent sessions arriving
-    within one disk-rotation window block on a shared
-    :class:`GroupCommitBatch` and are satisfied by one stable write
-    (performed by the batch leader via :meth:`execute_batch`).  With the
-    flag off — or from the one serial session — every request takes the
-    serial path unchanged, so
-    ``forces_requested`` and ``forces_performed`` reproduce the paper's
-    force counts exactly.
+    the rest ride along for free, counted as
+    ``LogStats.coalesced_forces``.  Whether a request is forced alone,
+    causally gated or batched with other sessions' requests is the
+    scheduler's decision (``runtime.scheduler.force``); the stream only
+    performs and accounts what the scheduler decided.
     """
 
-    def __init__(self, log: LogManager, clock, process=None) -> None:
-        self._log = log
-        self._clock = clock
+    __slots__ = ("shard_id", "log", "trace", "process", "_clock",
+                 "_last_write_at")
+
+    def __init__(
+        self,
+        shard_id: str | None,
+        log: LogManager,
+        trace: ProtocolTrace,
+        process: "AppProcess",
+    ) -> None:
+        self.shard_id = shard_id
+        self.log = log
+        self.trace = trace
         self.process = process
+        self._clock = process.runtime.clock
         self._last_write_at: float | None = None
 
     @property
-    def log_name(self) -> str:
-        return self._log.process_name
+    def name(self) -> str:
+        return self.log.process_name
 
-    @property
-    def stable_lsn(self) -> int:
-        return self._log.stable_lsn
-
-    @property
-    def end_lsn(self) -> int:
-        return self._log.end_lsn
-
-    @property
-    def pipelined(self) -> bool:
-        process = self.process
-        return process is not None and process.config.pipelined_commit
-
-    def force(self, commit_lsn: int | None = None) -> bool:
-        group = self._group_scheduler()
-        if group is None:
-            return self.serial_force()
-        if self._log.stable_lsn == self._log.end_lsn:
-            # Nothing buffered: the force is free either way; don't hold
-            # the session in a window for it.
-            return self.serial_force()
-        if (
-            self.pipelined
-            and commit_lsn is not None
-            and self._log.stable_lsn >= commit_lsn
-        ):
-            # Causally-gated send: the requester's whole causal prefix
-            # is already durable (another session's force flushed it),
-            # so Algorithm 2's "force all previous" is satisfied for
-            # everything this send could depend on — release it without
-            # a write or a window wait.  Volatile bytes above the target
-            # belong to causally unrelated sessions (TRC107's slack).
-            self.note_gated()
-            return False
-        return group.group_force(self, commit_lsn)
+    def force(self) -> bool:
+        """Force the stream's log now; a same-instant request after a
+        write is counted as coalesced."""
+        wrote = self.log.force()  # phx: disable=PHX005
+        now = self._clock.now
+        if wrote:
+            self._last_write_at = now
+        elif self._last_write_at == now:
+            self.log.stats.coalesced_forces += 1
+        return wrote
 
     def note_gated(self) -> None:
         """Account one force request satisfied by causal gating: it
         never reaches :meth:`LogManager.force`."""
-        stats = self._log.stats
+        stats = self.log.stats
         stats.forces_requested += 1
         stats.pipelined_gated += 1
 
     def note_write_skip(self, waiters: int) -> None:
         """Account a closed batch whose shared write was elided because
         an earlier in-flight write covered every remaining target."""
-        stats = self._log.stats
+        stats = self.log.stats
         stats.forces_requested += waiters
         stats.pipelined_gated += waiters
         stats.pipelined_write_skips += 1
-
-    def serial_force(self) -> bool:
-        wrote = self._log.force()
-        now = self._clock.now
-        if wrote:
-            self._last_write_at = now
-        elif self._last_write_at == now:
-            self._log.stats.coalesced_forces += 1
-        return wrote
 
     def execute_batch(self, riders: int) -> bool:
         """The batch leader's shared write: one flush covers every
         rider's bytes.  Riders' requests are accounted as requested and
         coalesced — they never reach :meth:`LogManager.force`."""
-        stats = self._log.stats
+        stats = self.log.stats
         stats.group_commit_batches += 1
         stats.group_commit_riders += riders
         stats.forces_requested += riders
         stats.coalesced_forces += riders
-        return self.serial_force()
+        return self.force()
 
     def group_window_ms(self) -> float:
         override = self.process.config.group_commit_window_ms
@@ -168,28 +140,12 @@ class ForceCoalescer:
         watermarks the crash wiped, and the recovered incarnation's
         history starts empty."""
         self._last_write_at = None
-        stats = self._log.stats
+        stats = self.log.stats
         stats.pipelined_gated = 0
         stats.pipelined_write_skips = 0
 
-    def _group_scheduler(self):
-        process = self.process
-        if process is None or not (
-            process.config.group_commit or process.config.pipelined_commit
-        ):
-            return None
-        if process.state is not ProcessState.RUNNING:
-            # Recovery's own forces never batch: a window wait inside
-            # replay would distort recovery timing for no sharing.
-            return None
-        if process.pending_recovery is not None:
-            # Same rationale while on-demand replay is still draining —
-            # lazy/background replay forces must not sit in a window.
-            return None
-        scheduler = process.runtime.scheduler
-        if scheduler.current_session() is None:
-            return None  # one session: nobody to share a window with
-        return scheduler
+    def __repr__(self) -> str:
+        return f"LogStream({self.name!r}, shard={self.shard_id!r})"
 
 
 class AppProcess:
@@ -215,24 +171,19 @@ class AppProcess:
         self.log = LogManager(
             f"{machine.name}-{name}", machine.disk, machine.stable_store
         )
-        self.force_coalescer = ForceCoalescer(
-            self.log, runtime.clock, process=self
-        )
         # Observation-only journal of logging decisions; the conformance
         # checker (repro.analysis) replays it against the stable stream.
         self.protocol_trace = ProtocolTrace()
 
         # Log streams (docs/internals.md section 16).
-        # Stream 0 IS the legacy log/coalescer/trace — the flag-off
-        # runtime routes every record through the exact objects above.
+        # Stream 0 IS the legacy log/trace — the flag-off runtime
+        # routes every record through the exact objects above.
         # With ``config.sharded_logging`` on and a committed plan
         # installed, each plan shard hosted here gets its own stream
         # (distinct name -> distinct files, watermarks, fault sites) and
         # records route by their context's planned shard.
         self.streams: list[LogStream] = [
-            LogStream(
-                None, self.log, self.force_coalescer, self.protocol_trace
-            )
+            LogStream(None, self.log, self.protocol_trace, self)
         ]
         #: context_id -> stream index; only non-zero assignments stored.
         #: Rebuilt by recovery from the per-stream scans, so it never
@@ -249,12 +200,9 @@ class AppProcess:
                         machine.disk,
                         machine.stable_store,
                     )
-                    self.streams.append(LogStream(
-                        shard_id,
-                        log,
-                        ForceCoalescer(log, runtime.clock, process=self),
-                        ProtocolTrace(),
-                    ))
+                    self.streams.append(
+                        LogStream(shard_id, log, ProtocolTrace(), self)
+                    )
 
         self.context_table: dict[int, ContextTableEntry] = {}
         self.component_table: dict[int, ComponentTableEntry] = {}
@@ -314,7 +262,7 @@ class AppProcess:
         lsn = stream.log.append(record)  # phx: disable=PHX005
         # Advance the appending session's durability watermark
         # (pipelined causal commit; pure bookkeeping otherwise).
-        self.runtime.scheduler.note_append(self, stream.log)
+        self.runtime.scheduler.note_append(stream.log)
         self._maybe_publish_checkpoint()
         return lsn
 
@@ -323,7 +271,9 @@ class AppProcess:
         commit_lsn: int | None = None,
         context_id: int | None = None,
     ) -> bool:
-        wrote = self.stream_for(context_id).coalescer.force(commit_lsn)
+        wrote = self.runtime.scheduler.force(
+            self.stream_for(context_id), commit_lsn
+        )
         self._maybe_publish_checkpoint()
         # Yield AFTER the force (a durability boundary has completed).
         self.runtime.sched_yield(f"log.force:{self.name}")
@@ -648,7 +598,7 @@ class AppProcess:
         self.crash_count += 1
         for stream in self.streams:
             stream.log.wipe_volatile()
-            stream.coalescer.reset()
+            stream.reset()
             # Volatile records above the stable boundary are gone and
             # their LSNs will be reused; tell the conformance trace.
             stream.trace.note_crash(stream.log.stable_lsn)
@@ -671,7 +621,7 @@ class AppProcess:
         """Fresh volatile structures before recovery repopulates them."""
         self.state = ProcessState.RECOVERING
         for stream in self.streams:
-            stream.coalescer.reset()
+            stream.reset()
         self._context_stream = {}
         self.context_table = {}
         self.component_table = {}

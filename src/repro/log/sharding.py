@@ -4,8 +4,8 @@ The shard planner (docs/internals.md section 15) partitions the
 deployed components into log shards and commits the partition as
 ``plans/apps.logplan.json``.  This module is the runtime half
 (docs/internals.md section 16): behind ``config.sharded_logging`` a
-process hosts one :class:`~repro.log.log_manager.LogManager` *stream*
-per shard the plan assigns to it, and the :class:`ShardRouter` resolves
+process hosts one :class:`~repro.core.process.LogStream` per shard the
+plan assigns to it, and the :class:`ShardRouter` resolves
 ``record.context_id -> shard -> stream`` so every append, force and
 recovery replay touches exactly the stream its component lives on.
 
@@ -31,32 +31,6 @@ Routing rules:
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-
-
-class LogStream:
-    """One log stream of a process: the :class:`LogManager` plus its
-    per-stream force coalescer and protocol trace.
-
-    Stream 0 of every process wraps the legacy ``process.log`` /
-    ``process.force_coalescer`` / ``process.protocol_trace`` objects
-    themselves (``shard_id is None``), so the flag-off runtime goes
-    through exactly the objects it always had.
-    """
-
-    __slots__ = ("shard_id", "log", "coalescer", "trace")
-
-    def __init__(self, shard_id, log, coalescer, trace):
-        self.shard_id = shard_id
-        self.log = log
-        self.coalescer = coalescer
-        self.trace = trace
-
-    @property
-    def name(self) -> str:
-        return self.log.process_name
-
-    def __repr__(self) -> str:
-        return f"LogStream({self.name!r}, shard={self.shard_id!r})"
 
 
 def plan_shards(plan) -> list[dict]:

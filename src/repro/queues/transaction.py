@@ -60,10 +60,6 @@ class Transaction:
         if participant not in self._participants:
             self._participants.append(participant)
 
-    @property
-    def participant_count(self) -> int:
-        return len(self._participants)
-
     def commit(self) -> None:
         self.coordinator._commit(self)
 

@@ -95,7 +95,7 @@ class TestGroupCommit:
         )
         process = runtime.spawn_process("server", machine="beta")
         assert (
-            process.force_coalescer.group_window_ms()
+            process.streams[0].group_window_ms()
             == process.machine.disk.geometry.rotation_ms
         )
         narrow = PhoenixRuntime(
@@ -104,4 +104,4 @@ class TestGroupCommit:
             )
         )
         nproc = narrow.spawn_process("server", machine="beta")
-        assert nproc.force_coalescer.group_window_ms() == 2.5
+        assert nproc.streams[0].group_window_ms() == 2.5

@@ -139,7 +139,9 @@ class TestWatermarksDieWithTheProcess:
         surviving entry above the boundary would gate a future send
         against durability that no longer exists (the crash wiped those
         bytes and their LSNs will be reused)."""
-        runtime, process, counters = _deploy(1, pipelined_commit=True)
+        runtime, process, counters = _deploy(
+            1, group_commit=True, pipelined_commit=True
+        )
         scheduler = DeterministicScheduler(runtime, seed=0)
         scheduler.run([_persistent_session(counters[0], 2)])
         name = process.log.process_name
@@ -157,7 +159,9 @@ class TestWatermarksDieWithTheProcess:
         """``run()`` rebuilds the per-session maps and re-captures the
         serial baseline, so watermarks poisoned between runs (e.g. by a
         crash whose process never ran again) cannot leak forward."""
-        runtime, process, counters = _deploy(1, pipelined_commit=True)
+        runtime, process, counters = _deploy(
+            1, group_commit=True, pipelined_commit=True
+        )
         scheduler = DeterministicScheduler(runtime, seed=0)
         scheduler.run([_persistent_session(counters[0], 1)])
         name = process.log.process_name
@@ -179,7 +183,9 @@ class TestWatermarksDieWithTheProcess:
         recover again: stable logs and component state must be
         byte-identical across the two recoveries — the watermark
         rebuild leaves nothing schedule-dependent behind."""
-        runtime, process, counters = _deploy(3, pipelined_commit=True)
+        runtime, process, counters = _deploy(
+            3, group_commit=True, pipelined_commit=True
+        )
         scheduler = DeterministicScheduler(runtime, seed=4)
         scheduler.run([_persistent_session(c, 3) for c in counters])
 
@@ -202,7 +208,9 @@ class TestSerialFallback:
         """Without an active scheduler there is no session watermark to
         relax against: every committing decision's commit point must be
         the paper's global ``end_lsn`` even with the flag on."""
-        runtime, process, counters = _deploy(1, pipelined_commit=True)
+        runtime, process, counters = _deploy(
+            1, group_commit=True, pipelined_commit=True
+        )
         counters[0].increment()
         committed = [
             event for event in process.protocol_trace.events()
@@ -213,7 +221,13 @@ class TestSerialFallback:
             event.commit_lsn == event.end_lsn for event in committed
         )
 
-    def test_causal_commit_lsn_is_none_outside_a_run(self):
-        runtime, process, counters = _deploy(1, pipelined_commit=True)
-        scheduler = DeterministicScheduler(runtime, seed=0)
-        assert scheduler.causal_commit_lsn(process) is None
+    def test_scheduler_commit_point_is_end_lsn(self):
+        """Neither the serial scheduler nor a deterministic one outside
+        its run has a session whose watermark could relax the point."""
+        runtime, process, counters = _deploy(
+            1, group_commit=True, pipelined_commit=True
+        )
+        counters[0].increment()
+        log = process.log
+        for gate in (runtime.scheduler, DeterministicScheduler(runtime)):
+            assert gate.commit_point(log) == log.end_lsn

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CheckpointConfig, RuntimeConfig
+from repro import CheckpointConfig, ConfigurationError, RuntimeConfig
 
 
 class TestRuntimeConfig:
@@ -34,6 +34,18 @@ class TestRuntimeConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             RuntimeConfig.optimized().auto_recover = False
+
+    def test_pipelined_commit_requires_group_commit(self):
+        """Pipelined commit pipelines group-commit batches: alone it
+        would alias the both-on runtime, so the cell is rejected — by
+        the constructors and by overrides alike."""
+        with pytest.raises(ConfigurationError, match="group_commit"):
+            RuntimeConfig.optimized(pipelined_commit=True)
+        both = RuntimeConfig.optimized(
+            group_commit=True, pipelined_commit=True
+        )
+        with pytest.raises(ConfigurationError, match="group_commit"):
+            both.with_overrides(group_commit=False)
 
 
 class TestCheckpointConfig:

@@ -155,51 +155,45 @@ class TestDescribe:
 
 
 class TestForceCoalescer:
-    """Same-instant force requests after a write are counted as
+    """A log stream counts same-instant force requests after a write as
     coalesced — accounting only, never a change to force behaviour."""
 
-    def _log_and_coalescer(self):
-        from repro.core.process import ForceCoalescer
-        from repro.log import LogManager
-        from repro.sim import Cluster
+    def _stream_after_a_write(self, runtime):
+        """Stream 0 of a fresh process, whose last force wrote at the
+        current instant: creating a component forces its creation
+        record through the stream."""
+        process = runtime.spawn_process("p", machine="alpha")
+        stream = process.streams[0]
+        process.create_component(Counter)
+        assert stream.log.stats.forces_performed == 1
+        return stream
 
-        cluster = Cluster()
-        machine = cluster.machine("alpha")
-        log = LogManager("p1", machine.disk, machine.stable_store)
-        return log, ForceCoalescer(log, cluster.clock), cluster.clock
-
-    def test_same_instant_empty_force_is_coalesced(self):
-        from repro.log.records import MessageRecord
-
-        log, coalescer, clock = self._log_and_coalescer()
-        log.append(MessageRecord(context_id=1))
-        assert coalescer.force() is True
+    def test_same_instant_empty_force_is_coalesced(self, runtime):
+        stream = self._stream_after_a_write(runtime)
+        stats = stream.log.stats
+        requested = stats.forces_requested
         # two more requests at the write's completion instant
-        assert coalescer.force() is False
-        assert coalescer.force() is False
-        assert log.stats.coalesced_forces == 2
+        assert stream.force() is False
+        assert stream.force() is False
+        assert stats.coalesced_forces == 2
         # delegation is unchanged: both requests still reached the log
-        assert log.stats.forces_requested == 3
-        assert log.stats.forces_performed == 1
+        assert stats.forces_requested == requested + 2
+        assert stats.forces_performed == 1
 
-    def test_later_empty_force_is_not_coalesced(self):
-        from repro.log.records import MessageRecord
+    def test_later_empty_force_is_not_coalesced(self, runtime):
+        stream = self._stream_after_a_write(runtime)
+        runtime.clock.advance(1.0)
+        assert stream.force() is False
+        assert stream.log.stats.coalesced_forces == 0
 
-        log, coalescer, clock = self._log_and_coalescer()
-        log.append(MessageRecord(context_id=1))
-        coalescer.force()
-        clock.advance(1.0)
-        assert coalescer.force() is False
-        assert log.stats.coalesced_forces == 0
-
-    def test_empty_force_before_any_write_is_not_coalesced(self):
-        log, coalescer, clock = self._log_and_coalescer()
-        assert coalescer.force() is False
-        assert log.stats.coalesced_forces == 0
+    def test_empty_force_before_any_write_is_not_coalesced(self, runtime):
+        stream = runtime.spawn_process("p", machine="alpha").streams[0]
+        assert stream.force() is False
+        assert stream.log.stats.coalesced_forces == 0
 
     def test_processes_route_forces_through_coalescer(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")
-        assert process.force_coalescer._log is process.log
+        assert process.streams[0].log is process.log
         counter = process.create_component(Counter)
         counter.increment()
         # force counts flow into the same LogStats the tables report

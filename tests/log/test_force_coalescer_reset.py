@@ -1,6 +1,6 @@
-"""The force coalescer's last-write instant must not survive a crash.
+"""A log stream's last-write instant must not survive a crash.
 
-Regression: ``ForceCoalescer._last_write_at`` used to persist across
+Regression: ``LogStream._last_write_at`` used to persist across
 ``crash()``/``begin_restart()``, so an empty force issued at the same
 simulated instant as a PRE-crash write was still counted as coalesced —
 inflating ``coalesced_forces`` for the recovered incarnation, whose
@@ -24,7 +24,7 @@ def _append_and_force(process):
             short=True,
         )
     )
-    assert process.force_coalescer.force() is True
+    assert process.streams[0].force() is True
 
 
 @pytest.mark.no_conformance_check
@@ -38,7 +38,7 @@ class TestResetOnCrash:
         # Baseline sanity: pre-crash, a same-instant empty force IS the
         # coalescing case the accounting is for.
         before = process.log.stats.coalesced_forces
-        assert process.force_coalescer.force() is False
+        assert process.streams[0].force() is False
         assert process.log.stats.coalesced_forces == before + 1
 
         process.crash()
@@ -46,7 +46,7 @@ class TestResetOnCrash:
         # incarnation: the recovered process has not written yet, so
         # nothing was coalesced.
         before = process.log.stats.coalesced_forces
-        assert process.force_coalescer.force() is False
+        assert process.streams[0].force() is False
         assert process.log.stats.coalesced_forces == before
 
     def test_restart_also_forgets_the_last_write(self, runtime):
@@ -55,7 +55,7 @@ class TestResetOnCrash:
         process.crash()
         process.begin_restart()
         before = process.log.stats.coalesced_forces
-        assert process.force_coalescer.force() is False
+        assert process.streams[0].force() is False
         assert process.log.stats.coalesced_forces == before
 
 
@@ -68,9 +68,9 @@ class TestPipelinedStatsReset:
     history starts empty, exactly like ``_last_write_at``."""
 
     def _inflate(self, process):
-        coalescer = process.force_coalescer
-        coalescer.note_gated()
-        coalescer.note_write_skip(2)
+        stream = process.streams[0]
+        stream.note_gated()
+        stream.note_write_skip(2)
         stats = process.log.stats
         assert stats.pipelined_gated == 3
         assert stats.pipelined_write_skips == 1

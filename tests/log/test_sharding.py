@@ -81,7 +81,7 @@ class TestFlagOffIdentity:
         stream = process.streams[0]
         assert stream.shard_id is None
         assert stream.log is process.log
-        assert stream.coalescer is process.force_coalescer
+        assert stream.process is process
         assert stream.trace is process.protocol_trace
 
     def test_flag_on_without_a_plan_stays_single_stream(self):

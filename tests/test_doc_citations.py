@@ -1,11 +1,15 @@
 """Code citations in the prose docs cannot drift from the tree.
 
 ``docs/*.md``, ``README.md`` and ``DESIGN.md`` cite code as
-`` `path.py::name` ``.  The path is taken relative to the repo, to
-``src/`` or to ``src/repro/``; a bare file name must be unique under
-``src/repro/``.  ``name`` (anything after it, such as ``(kinds=)``, is
-prose) must be a ``def``, ``class`` or module-level assignment in that
-file; a dotted ``Class.method`` must be defined inside its class.
+`` `path.py::name` `` (a line break may follow the ``::``) or as a bare
+`` `path.py` ``.  The path is taken relative to the repo, to ``src/``
+or to ``src/repro/``; failing that, a partial path (``infer/facts.py``)
+or bare file name must name exactly one file under ``src/repro/`` by
+suffix, and a bare file name not found there exactly one file under
+``tests/`` or ``benchmarks/``.  ``name`` (anything after it, such as
+``(kinds=)``, is prose) must be a ``def``, ``class`` or module-level
+assignment in that file; a dotted ``Class.method`` must be defined
+inside its class.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-_CITATION = re.compile(r"`([\w./-]+\.py)::([\w.]+)")
+_CITATION = re.compile(r"`([\w./-]+\.py)::\s*([\w.]+)")
+_BARE_CITATION = re.compile(r"`([\w./-]+\.py)`")
 
 
 def _documents() -> list[Path]:
@@ -28,11 +33,19 @@ def _source(path: str) -> Path | None:
     for root in (REPO, REPO / "src", REPO / "src" / "repro"):
         if (root / path).is_file():
             return root / path
-    if "/" not in path:
-        found = list((REPO / "src" / "repro").rglob(path))
-        if len(found) == 1:
-            return found[0]
-    return None
+    name = Path(path).name
+    found = [
+        source
+        for source in (REPO / "src" / "repro").rglob(name)
+        if source.as_posix().endswith(f"/{path}")
+    ]
+    if not found and "/" not in path:
+        found = [
+            source
+            for root in ("tests", "benchmarks")
+            for source in (REPO / root).rglob(name)
+        ]
+    return found[0] if len(found) == 1 else None
 
 
 def _names(node: ast.stmt) -> set[str]:
@@ -80,4 +93,15 @@ def test_every_path_py_name_citation_resolves():
             trees[source] = ast.parse(source.read_text())
         if not _defines(trees[source], name):
             broken.append(f"{doc}: {path}::{name}")
+    assert broken == []
+
+
+def test_every_bare_path_py_citation_resolves():
+    cited = [
+        (doc.relative_to(REPO), path)
+        for doc in _documents()
+        for path in _BARE_CITATION.findall(doc.read_text())
+    ]
+    assert len(cited) > 100, "the citations failed to parse"
+    broken = [f"{doc}: {path}" for doc, path in cited if _source(path) is None]
     assert broken == []
