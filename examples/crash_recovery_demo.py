@@ -82,7 +82,8 @@ def main() -> None:
         arm(runtime, "middle", point)
         result = front.insert(f"key-{index}", index)
         runtime.ensure_recovered(middle_process)
-        executions = store_process.component_table[1].instance.executions
+        store = store_process.incarnation.component_table[1].instance
+        executions = store.executions
         print(f"{point:28s} {str(result):>10s} {executions:>12d} "
               f"{middle_process.crash_count:>8d}")
         assert result == (index, index), "wrong reply after recovery"
@@ -90,10 +91,9 @@ def main() -> None:
 
     print(f"\n{len(FAILURE_POINTS)} crashes, zero duplicates, zero lost "
           "operations — condition 1-5 of Section 2.2 at work.")
-    rows = store_process.component_table[1].instance.rows
-    print(f"final store contents: {len(rows)} rows, "
-          f"{store_process.component_table[1].instance.executions} "
-          "executions")
+    store = store_process.incarnation.component_table[1].instance
+    print(f"final store contents: {len(store.rows)} rows, "
+          f"{store.executions} executions")
     print(f"simulated time: {runtime.now/1000:.2f} s "
           f"(includes {middle_process.recovery_count} recoveries)")
 

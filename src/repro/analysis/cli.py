@@ -398,7 +398,7 @@ def _cmd_trace_demo(_args: argparse.Namespace) -> int:
     runtime.crash_process(process)
     final = account.deposit(40)  # auto-recovers, replays, goes live
     violations = check_process(process)
-    events = process.protocol_trace.events()
+    events = process.streams[0].trace.events()
     print(
         f"demo: {process.recovery_count} recovery, "
         f"{len(events)} traced decisions, final balance={final}"

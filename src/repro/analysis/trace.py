@@ -2,18 +2,19 @@
 
 The stable log alone cannot witness the commit conditions — forces and
 record-less sends (Algorithm 2 writes nothing for messages 2 and 3)
-leave no mark in the stream.  Every :class:`~repro.core.process.AppProcess`
-therefore carries a :class:`ProtocolTrace`, and the
+leave no mark in the stream.  Every log stream of a process therefore
+carries a :class:`ProtocolTrace`, and the
 :class:`~repro.core.policy.LoggingPolicy` appends one :class:`TraceEvent`
 per message it handles, snapshotting the decision it made and the log's
 ``end_lsn``/``stable_lsn`` immediately after.  The trace is pure
 observation: it writes nothing, forces nothing, and advances no clocks,
 so force counts and simulated times are untouched.
 
-A process crash discards the log's volatile buffer and *reuses* its LSNs
-(see ``LogManager.wipe_volatile``); :meth:`ProtocolTrace.note_crash`
-records the stable boundary at the crash so the checker can tell which
-traced records were lost rather than missing.
+A process crash loses the log's volatile buffer and the next
+incarnation *reuses* its LSNs (see ``LogStream.reopen``);
+:meth:`ProtocolTrace.note_crash` records the stable boundary at the
+crash so the checker can tell which traced records were lost rather
+than missing.
 """
 
 from __future__ import annotations

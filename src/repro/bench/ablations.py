@@ -285,7 +285,7 @@ def static_type_seeding_ablation() -> ExperimentTable:
                 process.log.stats.forces_requested for process in processes
             )),
             Cell(sum(
-                unknown_peer_calls(process.protocol_trace)
+                unknown_peer_calls(process.streams[0].trace)
                 for process in processes
             )),
             Cell(sum(

@@ -55,6 +55,7 @@ def take_process_checkpoint(process: "AppProcess") -> tuple[int, int]:
     begin_lsn = process.log_append(BeginCheckpointRecord(context_id=-1))
     faultplane.site_hit(f"checkpoint.begin:{process.name}", process.name)
 
+    incarnation = process.incarnation
     context_entries = [
         CheckpointContextEntry(
             context_id=entry.context_id,
@@ -63,7 +64,7 @@ def take_process_checkpoint(process: "AppProcess") -> tuple[int, int]:
             creation_lsn=entry.creation_lsn,
         )
         for entry in sorted(
-            process.context_table.values(), key=lambda e: e.context_id
+            incarnation.context_table.values(), key=lambda e: e.context_id
         )
         if entry.creation_lsn != NO_LSN  # phoenix contexts only
     ]
@@ -74,7 +75,7 @@ def take_process_checkpoint(process: "AppProcess") -> tuple[int, int]:
             )
         )
 
-    remote_entries = process.remote_types.snapshot()
+    remote_entries = incarnation.remote_types.snapshot()
     for chunk in _chunks(remote_entries):
         process.log_append(
             CheckpointRemoteTypeRecord(context_id=-1, entries=tuple(chunk))
@@ -86,7 +87,7 @@ def take_process_checkpoint(process: "AppProcess") -> tuple[int, int]:
             call_id=entry.call_id,
             reply_lsn=entry.reply_lsn,
         )
-        for key, entry in sorted(process.last_calls.all_entries())
+        for key, entry in sorted(incarnation.last_calls.all_entries())
         if not entry.in_progress
     ]
     for chunk in _chunks(last_call_entries):

@@ -47,6 +47,7 @@ def save_context_state(context: Context) -> int:
         # technically has not returned yet (paper Section 4.2).
         pass
     process = context.process
+    incarnation = process.incarnation
     runtime = context.runtime
     if not context.component_type.is_persistent_family:
         raise InvariantViolationError(
@@ -55,7 +56,9 @@ def save_context_state(context: Context) -> int:
 
     # Step 1: make the replies of this context's last calls durable.
     last_calls: list[LastCallEntrySnapshot] = []
-    for entry in process.last_calls.entries_for_context(context.context_id):
+    for entry in incarnation.last_calls.entries_for_context(
+        context.context_id
+    ):
         if entry.in_progress:
             current = context.current_call
             if current is not None and current.message is not None and (
@@ -121,7 +124,7 @@ def save_context_state(context: Context) -> int:
         )
     )
     lsn = process.log_append(record)
-    process.context_table[context.context_id].state_record_lsn = lsn
+    incarnation.context_table[context.context_id].state_record_lsn = lsn
     return lsn
 
 
@@ -182,7 +185,7 @@ def restore_context_state(
     # messages are read lazily when a duplicate call needs them
     # (Section 4.4).
     for entry in record.last_calls:
-        process.last_calls.seed(
+        process.incarnation.last_calls.seed(
             entry.caller_key,
             entry.call_id,
             context.context_id,

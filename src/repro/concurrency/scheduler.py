@@ -46,11 +46,12 @@ already stable skips its force (docs/internals.md section 14).
 
 Crash handling: a session suspended inside a process that another
 session crashes is a *ghost* of a dead incarnation.  Each session keeps
-a stack of ``(process, crash_count)`` frames; on resume, a mismatch on
-the innermost frame raises a fresh :class:`CrashSignal` marked
-``stale=True`` — the process-boundary conversion in the runtime turns it
-into :class:`ComponentUnavailableError` *without* re-crashing the (by
-then possibly recovered) process.
+a stack of ``(process, incarnation)`` frames; on resume, an innermost
+frame whose incarnation a crash has replaced raises a fresh
+:class:`CrashSignal` marked ``stale=True`` — the process-boundary
+conversion in the runtime turns it into
+:class:`ComponentUnavailableError` *without* re-crashing the (by then
+possibly recovered) process.
 
 The serial runtime is the one-session case of the same hooks: every
 runtime holds a :class:`SerialScheduler` as ``runtime.scheduler``, and
@@ -74,7 +75,7 @@ from .tags import YIELD_TAGS, validate_tag
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.context import Context
-    from ..core.process import AppProcess, LogStream
+    from ..core.process import AppProcess, Incarnation, LogStream
     from ..core.runtime import PhoenixRuntime
 
 
@@ -124,9 +125,9 @@ class Session:
         #: Spawned by the runtime (e.g. a recovery drain worker) rather
         #: than passed to run(); excluded from run()'s result list.
         self.system = False
-        #: (process, crash_count at entry) for every process boundary the
-        #: session is currently inside, outermost first.
-        self.frames: list[tuple["AppProcess", int]] = []
+        #: (process, its incarnation at entry) for every process boundary
+        #: the session is currently inside, outermost first.
+        self.frames: list[tuple["AppProcess", "Incarnation"]] = []
         #: Process names touched since the last scheduling decision —
         #: the DPOR commutativity footprint of the current step.
         self.step_touches: set[str] = set()
@@ -651,7 +652,7 @@ class DeterministicScheduler:
         if session is None:
             return False
         session.step_touches.add(process.name)
-        session.frames.append((process, process.crash_count))
+        session.frames.append((process, process.incarnation))
         return True
 
     def exit_process(self) -> None:
@@ -668,8 +669,8 @@ class DeterministicScheduler:
         after the stack pops back to it."""
         if not session.frames:
             return
-        process, crash_count = session.frames[-1]
-        if process.crash_count != crash_count:
+        process, incarnation = session.frames[-1]
+        if process.incarnation is not incarnation:
             raise CrashSignal(
                 process.name, "interleaved crash", process=process, stale=True
             )
@@ -802,7 +803,7 @@ class DeterministicScheduler:
         if (
             not self.runtime.config.group_commit
             or process.state is not ProcessState.RUNNING
-            or process.pending_recovery is not None
+            or process.incarnation.pending_recovery is not None
             or self.current_session() is None
         ):
             return stream.force()

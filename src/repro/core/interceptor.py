@@ -120,7 +120,8 @@ class MessageInterceptor:
         )
         if dedup:
             self._charge(self._costs.dedup_check)
-            entry = self._process.last_calls.check_incoming(message.call_id)
+            last_calls = self._process.incarnation.last_calls
+            entry = last_calls.check_incoming(message.call_id)
             if entry is not None:
                 return self._stored_reply(entry, message)
 
@@ -131,7 +132,7 @@ class MessageInterceptor:
 
         entry = None
         if dedup:
-            entry = self._process.last_calls.begin_call(
+            entry = last_calls.begin_call(
                 message.call_id, context.context_id
             )
             self._charge(self._costs.last_call_update)
@@ -139,7 +140,9 @@ class MessageInterceptor:
         reply = self._execute(message)
 
         if entry is not None:
-            self._process.last_calls.record_reply(message.call_id, reply)
+            self._process.incarnation.last_calls.record_reply(
+                message.call_id, reply
+            )
             self._charge(self._costs.last_call_update)
 
         context.end_incoming()
@@ -191,9 +194,11 @@ class MessageInterceptor:
             # in_progress forever and the recovered caller's retry of
             # the same call ID would be rejected as a duplicate of a
             # still-executing call.  Drop it so the retry runs as new.
-            # (A crash of this process wipes the whole table anyway.)
+            # (A crash of this process drops the whole table anyway.)
             if message.call_id is not None:
-                self._process.last_calls.abort_call(message.call_id)
+                self._process.incarnation.last_calls.abort_call(
+                    message.call_id
+                )
             raise
         finally:
             runtime.pop_context()
@@ -301,7 +306,7 @@ class MessageInterceptor:
         Returns (message, known server type, known method-read-only).
         """
         context = self.context
-        remote_types = self._process.remote_types
+        remote_types = self._process.incarnation.remote_types
         if (
             self._process.config.static_type_seeding
             and not remote_types.knows(target_uri)
@@ -420,7 +425,7 @@ class MessageInterceptor:
         algorithm, surface the value (or application error)."""
         runtime = self._runtime
         self.learn_from_reply(message, reply)
-        remote_types = self._process.remote_types
+        remote_types = self._process.incarnation.remote_types
         server_type = remote_types.known_type(message.target_uri)
         method_ro = bool(
             remote_types.method_read_only(message.target_uri, message.method)
@@ -448,7 +453,7 @@ class MessageInterceptor:
         self, message: MethodCallMessage, reply: ReplyMessage
     ) -> None:
         """Record what a reply teaches about the server (Section 3.4)."""
-        remote_types = self._process.remote_types
+        remote_types = self._process.incarnation.remote_types
         if reply.sender is not None:
             remote_types.learn(
                 message.target_uri,
@@ -503,15 +508,16 @@ class MessageInterceptor:
             # Replaying an older call must rebuild state without
             # regressing that entry — the caller has moved past this
             # call, so only the newer reply can still be retried.
-            existing = self._process.last_calls.lookup(
-                message.call_id.caller_key
-            )
+            last_calls = self._process.incarnation.last_calls
+            existing = last_calls.lookup(message.call_id.caller_key)
             if existing is None or existing.call_id.seq <= message.call_id.seq:
-                entry = self._process.last_calls.begin_call(
+                entry = last_calls.begin_call(
                     message.call_id, context.context_id
                 )
         reply = self._execute(message)
         if entry is not None:
-            self._process.last_calls.record_reply(message.call_id, reply)
+            self._process.incarnation.last_calls.record_reply(
+                message.call_id, reply
+            )
         context.end_incoming()
         return reply

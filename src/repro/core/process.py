@@ -6,9 +6,11 @@ log manager and a recovery manager.  At start it registers with its
 machine's recovery service to obtain a stable logical process ID (part
 of every method-call ID).
 
-A simulated crash (:meth:`crash`) wipes everything volatile — contexts,
-component instances, tables, and the log manager's buffer — leaving only
-the stable log, exactly the state a killed OS process leaves behind.
+A process is its durable identity plus one :class:`Incarnation` that
+owns everything volatile — contexts, component instances, tables, and
+the log managers with their buffers.  A simulated crash (:meth:`crash`)
+drops the incarnation whole and starts an empty one over the same
+stable files, exactly the state a killed OS process leaves behind.
 """
 
 from __future__ import annotations
@@ -50,11 +52,11 @@ class LogStream:
     """One log stream of a process: its :class:`LogManager`, its
     protocol trace, and the accounting of the forces requested on it.
 
-    Stream 0 of every process wraps the legacy ``process.log`` /
-    ``process.protocol_trace`` objects themselves (``shard_id is
-    None``), so the flag-off runtime goes through exactly the objects it
-    always had; sharded logging adds one stream per hosted plan shard
-    (docs/internals.md section 16).
+    Stream 0 of every process is its unsharded log (``shard_id is
+    None``, ``process.log``), the only stream the flag-off runtime has;
+    sharded logging adds one stream per hosted plan shard
+    (docs/internals.md section 16).  The protocol trace and the
+    ``LogStats`` outlive a crash (:meth:`reopen`); the manager does not.
 
     Several protocol sites can request a force at the same simulated
     instant — e.g. a multicall's per-callee forces, or Algorithm 2
@@ -131,25 +133,55 @@ class LogStream:
             return override
         return self.process.machine.disk.group_commit_window_ms
 
-    def reset(self) -> None:
-        """Forget the last write.  Called on crash and on restart: the
-        pre-crash write instant must not survive into the recovered
-        incarnation, or a same-instant empty force after recovery would
-        be miscounted as coalesced.  The pipelined batch counters are
-        clamped the same way: they count gating decisions taken against
-        watermarks the crash wiped, and the recovered incarnation's
-        history starts empty."""
-        self._last_write_at = None
-        stats = self.log.stats
+    def reopen(self) -> "LogStream":
+        """This stream in the next incarnation: a fresh
+        :class:`LogManager` over the same stable files, keeping the
+        trace and the ``LogStats``, but not the last write instant.  The
+        pipelined batch counters are zeroed: they count gating decisions
+        taken against watermarks the crash wiped."""
+        log = self.log
+        stats = log.stats
         stats.pipelined_gated = 0
         stats.pipelined_write_skips = 0
+        fresh = LogManager(
+            log.process_name, log.disk, log.stable_store,
+            log.buffer_capacity, stats=stats,
+        )
+        return LogStream(self.shard_id, fresh, self.trace, self.process)
 
     def __repr__(self) -> str:
         return f"LogStream({self.name!r}, shard={self.shard_id!r})"
 
 
+class Incarnation:
+    """One life of a process: every volatile table and log manager.  A
+    crash drops it whole, so nothing of it can leak into the next life;
+    recovery fills the empty incarnation the crash built."""
+
+    __slots__ = ("streams", "context_table", "component_table", "last_calls",
+                 "remote_types", "context_stream", "next_component_lid",
+                 "state_saves", "pending_checkpoint", "pending_recovery",
+                 "__weakref__")
+
+    def __init__(self, streams: list[LogStream]) -> None:
+        self.streams = streams
+        self.context_table: dict[int, ContextTableEntry] = {}
+        self.component_table: dict[int, ComponentTableEntry] = {}
+        self.last_calls = LastCallTable()
+        self.remote_types = RemoteComponentTypeTable()
+        #: context_id -> stream index; only non-zero assignments stored.
+        self.context_stream: dict[int, int] = {}
+        self.next_component_lid = 1
+        self.state_saves = 0
+        self.pending_checkpoint: tuple[int, int] | None = None
+        # repro.recovery.incremental.PendingRecovery while replay is
+        # still owed; None once every component is recovered.
+        self.pending_recovery = None
+
+
 class AppProcess:
-    """A process hosting Phoenix/App contexts."""
+    """A process hosting Phoenix/App contexts: its durable identity and
+    its current :class:`Incarnation`."""
 
     def __init__(
         self,
@@ -168,60 +200,47 @@ class AppProcess:
         # stable logical PID and force-writes the registration (2.4).
         self.logical_pid = machine.recovery_service.register(self)
 
-        self.log = LogManager(
-            f"{machine.name}-{name}", machine.disk, machine.stable_store
-        )
-        # Observation-only journal of logging decisions; the conformance
-        # checker (repro.analysis) replays it against the stable stream.
-        self.protocol_trace = ProtocolTrace()
-
-        # Log streams (docs/internals.md section 16).
-        # Stream 0 IS the legacy log/trace — the flag-off runtime
-        # routes every record through the exact objects above.
-        # With ``config.sharded_logging`` on and a committed plan
-        # installed, each plan shard hosted here gets its own stream
-        # (distinct name -> distinct files, watermarks, fault sites) and
-        # records route by their context's planned shard.
-        self.streams: list[LogStream] = [
-            LogStream(None, self.log, self.protocol_trace, self)
-        ]
-        #: context_id -> stream index; only non-zero assignments stored.
-        #: Rebuilt by recovery from the per-stream scans, so it never
-        #: needs to survive a crash.
-        self._context_stream: dict[int, int] = {}
-        self.shard_router: ShardRouter | None = None
-        if self.config.sharded_logging:
-            plan = runtime.log_plan
-            if plan is not None:
-                self.shard_router = ShardRouter(plan, name)
-                for shard_id in self.shard_router.shard_ids:
-                    log = LogManager(
-                        f"{self.log.process_name}@{shard_id}",
-                        machine.disk,
-                        machine.stable_store,
-                    )
-                    self.streams.append(
-                        LogStream(shard_id, log, ProtocolTrace(), self)
-                    )
-
-        self.context_table: dict[int, ContextTableEntry] = {}
-        self.component_table: dict[int, ComponentTableEntry] = {}
-        self.last_calls = LastCallTable()
-        self.remote_types = RemoteComponentTypeTable()
-
-        self._next_component_lid = 1
-        self._state_saves = 0
-        self._pending_checkpoint: tuple[int, int] | None = None  # (begin, end)
         self.crash_count = 0
         self.recovery_count = 0
-        # The per-component recovery watermark table while replay is
-        # still owed (repro.recovery.incremental.PendingRecovery): during
-        # an eager restart's drain, or after on-demand recovery admitted
-        # the process.  None once every component is recovered — and
-        # cleared by a fresh crash.
-        self.pending_recovery = None
+
+        # Log streams (docs/internals.md section 16).  Stream 0 is the
+        # process's own log.  With ``config.sharded_logging`` on and a
+        # committed plan installed, each plan shard hosted here gets its
+        # own stream (distinct name -> distinct files, watermarks, fault
+        # sites) and records route by their context's planned shard.
+        # Each trace is an observation-only journal of logging decisions
+        # that the conformance checker (repro.analysis) replays.
+        log_name = f"{machine.name}-{name}"
+        names = {None: log_name}
+        self.shard_router: ShardRouter | None = None
+        if self.config.sharded_logging and runtime.log_plan is not None:
+            self.shard_router = ShardRouter(runtime.log_plan, name)
+            for shard_id in self.shard_router.shard_ids:
+                names[shard_id] = f"{log_name}@{shard_id}"
+        self.incarnation = Incarnation([
+            LogStream(
+                shard_id,
+                LogManager(stream, machine.disk, machine.stable_store),
+                ProtocolTrace(),
+                self,
+            )
+            for shard_id, stream in names.items()
+        ])
 
         machine.register_process(self)
+
+    # Read-only views of the current incarnation.
+    @property
+    def streams(self) -> list[LogStream]:
+        return self.incarnation.streams
+
+    @property
+    def log(self) -> LogManager:
+        return self.incarnation.streams[0].log
+
+    @property
+    def pending_recovery(self):
+        return self.incarnation.pending_recovery
 
     # ------------------------------------------------------------------
     # stream routing (docs/internals.md section 16)
@@ -232,14 +251,15 @@ class AppProcess:
         flag-off runtime resolve to stream 0; subordinate LIDs follow
         their parent context (the plan's affinity edges never split a
         context across shards)."""
-        if len(self.streams) == 1 or context_id is None or context_id < 0:
+        context_stream = self.incarnation.context_stream
+        if not context_stream or context_id is None or context_id < 0:
             return 0
         if context_id >= SUB_LID_BASE:
             context_id //= SUB_LID_BASE
-        return self._context_stream.get(context_id, 0)
+        return context_stream.get(context_id, 0)
 
     def stream_for(self, context_id: int | None) -> LogStream:
-        return self.streams[self.stream_index(context_id)]
+        return self.incarnation.streams[self.stream_index(context_id)]
 
     def log_for(self, context_id: int | None) -> LogManager:
         return self.stream_for(context_id).log
@@ -248,7 +268,7 @@ class AppProcess:
         """Pin a context to a stream (creation and recovery both call
         this; the assignment is stable for the context's lifetime)."""
         if index:
-            self._context_stream[context_id] = index
+            self.incarnation.context_stream[context_id] = index
 
     # ------------------------------------------------------------------
     # log access with cost accounting
@@ -283,12 +303,14 @@ class AppProcess:
         """Section 4.3: once a checkpoint has been flushed (possibly by a
         later send message), force its begin LSN into the well-known
         file."""
-        if self._pending_checkpoint is None:
+        incarnation = self.incarnation
+        if incarnation.pending_checkpoint is None:
             return
-        begin_lsn, end_lsn = self._pending_checkpoint
-        if self.log.stable_lsn > end_lsn:
-            self.log.write_well_known_lsn(begin_lsn)
-            self._pending_checkpoint = None
+        begin_lsn, end_lsn = incarnation.pending_checkpoint
+        log = incarnation.streams[0].log
+        if log.stable_lsn > end_lsn:
+            log.write_well_known_lsn(begin_lsn)
+            incarnation.pending_checkpoint = None
             faultplane.site_hit(
                 f"checkpoint.publish.before_truncate:{self.name}", self.name
             )
@@ -296,7 +318,7 @@ class AppProcess:
                 self.collect_log_garbage()
 
     def set_pending_checkpoint(self, begin_lsn: int, end_lsn: int) -> None:
-        self._pending_checkpoint = (begin_lsn, end_lsn)
+        self.incarnation.pending_checkpoint = (begin_lsn, end_lsn)
         self._maybe_publish_checkpoint()
 
     # ------------------------------------------------------------------
@@ -340,8 +362,9 @@ class AppProcess:
                 "component_type"
             )
 
-        lid = self._next_component_lid
-        self._next_component_lid += 1
+        incarnation = self.incarnation
+        lid = incarnation.next_component_lid
+        incarnation.next_component_lid += 1
         uri = component_uri(self.machine.name, self.name, lid)
         if self.shard_router is not None:
             self.assign_stream(
@@ -364,7 +387,7 @@ class AppProcess:
         entry = ContextTableEntry(
             context_id=lid, uri=uri, context_ref=context
         )
-        self.context_table[lid] = entry
+        incarnation.context_table[lid] = entry
 
         if ctype.is_phoenix:
             class_name = self.runtime.registry.register(cls)
@@ -450,45 +473,36 @@ class AppProcess:
             if ctype.is_phoenix
             else f"{cls.__module__}.{cls.__qualname__}"
         )
-        self.component_table[lid] = ComponentTableEntry(
+        incarnation = self.incarnation
+        incarnation.component_table[lid] = ComponentTableEntry(
             component_lid=lid,
             component_type=ctype,
             class_name=class_name,
             instance=component,
             context_id=context.context_id,
         )
-        if (
-            context.context_id in self.context_table
-            and lid
-            not in self.context_table[context.context_id].component_lids
-        ):
-            self.context_table[context.context_id].component_lids.append(lid)
+        entry = incarnation.context_table.get(context.context_id)
+        if entry is not None and lid not in entry.component_lids:
+            entry.component_lids.append(lid)
         return component
 
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
     def find_context(self, component_lid: int) -> Context:
-        entry = self.component_table.get(component_lid)
+        incarnation = self.incarnation
+        entry = incarnation.component_table.get(component_lid)
         if entry is None:
             raise DeploymentError(
                 f"no component {component_lid} in process {self.name} "
                 f"on {self.machine.name}"
             )
-        context_entry = self.context_table[entry.context_id]
-        context = context_entry.context_ref
-        if context is None:
-            raise ComponentUnavailableError(
-                component_uri(self.machine.name, self.name, component_lid),
-                "context not materialized",
-            )
-        return context
+        return incarnation.context_table[entry.context_id].context_ref
 
     def contexts(self) -> list[Context]:
         return [
             entry.context_ref
-            for entry in self.context_table.values()
-            if entry.context_ref is not None
+            for entry in self.incarnation.context_table.values()
         ]
 
     # ------------------------------------------------------------------
@@ -510,12 +524,13 @@ class AppProcess:
         from ..checkpoint.state_record import save_context_state
 
         lsn = save_context_state(context)
-        self._state_saves += 1
+        incarnation = self.incarnation
+        incarnation.state_saves += 1
         every = self.config.checkpoint.process_checkpoint_every_n_saves
         if (
             every is not None
-            and self._state_saves % every == 0
-            and self.pending_recovery is None
+            and incarnation.state_saves % every == 0
+            and incarnation.pending_recovery is None
         ):
             # Automatic process checkpoints wait until on-demand replay
             # has drained: a checkpoint taken mid-drain would publish a
@@ -542,17 +557,18 @@ class AppProcess:
         record), and every reply record the last-call table still
         points at.
         """
+        incarnation = self.incarnation
         candidates: list[int] = []
-        published = self.streams[stream].log.read_well_known_lsn()
+        published = incarnation.streams[stream].log.read_well_known_lsn()
         if published is not None:
             candidates.append(published)
-        for entry in self.context_table.values():
+        for entry in incarnation.context_table.values():
             if self.stream_index(entry.context_id) != stream:
                 continue
             start = entry.recovery_start_lsn
             if start != NO_LSN:
                 candidates.append(start)
-        for __, last_call in self.last_calls.all_entries():
+        for __, last_call in incarnation.last_calls.all_entries():
             if last_call.reply_lsn == NO_LSN:
                 continue
             # The reply record lives on the serving context's stream;
@@ -564,26 +580,27 @@ class AppProcess:
             ):
                 continue
             candidates.append(last_call.reply_lsn)
-        if self.pending_recovery is not None:
+        if incarnation.pending_recovery is not None:
             # Frame chains still owed to on-demand replay.  (Their
             # contexts' recovery-start LSNs cover them already; keep
             # the invariant explicit.)
-            candidates.extend(self.pending_recovery.start_lsns(stream))
+            candidates.extend(incarnation.pending_recovery.start_lsns(stream))
         if not candidates:
-            return self.streams[stream].log.base_lsn
+            return incarnation.streams[stream].log.base_lsn
         return min(candidates)
 
     def collect_log_garbage(self) -> int:
         """Reclaim each stream's dead log prefix; returns bytes
         reclaimed."""
-        reclaimed = self.log.truncate_prefix(self.log_truncation_point())
-        for index, stream in enumerate(self.streams[1:], start=1):
+        reclaimed = 0
+        for index, stream in enumerate(self.incarnation.streams):
             point = self.log_truncation_point(index)
-            # Publish the stream's own scan anchor before dropping the
-            # prefix: recovery pass 1 starts each stream at its
-            # well-known LSN, which must never sit below truncated
-            # bytes.
-            stream.log.write_well_known_lsn(point)
+            if index:
+                # Publish an extra stream's own scan anchor before
+                # dropping the prefix: recovery pass 1 starts each
+                # stream at its well-known LSN, which must never sit
+                # below truncated bytes.
+                stream.log.write_well_known_lsn(point)
             reclaimed += stream.log.truncate_prefix(point)
         return reclaimed
 
@@ -591,46 +608,23 @@ class AppProcess:
     # failure & restart
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Kill the process: all volatile state is gone."""
+        """Kill the process: the incarnation is dropped whole and an
+        empty one, over the same stable files, waits for recovery."""
         if self.state is ProcessState.CRASHED:
             return
         self.state = ProcessState.CRASHED
         self.crash_count += 1
-        for stream in self.streams:
-            stream.log.wipe_volatile()
-            stream.reset()
+        self.incarnation = Incarnation(
+            [stream.reopen() for stream in self.incarnation.streams]
+        )
+        for stream in self.incarnation.streams:
             # Volatile records above the stable boundary are gone and
             # their LSNs will be reused; tell the conformance trace.
             stream.trace.note_crash(stream.log.stable_lsn)
         # Per-session durability watermarks are volatile too: entries
-        # above the stable boundary point at wiped bytes whose LSNs the
+        # above the stable boundary point at lost bytes whose LSNs the
         # next incarnation will reuse.
         self.runtime.scheduler.clamp_watermarks(self)
-        for entry in self.context_table.values():
-            entry.context_ref = None
-        self.context_table = {}
-        self.component_table = {}
-        self.last_calls = LastCallTable()
-        self.remote_types = RemoteComponentTypeTable()
-        self._pending_checkpoint = None
-        self.pending_recovery = None
-        self._context_stream = {}
-        self.machine.recovery_service.on_crash(self)
-
-    def begin_restart(self) -> None:
-        """Fresh volatile structures before recovery repopulates them."""
-        self.state = ProcessState.RECOVERING
-        for stream in self.streams:
-            stream.reset()
-        self._context_stream = {}
-        self.context_table = {}
-        self.component_table = {}
-        self.last_calls = LastCallTable()
-        self.remote_types = RemoteComponentTypeTable()
-        self._next_component_lid = 1
-        self._state_saves = 0
-        self._pending_checkpoint = None
-        self.pending_recovery = None
 
     def finish_recovery(self) -> None:
         self.state = ProcessState.RUNNING
@@ -646,5 +640,5 @@ class AppProcess:
         return (
             f"AppProcess({self.machine.name}/{self.name}, "
             f"pid={self.logical_pid}, {self.state.value}, "
-            f"contexts={len(self.context_table)})"
+            f"contexts={len(self.incarnation.context_table)})"
         )

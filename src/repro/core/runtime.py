@@ -241,7 +241,7 @@ class PhoenixRuntime:
         # a proxy that happens to target the caller's own context short-
         # circuits to a direct invocation with no interception.
         if caller_ctx is not None and caller_ctx.process is process:
-            entry = process.component_table.get(lid)
+            entry = process.incarnation.component_table.get(lid)
             if (
                 entry is not None
                 and entry.context_id == caller_ctx.context_id
@@ -388,12 +388,12 @@ class PhoenixRuntime:
     def _caller_is_dead(caller_ctx: Context) -> bool:
         """Is this execution a ghost of a crashed incarnation?
 
-        True when the caller's process has crashed, or when recovery has
-        already replaced the caller's context with a new generation."""
+        True when the caller's context is not in its process's current
+        incarnation: the process crashed (the crash dropped the whole
+        context table), or recovery has already replaced the caller's
+        context with a new generation."""
         process = caller_ctx.process
-        if process.state is ProcessState.CRASHED:
-            return True
-        entry = process.context_table.get(caller_ctx.context_id)
+        entry = process.incarnation.context_table.get(caller_ctx.context_id)
         return entry is None or entry.context_ref is not caller_ctx
 
     def _deliver_once(
@@ -441,7 +441,7 @@ class PhoenixRuntime:
                         )
                         continue
                     break
-                pending = process.pending_recovery
+                pending = process.incarnation.pending_recovery
                 if pending is not None:
                     # Replay still owed (on-demand admission, or an
                     # eager drain whose replay went live): the target
@@ -574,7 +574,7 @@ class PhoenixRuntime:
         on-demand replay backlog.  Workloads, benchmarks and state
         capture use this when they need every component materialized."""
         self.restart_process(process)
-        pending = process.pending_recovery
+        pending = process.incarnation.pending_recovery
         if pending is not None:
             pending.drain_all()
 
@@ -629,11 +629,10 @@ class PhoenixRuntime:
                     f"crashes={process.crash_count}, "
                     f"recoveries={process.recovery_count}"
                 )
-                for entry in sorted(process.context_table.values(),
+                table = process.incarnation.context_table
+                for entry in sorted(table.values(),
                                     key=lambda e: e.context_id):
                     context = entry.context_ref
-                    if context is None:
-                        continue
                     parent = (
                         type(context.parent).__name__
                         if context.parent is not None

@@ -1,6 +1,7 @@
 """Per-process global tables (paper Table 1 and Section 4.1).
 
-A process keeps four tables outside all contexts:
+A process's incarnation (:class:`repro.core.process.Incarnation`) keeps
+four tables outside all contexts:
 
 * the **component table** — one entry per Phoenix/App component in the
   process;
@@ -52,10 +53,10 @@ class ContextTableEntry:
 
     context_id: int
     uri: str
+    context_ref: "Context"
     component_lids: list[int] = field(default_factory=list)
     state_record_lsn: int = NO_LSN
     creation_lsn: int = NO_LSN
-    context_ref: "Context | None" = None
 
     @property
     def recovery_start_lsn(self) -> int:

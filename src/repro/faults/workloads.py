@@ -169,10 +169,10 @@ def _capture_state(runtime: PhoenixRuntime) -> dict[str, bytes]:
     via the same capture path checkpoints use."""
     state: dict[str, bytes] = {}
     for process in sorted(runtime.processes(), key=lambda p: p.name):
-        for context_id in sorted(process.context_table):
-            entry = process.context_table[context_id]
-            context = entry.context_ref
-            if context is None or not context.is_phoenix:
+        table = process.incarnation.context_table
+        for context_id in sorted(table):
+            context = table[context_id].context_ref
+            if not context.is_phoenix:
                 continue
             if not context.component_type.is_persistent_family:
                 continue

@@ -10,8 +10,10 @@ The manager keeps an in-memory buffer of framed records.  ``append``
 assigns the record its LSN (the byte offset its frame will occupy in the
 stable log) without touching the disk; ``force`` writes the whole buffer
 as one unbuffered disk write and only then are those records durable.  A
-process crash discards the buffer — that loss, and recovery's tolerance
-of it, is the heart of the paper's Algorithm 2 argument.
+process crash discards the whole manager, buffer included, and the next
+incarnation opens a fresh one over the same stable files — that loss,
+and recovery's tolerance of it, is the heart of the paper's Algorithm 2
+argument.
 
 Both hot paths avoid materializing the log:
 
@@ -130,12 +132,13 @@ class LogManager:
         disk: RotationalDisk,
         stable_store: StableStore,
         buffer_capacity: int = 64 * 1024,
+        stats: LogStats | None = None,
     ):
         self.process_name = process_name
         self.disk = disk
         self.stable_store = stable_store
         self.buffer_capacity = buffer_capacity
-        self.stats = LogStats()
+        self.stats = LogStats() if stats is None else stats
 
         log_name = f"{process_name}.log"
         self._stable = stable_store.open(log_name, create=True)
@@ -151,9 +154,9 @@ class LogManager:
 
         self._buffer = bytearray()
         # Logical LSNs survive prefix truncation: physical offset =
-        # LSN - base_lsn.
-        self._base_lsn = 0
-        self._buffer_start_lsn = self._stable.size
+        # LSN - base_lsn, and the base is the stable file's origin.
+        self._base_lsn = self._stable.origin
+        self._buffer_start_lsn = self._base_lsn + self._stable.size
 
         # LSN index over the *stable* log: sorted frame-start LSNs,
         # their frame lengths, record kinds and context ids (four
@@ -282,7 +285,7 @@ class LogManager:
         return lsn
 
     # ------------------------------------------------------------------
-    # crash behaviour
+    # stable content
     # ------------------------------------------------------------------
     def stable_bytes(self) -> bytes:
         """The durable log content, verbatim.
@@ -291,16 +294,6 @@ class LogManager:
         runs with the same seed must produce byte-identical stable logs.
         """
         return self._stable.read()
-
-    def wipe_volatile(self) -> int:
-        """Simulate a process crash: the buffer is lost.
-
-        Returns the number of buffered bytes that were discarded."""
-        lost = len(self._buffer)
-        self._buffer.clear()
-        self._pending_entries.clear()
-        self._buffer_start_lsn = self._base_lsn + self._stable.size
-        return lost
 
     # ------------------------------------------------------------------
     # the LSN index

@@ -72,19 +72,17 @@ class DurableLog:
         faultplane.site_hit(f"qforce.after:{self.name}")
         return True
 
-    def wipe_volatile(self) -> None:
-        """A crash loses whatever was not forced."""
-        self._buffer.clear()
+    def crash(self) -> int:
+        """A crash loses whatever was not forced, and truncates a torn
+        tail left by a crash mid-force.
 
-    def repair_tail(self) -> int:
-        """Truncate a torn tail left by a crash mid-force.
-
-        Without this, a later append would land *after* the torn bytes
-        and :meth:`records` — which stops at the first undecodable
-        frame — would silently hide every record behind the tear.
-        Resource managers call this on their crash path, before
+        Without the repair, a later append would land *after* the torn
+        bytes and :meth:`records` — which stops at the first
+        undecodable frame — would silently hide every record behind the
+        tear.  Resource managers call this on their crash path, before
         replaying the log.  Returns the repaired stable size.
         """
+        self._buffer.clear()
         return repair_framed_tail(self._stable)
 
     def records(self) -> Iterator[tuple[str, object]]:

@@ -131,8 +131,7 @@ class RecoverableQueue:
     # ------------------------------------------------------------------
     def crash(self) -> None:
         """Lose everything volatile: staged work and unforced records."""
-        self.log.wipe_volatile()
-        self.log.repair_tail()
+        self.log.crash()
         self._staged.clear()
         self._ready.clear()
         self._recover()

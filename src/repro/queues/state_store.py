@@ -73,8 +73,7 @@ class DurableStateStore:
     # crash & recovery
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        self.log.wipe_volatile()
-        self.log.repair_tail()
+        self.log.crash()
         self._staged.clear()
         self._data.clear()
         self._recover()

@@ -137,8 +137,7 @@ class TransactionCoordinator:
         IDs past every decision on the stable log so a recovered
         coordinator never reuses an ID a participant may still hold an
         in-doubt prepare for."""
-        self.log.wipe_volatile()
-        self.log.repair_tail()
+        self.log.crash()
         committed = self.committed_txns()
         self._next_txn_id = max(
             self._next_txn_id, max(committed, default=0) + 1

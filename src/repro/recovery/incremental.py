@@ -190,7 +190,7 @@ class PendingRecovery:
         if mark is None:
             return  # created after recovery; nothing to apply
         while True:
-            if process.pending_recovery is not self:
+            if process.incarnation.pending_recovery is not self:
                 return  # table retired: drained, or a fresh crash
             if mark.status == RECOVERED:
                 return
@@ -203,7 +203,7 @@ class PendingRecovery:
                 return
             self.runtime.scheduler.block_until(
                 lambda: mark.status == RECOVERED
-                or process.pending_recovery is not self,
+                or process.incarnation.pending_recovery is not self,
                 tag=f"lazy-recovery:{process.name}#{context_id}",
             )
 
@@ -246,7 +246,7 @@ class PendingRecovery:
         # Replay effects (including the live-continued tail call) bypass
         # context admission; publish the replayer's clock so the next
         # session admitted to this context is happens-after the replay.
-        entry = process.context_table.get(context_id)
+        entry = process.incarnation.context_table.get(context_id)
         context = None if entry is None else entry.context_ref
         if context is not None:
             self.runtime.scheduler.publish_context(context)
@@ -254,10 +254,10 @@ class PendingRecovery:
 
     def _maybe_finish(self) -> None:
         process = self.process
-        if process.pending_recovery is not self:
+        if process.incarnation.pending_recovery is not self:
             return
         if all(m.status == RECOVERED for m in self.marks.values()):
-            process.pending_recovery = None
+            process.incarnation.pending_recovery = None
 
     # ------------------------------------------------------------------
     # foreground drain (the full-recovery barrier)
@@ -272,12 +272,12 @@ class PendingRecovery:
         each claimed component in context-id order through
         :meth:`_replay_component`, with nothing left on its cursor."""
         process = self.process
-        while process.pending_recovery is self:
+        while process.incarnation.pending_recovery is self:
             claimed = self._claim_pending()
             if claimed:
                 self._redo_in_log_order(claimed)
                 for mark in claimed:
-                    if process.pending_recovery is not self:
+                    if process.incarnation.pending_recovery is not self:
                         return
                     # A live call may have finished it already.
                     if mark.status == REPLAYING:
@@ -290,7 +290,7 @@ class PendingRecovery:
                 self._maybe_finish()
                 return
             self.runtime.scheduler.block_until(
-                lambda: process.pending_recovery is not self
+                lambda: process.incarnation.pending_recovery is not self
                 or not any(
                     m.status == REPLAYING for m in self.marks.values()
                 ),
@@ -331,7 +331,7 @@ class PendingRecovery:
             log = process.streams[stream].log
             try:
                 for lsn, record in log.read_records(lsns):
-                    if process.pending_recovery is not self:
+                    if process.incarnation.pending_recovery is not self:
                         return
                     mark = marks[record.context_id]
                     if mark.status != REPLAYING:
@@ -408,7 +408,7 @@ class PendingRecovery:
         pushed = scheduler.enter_process(process)
         try:
             for context_id in members:
-                if process.pending_recovery is not self:
+                if process.incarnation.pending_recovery is not self:
                     return
                 mark = self.marks.get(context_id)
                 if mark is None or mark.status != PENDING:
@@ -430,7 +430,7 @@ class PendingRecovery:
     def _drain_worker(self) -> None:
         process = self.process
         name = process.name
-        while process.pending_recovery is self:
+        while process.incarnation.pending_recovery is self:
             mark = self._next_pending()
             if mark is None:
                 return

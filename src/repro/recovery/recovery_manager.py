@@ -170,9 +170,9 @@ class RecoveryManager:
             # Analysis is done: admit new calls now and replay each
             # component lazily / in the background (incremental.py).
             if pending.pending_count():
-                process.pending_recovery = pending
+                process.incarnation.pending_recovery = pending
             faultplane.site_hit(f"recovery.admit_early:{name}", name)
-            if process.pending_recovery is pending:
+            if process.incarnation.pending_recovery is pending:
                 pending.spawn_workers()
         elif len(process.streams) > 1:
             # Sharded eager recovery: each stream's shard replays as an
@@ -185,7 +185,7 @@ class RecoveryManager:
             faultplane.site_hit(f"recovery.pass2:{name}", name)
             # Published while it drains, so a replay that goes live into
             # a context not yet replayed replays that chain first.
-            process.pending_recovery = pending
+            process.incarnation.pending_recovery = pending
             pending.drain_all()
             faultplane.site_hit(f"recovery.drained:{name}", name)
             # Make everything recovery produced (including effects of
@@ -193,8 +193,9 @@ class RecoveryManager:
             # recovered.
             process.log.force()
             faultplane.site_hit(f"recovery.done:{name}", name)
-        if process.context_table:
-            process._next_component_lid = max(process.context_table) + 1
+        incarnation = process.incarnation
+        if incarnation.context_table:
+            incarnation.next_component_lid = max(incarnation.context_table) + 1
 
     # ------------------------------------------------------------------
     # sharded eager recovery (config.sharded_logging)
@@ -219,7 +220,7 @@ class RecoveryManager:
         faultplane.site_hit(f"recovery.pass2:{name}", name)
         if self.runtime.scheduler.current_session() is not None:
             if pending.pending_count():
-                process.pending_recovery = pending
+                process.incarnation.pending_recovery = pending
                 pending.spawn_shard_workers()
             return
         self._drain_shard_lanes(pending, discoveries)
@@ -316,10 +317,10 @@ class RecoveryManager:
                         info.state = None  # read lazily below
             elif isinstance(record, CheckpointRemoteTypeRecord):
                 for uri, component_type in record.entries:
-                    process.remote_types.seed(uri, component_type)
+                    process.incarnation.remote_types.seed(uri, component_type)
             elif isinstance(record, CheckpointLastCallRecord):
                 for entry in record.entries:
-                    process.last_calls.seed(
+                    process.incarnation.last_calls.seed(
                         entry.caller_key,
                         entry.call_id,
                         NO_LSN,
@@ -397,7 +398,7 @@ class RecoveryManager:
             uri,
             component_type,
         )
-        process.context_table[info.context_id] = ContextTableEntry(
+        process.incarnation.context_table[info.context_id] = ContextTableEntry(
             context_id=info.context_id,
             uri=uri,
             state_record_lsn=info.state_lsn,
@@ -444,7 +445,7 @@ class RecoveryManager:
             # The record was just decoded; caching the reply object now
             # means a later duplicate-detection hit resolves from memory
             # instead of re-reading the log.
-            self.process.last_calls.seed(
+            self.process.incarnation.last_calls.seed(
                 record.caller_key,
                 record.call_id,
                 record.context_id,
@@ -467,7 +468,7 @@ class RecoveryManager:
             if message.call_id is not None:
                 client_type = MessageInterceptor.client_type_of(message)
                 if client_type.is_persistent_family:
-                    process.last_calls.seed(
+                    process.incarnation.last_calls.seed(
                         message.call_id.caller_key,
                         message.call_id,
                         context_id,
@@ -493,7 +494,7 @@ class RecoveryManager:
                 # Cache the decoded reply alongside its LSN (same memory
                 # profile as normal operation, where record_reply keeps
                 # the reply object) so a retry never re-reads the log.
-                process.last_calls.seed(
+                process.incarnation.last_calls.seed(
                     reply.call_id.caller_key,
                     reply.call_id,
                     context_id,
@@ -509,8 +510,8 @@ class RecoveryManager:
         self, context_id: int, pending: _Pending, final: bool
     ) -> None:
         process = self.process
-        entry = process.context_table.get(context_id)
-        if entry is None or entry.context_ref is None:
+        entry = process.incarnation.context_table.get(context_id)
+        if entry is None:
             raise RecoveryError(
                 f"no context {context_id} registered for replay"
             )
@@ -583,7 +584,7 @@ class RecoveryManager:
         # ever acquiring the context, so the clock handoff must ride
         # the same state.  The drainer publishes; later callers that
         # find the context already drained inherit the drainer's clock.
-        entry = self.process.context_table.get(context_id)
+        entry = self.process.incarnation.context_table.get(context_id)
         context = None if entry is None else entry.context_ref
         if context is not None:
             scheduler = self.runtime.scheduler
@@ -604,7 +605,7 @@ def recover_context(context: Context) -> None:
     process = context.process
     runtime = context.runtime
     context_id = context.context_id
-    entry = process.context_table.get(context_id)
+    entry = process.incarnation.context_table.get(context_id)
     if entry is None:
         raise RecoveryError(
             f"context {context_id} is not in the context table"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..core.process import ProcessState
 from ..errors import InvariantViolationError, LogCorruptionError
 from ..log.serialization import (
     Reader,
@@ -41,7 +42,6 @@ class RecoveryService:
         self.runtime = runtime
         self._table: dict[str, int] = {}  # process name -> logical pid
         self._next_pid = 1
-        self._crashed: set[str] = set()
 
         log_name = "recovery-service.log"
         self._stable = machine.stable_store.open(log_name, create=True)
@@ -97,12 +97,13 @@ class RecoveryService:
     # ------------------------------------------------------------------
     # monitoring & restart
     # ------------------------------------------------------------------
-    def on_crash(self, process: "AppProcess") -> None:
-        """The monitored process exited abnormally."""
-        self._crashed.add(process.name)
-
     def crashed_processes(self) -> list[str]:
-        return sorted(self._crashed)
+        """Processes that exited abnormally and are not yet recovered."""
+        return sorted(
+            process.name
+            for process in self.machine.processes()
+            if process.state is not ProcessState.RUNNING
+        )
 
     def restart(self, process: "AppProcess") -> None:
         """Restart a crashed process and drive its recovery manager.
@@ -111,12 +112,12 @@ class RecoveryService:
         (the stable logical PID) and directs the recovery manager to
         recover (paper Section 4.4).
         """
-        from ..core.process import ProcessState
         from .recovery_manager import RecoveryManager
 
         if process.state is not ProcessState.CRASHED:
             return
-        process.begin_restart()
+        # The crash already built the empty incarnation recovery fills.
+        process.state = ProcessState.RECOVERING
         process.logical_pid = self.logical_pid_of(process.name)
         try:
             RecoveryManager(process).recover()
@@ -127,4 +128,3 @@ class RecoveryService:
             process.crash()
             raise
         process.finish_recovery()
-        self._crashed.discard(process.name)

@@ -23,6 +23,9 @@ class StableFile:
     def __init__(self, name: str):
         self.name = name
         self._data = bytearray()
+        #: Bytes :meth:`trim_front` discarded: the logical offset of the
+        #: first byte held.  Durable, so a reopened log keeps its LSNs.
+        self.origin = 0
         self._partial_cut: int | None = None
 
     def __len__(self) -> int:
@@ -106,6 +109,7 @@ class StableFile:
                 f"of size {len(self._data)}"
             )
         del self._data[:nbytes]
+        self.origin += nbytes
 
 
 class StableStore:

@@ -32,7 +32,7 @@ class TestOracleWiring:
         process, counter = deploy_counter(runtime)
         counter.increment()
         # a fake send event with volatile bytes outstanding
-        process.protocol_trace.record(TraceEvent(
+        process.streams[0].trace.record(TraceEvent(
             kind=MessageKind.OUTGOING_CALL,
             end_lsn=process.log.end_lsn + 64,
             stable_lsn=process.log.stable_lsn,
@@ -48,7 +48,7 @@ class TestRecoveryLogsConform:
         runtime.crash_process(process)
         assert counter.increment() == 3  # auto-recovery + replay
         assert process.recovery_count == 1
-        assert process.protocol_trace.events(), "policy decisions traced"
+        assert process.streams[0].trace.events(), "policy decisions traced"
         assert check_process(process) == []
 
     def test_two_tier_crashes_conform(self, runtime):

@@ -339,7 +339,7 @@ class TestTRC109Trips:
             if p.name == process_name
         )
         lsns = set()
-        for entry in process.protocol_trace.entries:
+        for entry in process.streams[0].trace.entries:
             lsns.add(entry.record_lsn)
             lsns.add(entry.end_lsn)
         assert violation.lsn in lsns

@@ -211,7 +211,7 @@ class TestTRC104TraceStreamAgreement:
         trace.record(event_for(log, MessageKind.INCOMING_CALL, lsn))
         # Crash before any force: the record is legitimately gone.
         trace.note_crash(log.stable_lsn)
-        log.wipe_volatile()
+        log = LogManager(log.process_name, log.disk, log.stable_store)
         assert check_log(log, trace) == []
 
 

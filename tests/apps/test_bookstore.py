@@ -133,7 +133,7 @@ class TestCrashResilience:
         # sold counts recovered exactly (buy executed exactly 3 times)
         process = app.server_process
         app.runtime.ensure_recovered(process)
-        instance = process.component_table[1].instance
+        instance = process.incarnation.component_table[1].instance
         assert instance.sold[title] == 3
 
 

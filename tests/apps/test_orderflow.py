@@ -13,7 +13,7 @@ def app():
 
 
 def backend_instance(app, lid):
-    return app.backend_process.component_table[lid].instance
+    return app.backend_process.incarnation.component_table[lid].instance
 
 
 class TestPipeline:

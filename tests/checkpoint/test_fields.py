@@ -13,7 +13,7 @@ from tests.conftest import Counter, KvStore, TallyOwner
 def deployed_counter(runtime):
     process = runtime.spawn_process("p", machine="alpha")
     process.create_component(Counter, args=(7,))
-    instance = process.component_table[1].instance
+    instance = process.incarnation.component_table[1].instance
     context = process.find_context(1)
     return process, instance, context
 
@@ -37,7 +37,7 @@ class TestCapture:
     def test_subordinate_handles_swizzled(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")
         process.create_component(TallyOwner)
-        owner = process.component_table[1].instance
+        owner = process.incarnation.component_table[1].instance
         context = process.find_context(1)
         fields = capture_fields(owner, context)
         from repro.common.ids import LocalRef
@@ -48,7 +48,7 @@ class TestCapture:
         process = runtime.spawn_process("p", machine="alpha")
         counter = process.create_component(Counter)
         process.create_component(KvStore)
-        store = process.component_table[2].instance
+        store = process.incarnation.component_table[2].instance
         store.ref = counter
         context = process.find_context(2)
         from repro.common import ComponentRef
@@ -73,7 +73,7 @@ class TestRestore:
         process = runtime.spawn_process("p", machine="alpha")
         counter = process.create_component(Counter)
         process.create_component(KvStore)
-        store = process.component_table[2].instance
+        store = process.incarnation.component_table[2].instance
         store.ref = counter
         context = process.find_context(2)
         fields = capture_fields(store, context)
@@ -119,7 +119,7 @@ class TestPropertyRoundtrip:
         runtime = PhoenixRuntime()
         process = runtime.spawn_process("p", machine="alpha")
         process.create_component(Counter)
-        instance = process.component_table[1].instance
+        instance = process.incarnation.component_table[1].instance
         context = process.find_context(1)
         for key, value in fields.items():
             setattr(instance, key, value)

@@ -85,5 +85,5 @@ class TestInterruptedCheckpoints:
         relay.put("flush", 99)  # publishes
         runtime.crash_process(store_process)
         assert relay.put("post", 1) == (7, 7)
-        instance = store_process.component_table[1].instance
+        instance = store_process.incarnation.component_table[1].instance
         assert instance.executions == 7

@@ -33,9 +33,9 @@ class TestSave:
         process = runtime.spawn_process("p", machine="alpha")
         counter = process.create_component(Counter)
         counter.increment()
-        assert process.context_table[1].state_record_lsn == NO_LSN
+        assert process.incarnation.context_table[1].state_record_lsn == NO_LSN
         lsn = save_context_state(process.find_context(1))
-        assert process.context_table[1].state_record_lsn == lsn
+        assert process.incarnation.context_table[1].state_record_lsn == lsn
 
     def test_save_includes_subordinates(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")
@@ -66,7 +66,7 @@ class TestSave:
         store_process.log.force()
         kinds = [type(r).__name__ for __, r in store_process.log.scan()]
         assert "LastCallReplyRecord" in kinds
-        entry = store_process.last_calls.entries_for_context(1)[0]
+        entry = store_process.incarnation.last_calls.entries_for_context(1)[0]
         assert entry.reply_lsn != NO_LSN
 
     def test_second_save_reuses_reply_lsn(self, runtime):
@@ -103,9 +103,9 @@ class TestAutomaticSaves:
         counter = process.create_component(Counter)
         for __ in range(4):
             counter.increment()
-        assert process.context_table[1].state_record_lsn == NO_LSN
+        assert process.incarnation.context_table[1].state_record_lsn == NO_LSN
         counter.increment()  # fifth call
-        assert process.context_table[1].state_record_lsn != NO_LSN
+        assert process.incarnation.context_table[1].state_record_lsn != NO_LSN
 
     def test_process_checkpoint_after_n_saves(self, checkpointing_runtime):
         runtime = checkpointing_runtime  # ckpt every 2 saves

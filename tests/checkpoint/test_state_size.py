@@ -82,5 +82,5 @@ class TestStateSizeCosts:
         process.log.force()
         runtime.crash_process(process)
         runtime.ensure_recovered(process)
-        instance = process.component_table[1].instance
+        instance = process.incarnation.component_table[1].instance
         assert len(instance.payload) == 150_000

@@ -137,7 +137,7 @@ class TestMulticallWatermark:
             method_read_only=False,
         )
         context.current_call = None
-        skipped = process.protocol_trace.events()[-1].multicall_skip
+        skipped = process.streams[0].trace.events()[-1].multicall_skip
         return skipped, log.stats.forces_requested - requested
 
     def test_skip_requires_stability_through_own_forces(self):

@@ -213,7 +213,7 @@ class TestSerialFallback:
         )
         counters[0].increment()
         committed = [
-            event for event in process.protocol_trace.events()
+            event for event in process.streams[0].trace.events()
             if event.commit_lsn is not None
         ]
         assert committed, "an external call commits messages 1 and 2"

@@ -62,8 +62,8 @@ class TestDeterminism:
         assert record_signature(a_process.log) == record_signature(
             b_process.log
         )
-        assert repr(a_process.protocol_trace.entries) == repr(
-            b_process.protocol_trace.entries
+        assert repr(a_process.streams[0].trace.entries) == repr(
+            b_process.streams[0].trace.entries
         )
         assert a_runtime.clock.now == b_runtime.clock.now
 
@@ -123,7 +123,7 @@ class TestInterleaving:
         __, process, __ = _run(seed=3, n_sessions=3)
         sessions = [
             event.session
-            for event in process.protocol_trace.events()
+            for event in process.streams[0].trace.events()
             if event.session is not None
         ]
         assert set(sessions) == {0, 1, 2}
@@ -155,9 +155,9 @@ class TestInterleaving:
         # serially, 0 under the scheduler) and its vector clock.
         scrubbed = [
             event._replace(session=None, vc=None)
-            for event in c_process.protocol_trace.events()
+            for event in c_process.streams[0].trace.events()
         ]
-        assert repr(scrubbed) == repr(s_process.protocol_trace.entries)
+        assert repr(scrubbed) == repr(s_process.streams[0].trace.entries)
         assert c_runtime.clock.now == s_runtime.clock.now
 
 
@@ -295,7 +295,7 @@ class TestSpawn:
         scheduler.run([spawner])
         worker_events = [
             event
-            for event in process.protocol_trace.events()
+            for event in process.streams[0].trace.events()
             if event.session == 1
         ]
         assert worker_events, "worker must reach the server trace"

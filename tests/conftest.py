@@ -189,4 +189,4 @@ def deploy_pair(runtime, config_note="", store_machine="beta"):
 
 def instance_of(process, lid: int):
     """The live component instance behind a LID (for state assertions)."""
-    return process.component_table[lid].instance
+    return process.incarnation.component_table[lid].instance

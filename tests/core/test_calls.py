@@ -159,7 +159,7 @@ class TestSubordinates:
         owner.add("x")
         # find the subordinate's URI and try to call it externally
         sub_lid = next(
-            lid for lid in process.component_table if lid > 100_000
+            lid for lid in process.incarnation.component_table if lid > 100_000
         )
         from repro.common import component_uri
 
@@ -251,7 +251,7 @@ class TestReadOnlyComponents:
         ro_process = runtime.spawn_process("rp", machine="alpha")
         inspector = ro_process.create_component(Inspector, args=(store,))
         inspector.lookup_stateful("k")  # non-read-only server method
-        assert len(store_process.last_calls) == 0
+        assert len(store_process.incarnation.last_calls) == 0
 
 
 class TestReentrancy:

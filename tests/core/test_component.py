@@ -22,7 +22,7 @@ class TestBaseClass:
     def test_attached_fields(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")
         process.create_component(Counter)
-        instance = process.component_table[1].instance
+        instance = process.incarnation.component_table[1].instance
         assert instance.phoenix_uri == "phoenix://alpha/p/1"
         assert instance.phoenix_type.value == "persistent"
 
@@ -57,7 +57,7 @@ class TestSubordinateHandle:
     def test_forwards_methods_and_fields(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")
         process.create_component(TallyOwner)
-        owner = process.component_table[1].instance
+        owner = process.incarnation.component_table[1].instance
         handle = owner.tally
         # called from outside any context: the access check must fire
         with pytest.raises(ConfigurationError):
@@ -66,13 +66,13 @@ class TestSubordinateHandle:
     def test_component_lid_exposed(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")
         process.create_component(TallyOwner)
-        owner = process.component_table[1].instance
+        owner = process.incarnation.component_table[1].instance
         assert owner.tally.component_lid > 100_000
 
     def test_repr(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")
         process.create_component(TallyOwner)
-        owner = process.component_table[1].instance
+        owner = process.incarnation.component_table[1].instance
         assert "Tally" in repr(owner.tally)
 
 

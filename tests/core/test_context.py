@@ -33,7 +33,7 @@ class TestSubordinateLids:
     def test_lid_derivation(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")
         process.create_component(TallyOwner)
-        owner = process.component_table[1].instance
+        owner = process.incarnation.component_table[1].instance
         assert owner.tally.component_lid == 1 * SUB_LID_BASE + 1
 
     def test_counter_restore_continues_sequence(self, runtime):

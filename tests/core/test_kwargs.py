@@ -55,7 +55,7 @@ class TestKwargs:
         flexible.record(2, b=20)
         runtime.crash_process(process)
         assert flexible.record(3, b=30, c=30) == (3, 30, 30, None)
-        instance = process.component_table[1].instance
+        instance = process.incarnation.component_table[1].instance
         assert instance.calls == [
             (1, 2, 10, None),
             (2, 20, 3, None),
@@ -70,7 +70,7 @@ class TestKwargs:
         forwarder.go(1, c=5)
         arm(runtime, "p", "reply.before_send")
         assert forwarder.go(2, c=6) == (2, 2, 6, None)
-        instance = process.component_table[1].instance
+        instance = process.incarnation.component_table[1].instance
         assert len(instance.calls) == 2  # exactly once
 
     def test_kwargs_ordering_is_canonical_on_the_wire(self):

@@ -178,7 +178,7 @@ def test_the_policy_emits_what_the_cell_says(column):
     for row, (entry, message) in enumerate(entries):
         peer_type, method_read_only = peers(row, column)[0]
         decision = entry(context, message, peer_type, method_read_only)
-        event = process.protocol_trace.events()[-1]
+        event = process.streams[0].trace.events()[-1]
         cell = ma.TABLE[row][column]
         assert event.kind is ma.MESSAGES[row]
         assert event.wrote_record == (cell.record != ma.NO_RECORD)

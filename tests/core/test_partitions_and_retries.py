@@ -56,7 +56,7 @@ class TestPartitions:
         finally:
             runtime.clock.advance = original_advance
         # exactly-once held across the retries
-        assert store_process.component_table[1].instance.executions == 2
+        assert store_process.incarnation.component_table[1].instance.executions == 2
 
     def test_retry_backoff_charges_time(self):
         runtime, store_process, __, relay = deploy(
@@ -98,5 +98,5 @@ class TestExternalClientPlacement:
         store_process.log.force()
         runtime.crash_process(store_process)
         runtime.ensure_recovered(store_process)
-        entry = store_process.last_calls.entries_for_context(1)[0]
+        entry = store_process.incarnation.last_calls.entries_for_context(1)[0]
         assert entry.reply_lsn != -1

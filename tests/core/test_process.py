@@ -98,9 +98,9 @@ class TestStateTransitions:
         process = runtime.spawn_process("p", machine="alpha")
         process.create_component(Counter)
         process.crash()
-        assert process.context_table == {}
-        assert process.component_table == {}
-        assert len(process.last_calls) == 0
+        assert process.incarnation.context_table == {}
+        assert process.incarnation.component_table == {}
+        assert len(process.incarnation.last_calls) == 0
 
     def test_ensure_recovered_noop_when_running(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")

@@ -19,7 +19,7 @@ def deployed(runtime):
     process = runtime.spawn_process("p", machine="alpha")
     counter_proxy = process.create_component(Counter)
     owner_proxy = process.create_component(TallyOwner)
-    owner = process.component_table[2].instance
+    owner = process.incarnation.component_table[2].instance
     context = process.find_context(2)
     return runtime, process, counter_proxy, owner, context
 
@@ -126,7 +126,7 @@ class TestStateSwizzling:
 
     def test_foreign_component_rejected(self, deployed):
         runtime, process, __, __, context = deployed
-        foreign = process.component_table[1].instance  # the Counter
+        foreign = process.incarnation.component_table[1].instance  # the Counter
         with pytest.raises(SerializationError, match="another context"):
             swizzle_for_state(foreign, context)
 

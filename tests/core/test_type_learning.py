@@ -38,13 +38,13 @@ def deploy(config=None):
 class TestLearning:
     def test_server_type_unknown_before_first_call(self):
         __, client_process, __, __, doubler, __ = deploy()
-        assert client_process.remote_types.known_type(doubler.uri) is None
+        assert client_process.incarnation.remote_types.known_type(doubler.uri) is None
 
     def test_server_type_learned_from_first_reply(self):
         __, client_process, __, caller, doubler, __ = deploy()
         caller.use_doubler(1)
         assert (
-            client_process.remote_types.known_type(doubler.uri)
+            client_process.incarnation.remote_types.known_type(doubler.uri)
             is ComponentType.FUNCTIONAL
         )
 
@@ -67,11 +67,11 @@ class TestLearning:
     def test_read_only_methods_learned_per_method(self):
         __, client_process, __, caller, __, store = deploy()
         caller.use_store("k", 1)
-        assert client_process.remote_types.method_read_only(
+        assert client_process.incarnation.remote_types.method_read_only(
             store.uri, "put"
         ) is False
         caller.read_store("k")
-        assert client_process.remote_types.method_read_only(
+        assert client_process.incarnation.remote_types.method_read_only(
             store.uri, "get"
         ) is True
 
@@ -90,7 +90,7 @@ class TestLearning:
         runtime.crash_process(client_process)
         caller.use_doubler(2)  # recovery + relearn
         assert (
-            client_process.remote_types.known_type(doubler.uri)
+            client_process.incarnation.remote_types.known_type(doubler.uri)
             is ComponentType.FUNCTIONAL
         )
 
@@ -110,7 +110,7 @@ class TestLearning:
         runtime.crash_process(client_process)
         caller.use_doubler(9)
         assert (
-            client_process.remote_types.known_type(doubler.uri)
+            client_process.incarnation.remote_types.known_type(doubler.uri)
             is ComponentType.FUNCTIONAL
         )
 

@@ -43,7 +43,7 @@ def app_processes(app):
 def unknown_peer_calls(process) -> int:
     return sum(
         1
-        for event in process.protocol_trace.events()
+        for event in process.streams[0].trace.events()
         if event.kind is MessageKind.OUTGOING_CALL
         and event.peer_type is None
     )
@@ -139,7 +139,7 @@ class TestSeededRuns:
 
     def test_seeded_table_knows_the_servers_up_front(self, runs):
         desk_process = runs[True][1].desk_process
-        table = desk_process.remote_types
+        table = desk_process.incarnation.remote_types
         # four injected server proxies, all known before any reply
         # could have taught them (plus whatever replies added since)
         assert len(table) >= 4

@@ -45,7 +45,6 @@ class TestChainsAfterRestart:
         log.force()
         chains = log.component_chains(0)
         log.append(record(3, "lost"))  # buffered, dies with the crash
-        log.wipe_volatile()
 
         decoded = []
         real = log_manager.decode_record
@@ -65,7 +64,7 @@ class TestChainsAfterRestart:
     def test_buffered_records_still_die_with_the_process(self, log):
         stable_lsn = log.append_and_force(record(1, "stable"))
         log.append(record(2, "lost"))  # buffered, dies with the crash
-        log.wipe_volatile()
+        log = LogManager(log.process_name, log.disk, log.stable_store)
         chains = log.component_chains(0)
         assert chains == {1: [stable_lsn]}
         assert 2 not in chains

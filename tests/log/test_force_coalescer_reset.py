@@ -1,10 +1,11 @@
 """A log stream's last-write instant must not survive a crash.
 
-Regression: ``LogStream._last_write_at`` used to persist across
-``crash()``/``begin_restart()``, so an empty force issued at the same
-simulated instant as a PRE-crash write was still counted as coalesced —
-inflating ``coalesced_forces`` for the recovered incarnation, whose
-write history starts empty.
+Regression: ``LogStream._last_write_at`` used to persist across a
+crash and restart, so an empty force issued at the same simulated
+instant as a PRE-crash write was still counted as coalesced — inflating
+``coalesced_forces`` for the recovered incarnation, whose write history
+starts empty.  A crash now reopens every stream (``LogStream.reopen``),
+and recovery fills the incarnation the crash built.
 """
 
 import pytest
@@ -50,22 +51,33 @@ class TestResetOnCrash:
         assert process.log.stats.coalesced_forces == before
 
     def test_restart_also_forgets_the_last_write(self, runtime):
+        # The creation record's force is the pre-crash write; recovery
+        # needs a log it can replay, so no synthetic record here.
         process, __ = deploy_counter(runtime)
-        _append_and_force(process)
         process.crash()
-        process.begin_restart()
+        process.machine.recovery_service.restart(process)
         before = process.log.stats.coalesced_forces
         assert process.streams[0].force() is False
         assert process.log.stats.coalesced_forces == before
+
+    def test_restart_fills_the_incarnation_the_crash_built(self, runtime):
+        """Recovery builds no second incarnation: a session's process
+        frame, pushed before it drives the restart, must stay live."""
+        process, __ = deploy_counter(runtime)
+        process.crash()
+        incarnation = process.incarnation
+        process.machine.recovery_service.restart(process)
+        assert process.incarnation is incarnation
+        assert process.incarnation.context_table
 
 
 @pytest.mark.no_conformance_check
 class TestPipelinedStatsReset:
     """Regression: the pipelined batch counters (``pipelined_gated``,
-    ``pipelined_write_skips``) used to survive ``crash()`` and
-    ``begin_restart()`` even though they count gating decisions taken
-    against watermarks the crash wiped — the recovered incarnation's
-    history starts empty, exactly like ``_last_write_at``."""
+    ``pipelined_write_skips``) used to survive a crash even though they
+    count gating decisions taken against watermarks the crash wiped —
+    the recovered incarnation's history starts empty, exactly like
+    ``_last_write_at``."""
 
     def _inflate(self, process):
         stream = process.streams[0]
@@ -80,16 +92,6 @@ class TestPipelinedStatsReset:
         _append_and_force(process)
         self._inflate(process)
         process.crash()
-        stats = process.log.stats
-        assert stats.pipelined_gated == 0
-        assert stats.pipelined_write_skips == 0
-
-    def test_restart_zeroes_pipelined_batch_counters(self, runtime):
-        process, __ = deploy_counter(runtime)
-        _append_and_force(process)
-        process.crash()
-        self._inflate(process)
-        process.begin_restart()
         stats = process.log.stats
         assert stats.pipelined_gated == 0
         assert stats.pipelined_write_skips == 0

@@ -84,6 +84,22 @@ class TestLogicalLsns:
         assert log.repair_tail() == lsns[2]
         assert [lsn for lsn, __ in log.scan()] == [lsns[1]]
 
+    def test_reopen_after_truncation_keeps_lsns(self, log):
+        """The truncation base is durable: a manager reopened over the
+        same stable files (a restarted process) numbers every frame
+        exactly as the live one, so a published LSN still resolves."""
+        lsns = [log.append_and_force(record(i)) for i in range(5)]
+        log.write_well_known_lsn(lsns[3])
+        log.truncate_prefix(lsns[2])
+        reopened = LogManager("p1", log.disk, log.stable_store)
+        assert reopened.base_lsn == log.base_lsn == lsns[2]
+        assert reopened.stable_lsn == log.stable_lsn
+        scanned = [lsn for lsn, __ in reopened.scan()]
+        assert scanned == [lsn for lsn, __ in log.scan()] == lsns[2:]
+        published = reopened.read_well_known_lsn()
+        assert reopened.read_record(published) == log.read_record(published)
+        assert reopened.read_record(published).message.args == (3,)
+
 
 def gc_runtime():
     config = RuntimeConfig.optimized(
@@ -140,7 +156,7 @@ class TestProcessGarbageCollection:
             relay.put(f"k{i}", i)
         runtime.crash_process(store_process)
         relay.put("after", 99)
-        instance = store_process.component_table[1].instance
+        instance = store_process.incarnation.component_table[1].instance
         assert instance.executions == 18
         assert len(instance.data) == 18
 
@@ -153,7 +169,7 @@ class TestProcessGarbageCollection:
         for i in range(11):
             relay.put(f"k{i}", i)
         point = store_process.log_truncation_point()
-        for __, entry in store_process.last_calls.all_entries():
+        for __, entry in store_process.incarnation.last_calls.all_entries():
             if entry.reply_lsn != -1:
                 assert point <= entry.reply_lsn
 

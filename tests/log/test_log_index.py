@@ -133,7 +133,7 @@ class TestWipeVolatile:
         log.append_and_force(record("stable"))
         log.append(record("lost"))  # buffered, dies with the process
         reused_lsn = log.end_lsn - (log.end_lsn - log.stable_lsn)
-        log.wipe_volatile()
+        log = LogManager(log.process_name, log.disk, log.stable_store)
         # the wiped record's LSN is reused by the next append
         lsn = log.append(record("after-crash"))
         assert lsn == reused_lsn == log.stable_lsn
@@ -387,14 +387,14 @@ class TestFilteredScan:
             list(log.scan(lsns[1] + 1, kinds={CreationRecord}))
 
     def test_kind_column_across_two_crashes(self, log):
-        """crash -> recover -> crash -> recover: the column survives
-        ``wipe_volatile``, is rebuilt by ``repair_tail``, and a reused
+        """crash -> recover -> crash -> recover: the column is rebuilt
+        by a reopened manager and by ``repair_tail``, and a reused
         LSN takes the kind of the record that now lives there."""
         for i in range(6):
             log.append(MAKERS[i % 3](i))
         log.force()
         reused = log.append(MAKERS[1](99))  # a creation record, buffered
-        log.wipe_volatile()
+        log = LogManager(log.process_name, log.disk, log.stable_store)
         assert_filtered_scans_agree(log, {CreationRecord})
         log.repair_tail()
         assert_filtered_scans_agree(log, {CreationRecord})
@@ -403,7 +403,7 @@ class TestFilteredScan:
         log.append_and_force(MAKERS[1](100))
         stable = log.stable_store.open("p1.log")
         stable.truncate(stable.size - 2)  # the second crash tears the tail
-        log.wipe_volatile()
+        log = LogManager(log.process_name, log.disk, log.stable_store)
         log.repair_tail()
         assert [lsn for lsn, __ in log.scan(kinds={CreationRecord})] == [
             lsn

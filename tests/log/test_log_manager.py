@@ -109,14 +109,16 @@ class TestCrashSemantics:
         log.append(record(0))
         log.force()
         log.append(record(1))
-        lost = log.wipe_volatile()
-        assert lost > 0
+        assert log.end_lsn > log.stable_lsn
+        # The crash: the next incarnation reopens the stable files.
+        log = LogManager(log.process_name, log.disk, log.stable_store)
+        assert log.end_lsn == log.stable_lsn
         assert [r.message.args[0] for _, r in log.scan()] == [0]
 
     def test_append_after_wipe_continues_from_stable(self, log):
         log.append_and_force(record(0))
         log.append(record(1))  # will be lost
-        log.wipe_volatile()
+        log = LogManager(log.process_name, log.disk, log.stable_store)
         log.append_and_force(record(2))
         assert [r.message.args[0] for _, r in log.scan()] == [0, 2]
 

@@ -3,8 +3,8 @@ per-stream truncation, and parallel shard recovery (serial runtime).
 
 The committed LogPlan made executable (docs/internals.md section 16):
 behind ``config.sharded_logging`` a process hosts one log stream per
-shard the plan assigns to it.  Flag-off, stream 0 IS the legacy log — these tests
-pin that identity — and flag-on, every append/force/replay touches
+shard the plan assigns to it.  Flag-off, stream 0 is the process's own
+log — these tests pin that identity — and flag-on, every append/force/replay touches
 exactly the stream its component lives on.
 """
 
@@ -82,7 +82,7 @@ class TestFlagOffIdentity:
         assert stream.shard_id is None
         assert stream.log is process.log
         assert stream.process is process
-        assert stream.trace is process.protocol_trace
+        assert stream.log.process_name == "beta-srv"
 
     def test_flag_on_without_a_plan_stays_single_stream(self):
         runtime = PhoenixRuntime(

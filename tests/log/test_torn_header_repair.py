@@ -161,7 +161,8 @@ class TestTornFlushIndexBoundary:
         tear_next_flush(log, cut)
         with pytest.raises(PartialWriteError):
             log.force()
-        log.wipe_volatile()  # the crash: buffered bytes are gone
+        # The crash: buffered bytes are gone with the manager.
+        log = LogManager(log.process_name, log.disk, log.stable_store)
         assert log.repair_tail() == torn_lsn
         new_lsn = log.append(record("retry"))
         assert new_lsn == torn_lsn  # LSN reuse over the repaired tail

@@ -59,7 +59,7 @@ class TestContextCrash:
         relay.put("a", 1)
         runtime.crash_context(store_process.find_context(1))
         relay.put("b", 2)
-        assert store_process.component_table[1].instance.executions == 2
+        assert store_process.incarnation.component_table[1].instance.executions == 2
 
     def test_context_recovery_reads_only_its_own_chain(
         self, runtime, monkeypatch
@@ -82,7 +82,7 @@ class TestContextCrash:
                 relay.put(key, key)
         log = store_process.log
         log.force()
-        state_lsn = store_process.context_table[1].state_record_lsn
+        state_lsn = store_process.incarnation.context_table[1].state_record_lsn
         tail = [
             lsn
             for lsn, record in log.scan(state_lsn)
@@ -90,7 +90,7 @@ class TestContextCrash:
         ]
         last_calls = {
             key: (entry.call_id, entry.reply, entry.reply_lsn)
-            for key, entry in store_process.last_calls.all_entries()
+            for key, entry in store_process.incarnation.last_calls.all_entries()
         }
         recoveries = store_process.recovery_count
 
@@ -112,10 +112,10 @@ class TestContextCrash:
         assert store_process.recovery_count == recoveries
         assert {
             key: (entry.call_id, entry.reply, entry.reply_lsn)
-            for key, entry in store_process.last_calls.all_entries()
+            for key, entry in store_process.incarnation.last_calls.all_entries()
         } == last_calls
         assert stores[0].size() == 6
-        assert store_process.component_table[1].instance.executions == 6
+        assert store_process.incarnation.component_table[1].instance.executions == 6
 
     def test_crashed_context_unavailable_without_auto_recover(self):
         from repro import (

@@ -36,7 +36,7 @@ class TestCascadedRecovery:
         assert relay.put("c", 3) == (3, 3)
         assert store_process.recovery_count >= 1
         assert relay_process.recovery_count >= 1
-        assert store_process.component_table[1].instance.executions == 3
+        assert store_process.incarnation.component_table[1].instance.executions == 3
 
     def test_server_crashes_while_serving_recovery_live_call(self, runtime):
         """The store dies exactly when recovery's live continuation
@@ -55,7 +55,7 @@ class TestCascadedRecovery:
         # will be the relay-recovery's live continuation
         arm(runtime, "sp", "method.after")
         assert relay.put("c", 3) == (3, 3)
-        assert store_process.component_table[1].instance.executions == 3
+        assert store_process.incarnation.component_table[1].instance.executions == 3
         assert store_process.crash_count == 1
 
     def test_double_cascade(self, runtime):
@@ -81,4 +81,4 @@ class TestCascadedRecovery:
         assert front.put("b", 2) == (2, 2)
         for process in (store_process, mid_process, front_process):
             assert process.recovery_count == 1
-        assert store_process.component_table[1].instance.executions == 2
+        assert store_process.incarnation.component_table[1].instance.executions == 2

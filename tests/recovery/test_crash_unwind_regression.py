@@ -60,7 +60,7 @@ class TestCrashInMethodBeforeUnwinds:
         for name in ("left", "right"):
             process = processes[name]
             runtime.ensure_recovered(process)
-            instance = process.component_table[1].instance
+            instance = process.incarnation.component_table[1].instance
             assert instance.data == {"k1": 0}
             assert instance.executions == 1  # exactly-once
 
@@ -81,5 +81,5 @@ class TestCrashInMethodBeforeUnwinds:
         uninstall_plane()
         right = processes["right"]
         runtime.ensure_recovered(right)
-        for entry in right.context_table.values():
+        for entry in right.incarnation.context_table.values():
             assert not entry.context_ref.busy

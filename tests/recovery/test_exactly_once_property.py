@@ -121,7 +121,7 @@ def run_workload(ops, crashes=(), checkpoint_every=None):
     for name in ("left", "right"):
         process = processes[name]
         runtime.ensure_recovered(process)
-        instance = process.component_table[1].instance
+        instance = process.incarnation.component_table[1].instance
         states[name] = dict(instance.data)
     return replies, states
 

@@ -216,7 +216,7 @@ class TestFlagOffPin:
             fingerprints.append(
                 {
                     "log": process.log.stable_bytes(),
-                    "trace": repr(process.protocol_trace.entries).encode(),
+                    "trace": repr(process.streams[0].trace.entries).encode(),
                     "state": _capture_state(runtime),
                 }
             )

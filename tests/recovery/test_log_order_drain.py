@@ -76,7 +76,7 @@ def _run_caller_below_callee(crash_point: str | None):
         replies.append(front.bump(9))
     replies.append(front.bump(10))
     counts = tuple(
-        process.component_table[parse_uri(proxy.uri)[2]].instance.count
+        process.incarnation.component_table[parse_uri(proxy.uri)[2]].instance.count
         for proxy in (caller, callee)
     )
     return process, replies, counts, plane

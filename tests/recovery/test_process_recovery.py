@@ -67,7 +67,7 @@ class TestFigure2FailurePoints:
         arm(runtime, "mid", point)
         result = front.put("key", 1)
         assert result == (2, (2, 2))  # front count, (mid count, store size)
-        store_instance = store_process.component_table[1].instance
+        store_instance = store_process.incarnation.component_table[1].instance
         assert store_instance.executions == 2  # exactly once per put
         assert store_instance.data == {"warm": 0, "key": 1}
         assert mid_process.crash_count == 1
@@ -90,7 +90,7 @@ class TestFigure2FailurePoints:
         arm(runtime, "store", point)
         result = front.put("key", 1)
         assert result == (2, (2, 2))
-        store_instance = store_process.component_table[1].instance
+        store_instance = store_process.incarnation.component_table[1].instance
         assert store_instance.executions == 2
         assert store_process.crash_count == 1
 
@@ -104,7 +104,7 @@ class TestFigure2FailurePoints:
         assert store_process.crash_count == 1
         # the next operation transparently recovers it, exactly-once
         assert front.put("key2", 2) == (3, (3, 3))
-        assert store_process.component_table[1].instance.executions == 3
+        assert store_process.incarnation.component_table[1].instance.executions == 3
 
     def test_double_crash_still_masked(self, runtime):
         (store_process, store, mid_process, mid,
@@ -113,7 +113,7 @@ class TestFigure2FailurePoints:
         arm(runtime, "mid", "reply.before_send")
         arm(runtime, "store", "method.after")
         assert front.put("key", 1) == (2, (2, 2))
-        assert store_process.component_table[1].instance.executions == 2
+        assert store_process.incarnation.component_table[1].instance.executions == 2
 
 
 class TestReplayMechanics:
@@ -183,10 +183,10 @@ class TestReplayMechanics:
             mixed.work(i)
         runtime.crash_process(process)
         assert mixed.work(9) == (18, 5)
-        instance = process.component_table[1].instance
+        instance = process.incarnation.component_table[1].instance
         assert instance.total == 2 * (0 + 1 + 2 + 3 + 9)
         # the persistent store executed each put exactly once
-        assert helper_process.component_table[2].instance.executions == 5
+        assert helper_process.incarnation.component_table[2].instance.executions == 5
 
     def test_application_errors_replay_deterministically(self, runtime):
         @persistent
@@ -253,7 +253,7 @@ class TestReplayMechanics:
         relay.put("b", 2)
         runtime.crash_process(relay_process)
         relay.put("c", 3)  # would collide with a reused ID if seq reset
-        assert store_process.component_table[1].instance.executions == 3
+        assert store_process.incarnation.component_table[1].instance.executions == 3
 
     def test_recovery_survives_torn_log_tail(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")

@@ -35,7 +35,7 @@ class TestRepeatedCrashes:
             runtime.crash_process(store_process)
             runtime.crash_process(relay_process)
         assert relay.put("b", 2) == (2, 2)
-        assert store_process.component_table[1].instance.executions == 2
+        assert store_process.incarnation.component_table[1].instance.executions == 2
 
     def test_alternating_crashes_with_traffic(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")

@@ -98,5 +98,5 @@ class TestCrashSignalCannotBeSwallowed:
         with pytest.raises(ComponentUnavailableError):
             swallower.try_hard("b")
         runtime.ensure_recovered(process)
-        instance = process.component_table[1].instance
+        instance = process.incarnation.component_table[1].instance
         assert instance.swallowed == 0

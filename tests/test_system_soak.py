@@ -162,9 +162,9 @@ def run_soak(runtime, operations=40, with_crashes=True):
         runtime.ensure_recovered(process)
     states = {}
     for i, process in enumerate(shard_processes):
-        instance = process.component_table[1].instance
+        instance = process.incarnation.component_table[1].instance
         states[f"shard-{i}"] = (dict(instance.rows), instance.writes)
-    router_instance = router_process.component_table[1].instance
+    router_instance = router_process.incarnation.component_table[1].instance
     states["router-routed"] = router_instance.routed
     states["router-audit"] = list(router_instance.audit.entries)
     return results, states, inspector
