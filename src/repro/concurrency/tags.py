@@ -91,9 +91,9 @@ YIELD_TAGS: dict[str, YieldTag] = {
         ),
         YieldTag(
             RECOVERY_SHARD,
-            "between shard drains of a sharded recovery (each shard's "
-            "replay is an independent drain; the boundary between them "
-            "is schedulable)",
+            "between two components of a recovery drain (a shard's, or "
+            "an on-demand background drain; each component's replay is "
+            "independent, so the boundary between two is schedulable)",
             covers=("recovery.shard.drained",),
         ),
     )

@@ -747,8 +747,9 @@ PHOENIX_LEGS: dict[str, tuple[Workload, dict]] = {
     # replay, and the post-step barrier drains the rest
     "bookstore-ondemand": (BOOKSTORE, {"on_demand_recovery": True}),
     "bookstore-concurrent": (BOOKSTORE_BUYERS, {}),
-    # background drain workers join the seeded interleaving: the
-    # ``recovery.drain_worker`` sites
+    # background drain sessions join the seeded interleaving: the
+    # ``recovery.drain_worker`` sites and a ``recovery.shard`` yield
+    # after each drained component
     "bookstore-concurrent-ondemand": (
         BOOKSTORE_BUYERS, {"on_demand_recovery": True}
     ),
@@ -757,8 +758,9 @@ PHOENIX_LEGS: dict[str, tuple[Workload, dict]] = {
     "bookstore-concurrent-pipelined": (
         BOOKSTORE_BUYERS, {"pipelined_commit": True}
     ),
-    # one log stream per shard of BUYER_SHARDS: per-stream torn tails
-    # and the ``recovery.shard.drained`` boundaries
+    # one log stream per shard of BUYER_SHARDS: per-stream torn tails,
+    # one drain session per stream with pending components, and the
+    # ``recovery.shard.drained`` boundaries
     "bookstore-sharded": (BOOKSTORE_BUYERS, {"sharded_logging": True}),
     "orderflow": (ORDERFLOW, {}),
 }

@@ -23,15 +23,22 @@ differs:
    time-to-first-reply no longer grows with log size.  The runtime
    consults the table before delivering a call and replays a
    not-yet-recovered target's chain first; when the deterministic
-   scheduler is active, ``DRAIN_WORKERS`` system sessions replay the
-   rest, one chain at a time.
+   scheduler is active, ``DRAIN_WORKERS`` drain sessions share the
+   rest.
 
-3. **Sharded** (``config.sharded_logging``): one drain per stream, as a
-   clock lane or a scheduler session, one chain at a time.
+3. **Sharded** (``config.sharded_logging``): one drain per stream that
+   has anything pending, as a clock lane or a scheduler session.
 
-While the table is published on the process, a call into a component
-not yet replayed — including a replay that went live — replays that
-component first, so duplicate detection finds the regenerated reply.
+The on-demand and sharded drains are one loop, :meth:`PendingRecovery.drain`
+(one chain at a time, a scheduling point after each); the schedules
+differ only in which contexts each drain gets and whether it runs as
+a session (:meth:`PendingRecovery.spawn_drains`) or a clock lane.
+
+Every restart that leaves a component pending publishes the table on
+the process before the first replay.  While it is published, a call
+into a component not yet replayed — including a replay that went live
+— replays that component first, so duplicate detection finds the
+regenerated reply.
 The table is the single coordination point: every component is
 ``PENDING`` (chain not applied), ``REPLAYING`` (owned by exactly one
 session: a per-chain replay, or a drain that claimed it), or
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..core.tables import NO_LSN
@@ -115,7 +123,6 @@ class PendingRecovery:
         #: The one redo engine: every context's replay buffer lives in
         #: it, whichever schedule hands it the records.
         self.redo = manager
-        self.reply_watermarks = dict(manager._reply_watermarks)
         self.marks: dict[int, ComponentWatermark] = {}
         if not discoveries:
             return
@@ -219,7 +226,7 @@ class PendingRecovery:
         mark.status = REPLAYING
         mark.owner = self._current_owner_key()
         faultplane.site_hit(f"recovery.lazy_replay.before:{name}", name)
-        reply_floor = self.reply_watermarks.get(
+        reply_floor = self.redo.reply_watermarks.get(
             process.stream_index(context_id), NO_LSN
         )
         rest = mark.chain[mark.cursor:]
@@ -326,7 +333,7 @@ class PendingRecovery:
                 by_stream.setdefault(stream, {})[mark.context_id] = mark
         for stream in sorted(by_stream):
             marks = by_stream[stream]
-            reply_floor = self.reply_watermarks.get(stream, NO_LSN)
+            reply_floor = self.redo.reply_watermarks.get(stream, NO_LSN)
             lsns = list(heapq.merge(*(mark.chain for mark in marks.values())))
             log = process.streams[stream].log
             try:
@@ -344,104 +351,75 @@ class PendingRecovery:
                 process.crash()
                 raise
 
-    def _next_pending(self) -> ComponentWatermark | None:
-        for context_id in sorted(self.marks):
-            mark = self.marks[context_id]
-            if mark.status == PENDING:
-                return mark
-        return None
-
     # ------------------------------------------------------------------
-    # background drain workers
+    # per-component drains (background sessions and clock lanes)
     # ------------------------------------------------------------------
-    def spawn_workers(self) -> None:
-        """Schedule the background drain as system sessions on the
-        deterministic scheduler (no-op outside a session: the serial
-        runtime drains lazily and via ensure_recovered)."""
-        scheduler = self.runtime.scheduler
-        if scheduler.current_session() is None:
-            return
-        for __ in range(min(DRAIN_WORKERS, self.pending_count())):
-            scheduler.spawn(
-                self._drain_worker, name=f"drain-{self.process.name}"
-            )
+    def drain(self, members: list[int], label: str | None = None) -> None:
+        """Replay ``members``' pending components one at a time, in the
+        given order, with a scheduling point after each component.
 
-    def spawn_shard_workers(self) -> None:
-        """Sharded eager recovery: one drain session per shard.
-
-        Each worker claims exactly its shard's components through the
-        watermark table, so the shards replay as independent parallel
-        drains and lazy first-touch admission covers the window until
-        the last drain retires the table."""
-        scheduler = self.runtime.scheduler
-        if scheduler.current_session() is None:
-            return
-        process = self.process
-        groups: dict[int, list[int]] = {}
-        for context_id in self.marks:
-            if self.marks[context_id].status == RECOVERED:
-                continue
-            groups.setdefault(
-                process.stream_index(context_id), []
-            ).append(context_id)
-        for stream in sorted(groups):
-            members = sorted(groups[stream])
-            scheduler.spawn(
-                lambda s=stream, m=members: self._drain_shard_worker(s, m),
-                name=f"shard-drain-{process.streams[stream].name}",
-            )
-
-    def _drain_shard_worker(
-        self, stream: int, members: list[int]
-    ) -> None:
+        Drains over the same members share the work: each skips what
+        another (or a live call's lazy replay) has claimed.  A labelled
+        drain (one stream's shard) ends by crossing its drained site."""
         process = self.process
         name = process.name
-        # Hold a process frame for the whole drain: a replay's
-        # live-continued call can park this session inside the process
-        # with no boundary frame of its own, and a second crash while
-        # parked must ghost the worker (stale CrashSignal on resume)
-        # instead of letting it keep executing against the dead
-        # incarnation's retired table.  The trailing shard-drained site
-        # is a crash site too, so the whole drain shares one
-        # CrashSignal boundary.
-        scheduler = self.runtime.scheduler
-        pushed = scheduler.enter_process(process)
-        try:
-            for context_id in members:
-                if process.incarnation.pending_recovery is not self:
-                    return
-                mark = self.marks.get(context_id)
-                if mark is None or mark.status != PENDING:
-                    continue
-                faultplane.site_hit(f"recovery.drain_worker:{name}", name)
-                self._replay_component(mark)
-                self.runtime.sched_yield(f"recovery.shard:{name}")
-            faultplane.site_hit(
-                f"recovery.shard.drained:{process.streams[stream].name}",
-                name,
-            )
-        except CrashSignal as signal:
-            if signal.process is not None and not signal.stale:
-                signal.process.crash()
-        finally:
-            if pushed:
-                scheduler.exit_process()
-
-    def _drain_worker(self) -> None:
-        process = self.process
-        name = process.name
-        while process.incarnation.pending_recovery is self:
-            mark = self._next_pending()
-            if mark is None:
+        for context_id in members:
+            if process.incarnation.pending_recovery is not self:
                 return
+            mark = self.marks[context_id]
+            if mark.status != PENDING:
+                continue
+            faultplane.site_hit(f"recovery.drain_worker:{name}", name)
+            self._replay_component(mark)
+            self.runtime.sched_yield(f"recovery.shard:{name}")
+        if label is not None:
+            faultplane.site_hit(f"recovery.shard.drained:{label}", name)
+
+    def spawn_drains(
+        self, groups: list[tuple[str | None, list[int]]]
+    ) -> None:
+        """Run one :meth:`drain` per ``(label, members)`` group as a
+        system session on the deterministic scheduler."""
+        process = self.process
+        scheduler = self.runtime.scheduler
+
+        def session(members: list[int], label: str | None) -> None:
+            # Hold a process frame for the whole drain: a replay's
+            # live-continued call can park this session inside the
+            # process with no boundary frame of its own, and a second
+            # crash while parked must ghost the drain (stale CrashSignal
+            # on resume) instead of letting it keep executing against
+            # the dead incarnation's retired table.  There is no process
+            # boundary above a drain to convert a fresh signal (a
+            # one-shot fault spec, or a cascade), so it is handled here
+            # and the table dies with the crash.
+            pushed = scheduler.enter_process(process)
             try:
-                faultplane.site_hit(f"recovery.drain_worker:{name}", name)
-                self._replay_component(mark)
+                self.drain(members, label)
             except CrashSignal as signal:
-                # The replay crashed a process (a one-shot fault spec,
-                # or a cascade).  There is no process boundary above a
-                # worker to convert the signal; handle it here and let
-                # the table die with the crash.
                 if signal.process is not None and not signal.stale:
                     signal.process.crash()
-                return
+            finally:
+                if pushed:
+                    scheduler.exit_process()
+
+        for label, members in groups:
+            scheduler.spawn(
+                partial(session, members, label),
+                name=f"drain-{label or process.name}",
+            )
+
+    def stream_groups(self) -> list[tuple[str, list[int]]]:
+        """The pending contexts of each stream, in context-id order,
+        labelled with the stream's name (sharded recovery's partition)."""
+        process = self.process
+        groups: dict[int, list[int]] = {}
+        for context_id in sorted(self.marks):
+            if self.marks[context_id].status != RECOVERED:
+                groups.setdefault(
+                    process.stream_index(context_id), []
+                ).append(context_id)
+        return [
+            (process.streams[stream].name, groups[stream])
+            for stream in sorted(groups)
+        ]

@@ -30,8 +30,10 @@ final call that goes live into a context whose last call is still
 buffered finishes that context first (the table's admission rule).
 What differs between schedules is only *when* and *in what order* the
 table is drained: eager recovery drains it before the process leaves
-RECOVERING, sharded recovery drains one lane per stream, and on-demand
-recovery admits calls first and replays one chain at a time.
+RECOVERING, sharded recovery runs one ``PendingRecovery.drain`` per
+stream (a clock lane, or a session under the scheduler), and on-demand
+recovery admits calls first and leaves the rest to lazy replay and
+background drains.
 
 Context-crash recovery is the easy case at the bottom: restore the
 context's latest state record (or replay its creation) and replay only
@@ -62,7 +64,7 @@ from ..log.records import (
     LogRecord,
     MessageRecord,
 )
-from .incremental import PENDING, PendingRecovery
+from .incremental import DRAIN_WORKERS, PendingRecovery
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.process import AppProcess
@@ -126,7 +128,7 @@ class RecoveryManager:
         # is gone.  Stream 0's watermark is the published checkpoint
         # LSN; extra streams default to NO_LSN (their scans start at
         # their own truncation point, so re-seeding is already bounded).
-        self._reply_watermarks: dict[int, int] = {}
+        self.reply_watermarks: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # top level
@@ -166,97 +168,46 @@ class RecoveryManager:
             if info.state is None:
                 self._register_context(info)
         pending = PendingRecovery(self, discoveries)
+        if pending.pending_count():
+            # Published before the first replay, whichever schedule
+            # drains it: a replay that goes live into a context not yet
+            # replayed replays that chain first.
+            process.incarnation.pending_recovery = pending
+        in_session = runtime.scheduler.current_session() is not None
         if process.config.on_demand_recovery:
             # Analysis is done: admit new calls now and replay each
-            # component lazily / in the background (incremental.py).
-            if pending.pending_count():
-                process.incarnation.pending_recovery = pending
+            # component lazily / in background drains (incremental.py).
             faultplane.site_hit(f"recovery.admit_early:{name}", name)
-            if process.incarnation.pending_recovery is pending:
-                pending.spawn_workers()
-        elif len(process.streams) > 1:
-            # Sharded eager recovery: each stream's shard replays as an
-            # independent drain (parallel sessions under the scheduler,
-            # per-shard clock lanes in the serial runtime), so recovery
-            # time scales with the largest shard instead of the whole
-            # log.
-            self._recover_shards(pending, discoveries)
+            if in_session:
+                drains = min(DRAIN_WORKERS, pending.pending_count())
+                pending.spawn_drains([(None, sorted(pending.marks))] * drains)
         else:
             faultplane.site_hit(f"recovery.pass2:{name}", name)
-            # Published while it drains, so a replay that goes live into
-            # a context not yet replayed replays that chain first.
-            process.incarnation.pending_recovery = pending
-            pending.drain_all()
-            faultplane.site_hit(f"recovery.drained:{name}", name)
-            # Make everything recovery produced (including effects of
-            # live-continued calls) stable before declaring the process
-            # recovered.
-            process.log.force()
-            faultplane.site_hit(f"recovery.done:{name}", name)
+            # Sharded eager recovery replays each stream's shard as an
+            # independent drain (parallel sessions under the scheduler,
+            # clock lanes in the serial runtime), so recovery time
+            # scales with the largest shard instead of the whole log.
+            sharded = len(process.streams) > 1
+            if sharded and in_session:
+                pending.spawn_drains(pending.stream_groups())
+            else:
+                if sharded:
+                    runtime.clock.run_lanes(
+                        partial(pending.drain, members, label)
+                        for label, members in pending.stream_groups()
+                    )
+                else:
+                    pending.drain_all()
+                faultplane.site_hit(f"recovery.drained:{name}", name)
+                # Make everything recovery produced (including effects
+                # of live-continued calls) stable before declaring the
+                # process recovered.
+                for stream in process.streams:
+                    stream.log.force()
+                faultplane.site_hit(f"recovery.done:{name}", name)
         incarnation = process.incarnation
         if incarnation.context_table:
             incarnation.next_component_lid = max(incarnation.context_table) + 1
-
-    # ------------------------------------------------------------------
-    # sharded eager recovery (config.sharded_logging)
-    # ------------------------------------------------------------------
-    def _recover_shards(
-        self,
-        pending: PendingRecovery,
-        discoveries: dict[int, _ContextDiscovery],
-    ) -> None:
-        """Replay each stream's shard as an independent drain.
-
-        Each component's frame chain comes from its owning stream.
-        Under the deterministic scheduler one drain session is spawned
-        per shard and admission control covers the window until the last
-        drain retires the table; in the serial runtime each shard
-        replays as its own clock *lane* from the recovery start time and
-        the clock then advances to the longest lane — recovery time
-        scales with the largest shard.
-        """
-        process = self.process
-        name = process.name
-        faultplane.site_hit(f"recovery.pass2:{name}", name)
-        if self.runtime.scheduler.current_session() is not None:
-            if pending.pending_count():
-                process.incarnation.pending_recovery = pending
-                pending.spawn_shard_workers()
-            return
-        self._drain_shard_lanes(pending, discoveries)
-        faultplane.site_hit(f"recovery.drained:{name}", name)
-        for stream in process.streams:
-            stream.log.force()
-        faultplane.site_hit(f"recovery.done:{name}", name)
-
-    def _drain_shard_lanes(
-        self,
-        pending: PendingRecovery,
-        discoveries: dict[int, _ContextDiscovery],
-    ) -> None:
-        """Serial-runtime shard drains: one clock lane per stream."""
-        process = self.process
-        runtime = self.runtime
-        name = process.name
-        groups: dict[int, list[int]] = {}
-        for info in discoveries.values():
-            groups.setdefault(info.stream, []).append(info.context_id)
-
-        def drain(index: int) -> None:
-            for context_id in sorted(groups[index]):
-                mark = pending.marks.get(context_id)
-                if mark is not None and mark.status == PENDING:
-                    pending._replay_component(mark)
-            stream = process.streams[index]
-            stream.log.force()
-            faultplane.site_hit(
-                f"recovery.shard.drained:{stream.name}", name
-            )
-            runtime.sched_yield(f"recovery.shard:{name}")
-
-        runtime.clock.run_lanes(
-            partial(drain, index) for index in sorted(groups)
-        )
 
     # ------------------------------------------------------------------
     # pass 1
@@ -286,7 +237,7 @@ class RecoveryManager:
             # Stream 0's well-known LSN is the published checkpoint;
             # extra streams publish their truncation point instead (the
             # scan anchor), which covers no last-call entries.
-            self._reply_watermarks[0] = (
+            self.reply_watermarks[0] = (
                 NO_LSN if published is None else published
             )
 

@@ -8,13 +8,15 @@ and a determinism fingerprint on serial legs too.
 """
 
 import hashlib
+import re
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
 from repro import RuntimeConfig
 from repro.faults.sweep import discover_plan
-from repro.faults.workloads import PHOENIX_LEGS, Workload, run
+from repro.faults.workloads import PHOENIX_LEGS, WORKLOADS, Workload, run
 
 #: sha256 of ``python -m repro.faults list`` stdout (the full plan).
 PLAN_POINTS = 7309
@@ -29,6 +31,19 @@ def test_full_plan_point_ids_are_pinned():
     assert len(ids) == PLAN_POINTS
     listing = "".join(f"{point_id}\n" for point_id in ids)
     assert hashlib.sha256(listing.encode()).hexdigest() == PLAN_SHA256
+
+
+def test_the_nightly_sweep_matrix_runs_every_leg():
+    """A leg added to the catalogue cannot go unswept nightly: the CI
+    sweep job's ``--workload`` arguments are exactly the catalogue."""
+    workflow = (
+        Path(__file__).resolve().parents[2]
+        / ".github" / "workflows" / "check.yml"
+    ).read_text()
+    sweep_job = re.search(r"\n  sweep:\n(.*?)\n  \w", workflow, re.S)
+    assert sweep_job is not None
+    swept = re.findall(r"--workload ([\w-]+)", sweep_job.group(1))
+    assert sorted(swept) == sorted(WORKLOADS)
 
 
 @pytest.fixture(scope="module")

@@ -12,9 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from repro import PhoenixRuntime, RuntimeConfig
+from repro import (
+    PersistentComponent,
+    PhoenixRuntime,
+    RuntimeConfig,
+    persistent,
+)
 from repro.core.config import CheckpointConfig
 from repro.errors import ConfigurationError
+from repro.faults import plane as faultplane
 from repro.log.sharding import ShardRouter, plan_shards
 
 from ..conftest import Counter, KvStore, TallyOwner
@@ -217,6 +223,74 @@ class TestShardedRecovery:
             return runtime.clock.now - started
 
         assert drive(sharded=True) < drive(sharded=False)
+
+
+@persistent
+class LaneStore(PersistentComponent):
+    def __init__(self):
+        self.data = {}
+
+    def put(self, key, value):
+        self.data[key] = value
+        return len(self.data)
+
+
+@persistent
+class LaneRelay(PersistentComponent):
+    def __init__(self, store):
+        self.store = store
+
+    def put(self, key, value):
+        return self.store.put(key, value)
+
+
+@persistent
+class LaneCaller(PersistentComponent):
+    """Reports the relay's answer, or the error its call raised."""
+
+    def __init__(self, relay):
+        self.relay = relay
+
+    def call(self, key, value):
+        try:
+            return ["ok", self.relay.put(key, value)]
+        except Exception as exc:  # noqa: BLE001 - the reply is the report
+            return ["err", f"{type(exc).__name__}: {exc}"]
+
+
+#: The store's stream is listed last, so serial sharded recovery drains
+#: the relay's shard first.
+LANE_SHARDS = (
+    {"id": "relays", "processes": ["srv"], "components": ["LaneRelay"]},
+    {"id": "stores", "processes": ["srv"], "components": ["LaneStore"]},
+)
+
+
+class TestLiveCallIntoALaterShard:
+    """The relay's last call, replayed final, goes live into the store,
+    whose shard has not been replayed yet: the published table must
+    replay the store first, under every schedule."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [{}, {"sharded_logging": True}, {"on_demand_recovery": True}],
+        ids=["flag-off", "sharded", "on-demand"],
+    )
+    def test_retry_is_answered_exactly_once(self, flags):
+        runtime = PhoenixRuntime(config=RuntimeConfig.optimized(**flags))
+        runtime.install_log_plan(LANE_SHARDS)
+        runtime.external_client_machine = "alpha"
+        srv = runtime.spawn_process("srv", machine="beta")
+        store = srv.create_component(LaneStore)
+        relay = srv.create_component(LaneRelay, args=(store,))
+        drv = runtime.spawn_process("drv", machine="alpha")
+        caller = drv.create_component(LaneCaller, args=(relay,))
+        for i in range(3):
+            assert caller.call(f"k{i}", i) == ["ok", i + 1]
+        faultplane.arm(runtime, srv, "reply.before_send")
+        assert caller.call("x", 99) == ["ok", 4]
+        runtime.ensure_recovered(srv)
+        assert store.put("y", 1) == 5
 
 
 class TestPerStreamTruncation:

@@ -13,6 +13,7 @@ import pytest
 from repro import PhoenixRuntime, RuntimeConfig
 from repro.faults.plane import CrashSpec, FaultPlane, installed
 from repro.faults.workloads import PHOENIX_LEGS, _capture_state, run
+from repro.recovery.incremental import PendingRecovery
 from tests.conftest import Counter
 
 COUNTERS = 4
@@ -32,6 +33,18 @@ def _build(on_demand: bool):
         for counter in counters:
             counter.increment()
     return runtime, process, counters
+
+
+def _mid_run_server_force(golden):
+    """A crash at the bookstore server's middle force of ``golden``'s
+    run."""
+    force_hits = [
+        hit
+        for hit in golden.journal
+        if hit.site.startswith("log.force.before:beta-bookstore-app")
+    ]
+    chosen = force_hits[len(force_hits) // 2]
+    return CrashSpec(chosen.site, chosen.occurrence)
 
 
 def _post_crash_script(runtime, process, counters):
@@ -146,13 +159,7 @@ class TestConcurrentDrainDeterminism:
         clocks."""
         leg = PHOENIX_LEGS["bookstore-concurrent-ondemand"]
         golden = run(*leg, record=True, seed=seed).raise_error()
-        force_hits = [
-            hit
-            for hit in golden.journal
-            if hit.site.startswith("log.force.before:beta-bookstore-app")
-        ]
-        chosen = force_hits[len(force_hits) // 2]
-        spec = CrashSpec(chosen.site, chosen.occurrence)
+        spec = _mid_run_server_force(golden)
         first = run(*leg, specs=(spec,), record=True, seed=seed).raise_error()
         second = run(*leg, specs=(spec,), seed=seed).raise_error()
         assert first.fired == [spec.render()]
@@ -165,19 +172,30 @@ class TestConcurrentDrainDeterminism:
 
     def test_drain_workers_join_the_interleaving(self):
         leg = PHOENIX_LEGS["bookstore-concurrent-ondemand"]
-        golden = run(*leg, record=True).raise_error()
-        force_hits = [
-            hit
-            for hit in golden.journal
-            if hit.site.startswith("log.force.before:beta-bookstore-app")
-        ]
-        chosen = force_hits[len(force_hits) // 2]
-        armed = run(
-            *leg, specs=(CrashSpec(chosen.site, chosen.occurrence),),
-            record=True,
-        ).raise_error()
+        spec = _mid_run_server_force(run(*leg, record=True).raise_error())
+        armed = run(*leg, specs=(spec,), record=True).raise_error()
         sites = {hit.site.split(":")[0] for hit in armed.journal}
         assert "recovery.drain_worker" in sites
+
+    def test_drain_sessions_hold_a_process_frame(self, monkeypatch):
+        """Every background drain replays inside a frame of the
+        incarnation it recovers, so a second crash while it is parked
+        ghosts it instead of letting it run on the retired table."""
+        held = []
+        replay = PendingRecovery._replay_component
+
+        def recording(self, mark):
+            session = self.runtime.scheduler.current_session()
+            if session is not None and session.system:
+                frame = (self.process, self.process.incarnation)
+                held.append(frame in session.frames)
+            replay(self, mark)
+
+        monkeypatch.setattr(PendingRecovery, "_replay_component", recording)
+        leg = PHOENIX_LEGS["bookstore-concurrent-ondemand"]
+        spec = _mid_run_server_force(run(*leg, record=True).raise_error())
+        run(*leg, specs=(spec,)).raise_error()
+        assert held and all(held)
 
 
 class TestFlagOffPin:
