@@ -103,7 +103,7 @@ bench:
 # of the on-demand recovery latency benchmark (run the latter with
 # REPRO_BENCH_FULL=1 to regenerate BENCH_recovery.json), and the
 # concurrent-throughput benchmark with its bookkeeping guardrail:
-# scheduler-loop self time per step at N=64 over N=8 as a ratio, and
+# scheduler decision self time per step at N=64 over N=8 as a ratio, and
 # vector-clock bytes per traced event.
 perf:
 	pytest benchmarks/bench_log_hotpath.py benchmarks/bench_table7_recovery.py \

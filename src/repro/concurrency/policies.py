@@ -10,15 +10,15 @@ is the explorer's driver: it follows a forced prefix, then falls back to
 the smallest READY session, recording every step it observed.
 
 A *step* is everything one session executes between two scheduling
-decisions.  After each step the scheduler hands the policy a
-:class:`ScheduleStep` carrying the step's *footprint* — the set of
-process names whose log or state the step touched — which is what the
-DPOR race analysis in ``explore.py`` uses as its commutativity table:
-two adjacent steps of different sessions commute iff their footprints
-are disjoint.  (Simulated-clock advances are deliberately treated as
-commutative: charges are additive and order-independent; the one
-exception, group-commit window deadlines, is why the explorer keeps
-group commit off by default.)
+decisions.  After each step the scheduler hands a policy that
+overrides ``observe`` a :class:`ScheduleStep` carrying the step's
+*footprint* — the set of process names whose log or state the step
+touched — which is what the DPOR race analysis in ``explore.py`` uses
+as its commutativity table: two adjacent steps of different sessions
+commute iff their footprints are disjoint.  (Simulated-clock advances
+are deliberately treated as commutative: charges are additive and
+order-independent; the one exception, group-commit window deadlines,
+is why the explorer keeps group commit off by default.)
 """
 
 from __future__ import annotations
@@ -51,7 +51,14 @@ class ScheduleStep:
 
 
 class SchedulePolicy:
-    """Decides which READY session the scheduler resumes next."""
+    """Decides which READY session the scheduler resumes next.
+
+    ``choose`` and ``observe`` run on whichever thread takes the
+    decision — the main thread for a run's first, the session thread
+    whose step just ended for every later one — so neither may read
+    ``scheduler.current_session()``.  ``observe`` is called, and a
+    :class:`ScheduleStep` built, only for a policy class that overrides
+    it (checked once per ``run()``)."""
 
     def begin_run(self, scheduler: "DeterministicScheduler") -> None:
         """Called at the top of every ``run()``."""

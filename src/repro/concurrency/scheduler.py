@@ -32,6 +32,14 @@ Between a session's append and the force that makes it stable there is
 deliberately *no* yield: the append+force pair is the unit the paper's
 commit conditions reason about.
 
+A session that parks (at a yield point, or in a :meth:`block_until`
+that must wait) or finishes takes the next scheduling decision on its
+own thread and releases the chosen session's turn directly: one thread
+switch per step, none when it picks itself.  The main thread takes a
+run's first decision and then sleeps until the run is over — every
+session finished, one failed, a deadlock, or a decision that raised,
+which :meth:`DeterministicScheduler.run` re-raises.
+
 The scheduler is also the one **commit gate**: every committing send
 asks it for its commit point (:meth:`commit_point`) and then for the
 force that makes the point stable (:meth:`force`), so it is the only
@@ -62,7 +70,7 @@ duration of a run.
 from __future__ import annotations
 
 import threading
-from bisect import insort
+from bisect import bisect_left, insort
 from contextlib import contextmanager, nullcontext
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -293,6 +301,22 @@ class DeterministicScheduler:
         #: the trace checker's serial max.
         self._serial_wm: dict[str, int] = {}
         self._step_index = 0
+        #: Decision state, reset by run() (see :meth:`_decide`): READY
+        #: sessions sorted by index, BLOCKED ones, how many of
+        #: ``sessions`` have joined them, and an error a decision raised
+        #: on a session thread, for run() to re-raise.
+        self._ready: list[Session] = []
+        self._blocked: list[Session] = []
+        self._joined = 0
+        self._error: BaseException | None = None
+        #: Whether the policy overrides ``observe`` (decided per run);
+        #: only then are the READY tuple of the last decision and the
+        #: running session's park tag kept for its ScheduleStep.
+        self._observing = False
+        self._enabled: tuple[int, ...] | None = None
+        self._park_tag: str | None = None
+        #: yield tag -> the process it names (see :meth:`_tag_touch`).
+        self._tag_touches: dict[str, str | None] = {}
 
     # ------------------------------------------------------------------
     # identity
@@ -393,7 +417,7 @@ class DeterministicScheduler:
                 self._serial_wm[name] = bound
 
     # ------------------------------------------------------------------
-    # the main loop
+    # the run and its decisions
     # ------------------------------------------------------------------
     def run(self, fns: list[Callable[[], object]]) -> list[object]:
         if self.active:
@@ -413,20 +437,27 @@ class DeterministicScheduler:
             for stream in process.streams
         }
         self._step_index = 0
+        self._ready = []
+        self._blocked = []
+        self._joined = 0
+        self._enabled = None
+        self._error = None
+        self._observing = (
+            type(self.policy).observe is not SchedulePolicy.observe
+        )
         self.policy.begin_run(self)
         for session in self.sessions:
-            thread = threading.Thread(
-                target=self._session_body,
-                args=(session,),
-                name=f"phx-session-{session.index}",
-                daemon=True,
-            )
-            session.thread = thread
-            thread.start()
+            self._start(session, f"phx-session-{session.index}")
         serial = self.runtime.scheduler
         self.runtime.scheduler = self
         try:
-            self._loop()
+            # The first decision is the main thread's; every later one
+            # is taken by the session whose step ends, and the main
+            # thread wakes again only when the run is over.
+            first = self._decide(None)
+            if first is not None:
+                first.turn.release()
+                self._main_turn.acquire()
         finally:
             self._abort_survivors()
             self.active = False
@@ -437,6 +468,9 @@ class DeterministicScheduler:
             for session in self.sessions:
                 if session.thread is not None:
                     session.thread.join(timeout=_JOIN_TIMEOUT_S)
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
         for session in self.sessions:
             if session.state == _FAILED and session.error is not None:
                 raise session.error
@@ -450,82 +484,122 @@ class DeterministicScheduler:
                 )
         return [s.result for s in self.sessions if not s.system]
 
-    def _loop(self) -> None:
-        # ``ready`` (sorted by session index: what a full rescan would
-        # hand the policy) and ``blocked`` live across iterations.  A
-        # step changes only the chosen session's state and only blocked
-        # sessions have a predicate to re-poll, so the per-step cost is
-        # O(blocked), not O(sessions).
-        ready: list[Session] = []
-        blocked: list[Session] = []
-        joined = 0
-        enabled: tuple[int, ...] | None = None
+    def _decide(self, ended: Session | None) -> Session | None:
+        """One scheduling decision, taken by whichever thread holds the
+        turn: the main thread for a run's first, then the session whose
+        step just ended (``ended``: it parked or finished).
+
+        Ends that step, then picks the successor: joins ``spawn()``ed
+        sessions, closes due group-commit windows, re-polls the blocked
+        predicates, sleeps to a window deadline while everyone is
+        blocked, and asks the policy.  Returns the successor, already
+        RUNNING (it may be ``ended`` itself), or None when the run is
+        over: every session finished, or ``ended`` failed.  A deadlock
+        or a policy error raises.
+
+        ``_ready`` (sorted by session index: what a full rescan would
+        hand the policy) and ``_blocked`` live across decisions.  A step
+        changes only its own session's state and only blocked sessions
+        have a predicate to re-poll, so the per-step cost is
+        O(blocked), not O(sessions)."""
+        ready = self._ready
+        if ended is not None:
+            self._end_step(ended)
+            if ended.state == _FAILED:
+                return None
         while True:
-            if joined < len(self.sessions):
+            if self._joined < len(self.sessions):
                 # run()'s sessions, then spawn()ed ones: indices only grow.
-                ready.extend(self.sessions[joined:])
-                joined = len(self.sessions)
-                enabled = None
+                ready.extend(self.sessions[self._joined:])
+                self._joined = len(self.sessions)
+                self._enabled = None
+            blocked = self._blocked
             if not ready and not blocked:
-                return
+                return None
             self._close_due_batches()
             woken = [s for s in blocked if s.predicate()]
             if woken:
                 for session in woken:
                     session.state = _READY
                     insort(ready, session, key=_INDEX)
-                blocked = [s for s in blocked if s.state == _BLOCKED]
-                enabled = None
-            if not ready:
-                # Everyone is blocked.  If a group-commit window is
-                # still open, the only missing event is simulated time:
-                # sleep to the earliest deadline and re-evaluate.
-                if self._sleep_to_next_batch():
-                    continue
+                self._blocked = [s for s in blocked if s.state == _BLOCKED]
+                self._enabled = None
+            if ready:
+                break
+            # Everyone is blocked.  If a group-commit window is still
+            # open, the only missing event is simulated time: sleep to
+            # the earliest deadline and re-evaluate.
+            if not self._sleep_to_next_batch():
                 raise InvariantViolationError(
                     "scheduler deadlock: all sessions blocked: "
                     + ", ".join(repr(s) for s in sorted(blocked, key=_INDEX))
                 )
-            chosen = self.policy.choose(ready, self)
-            if chosen not in ready:
-                raise InvariantViolationError(
-                    f"schedule policy chose non-ready session {chosen!r}"
-                )
-            park_tag = chosen.block_tag
-            self._seed_touches(chosen, park_tag)
-            if enabled is None:
-                enabled = tuple(s.index for s in ready)
-            self._resume(chosen)
+        chosen = self.policy.choose(ready, self)
+        # ``ready`` now holds exactly this run's READY sessions, so
+        # membership is a state check, not a search.
+        at = chosen.index
+        if (
+            chosen.state != _READY
+            or at >= len(self.sessions)
+            or self.sessions[at] is not chosen
+        ):
+            raise InvariantViolationError(
+                f"schedule policy chose non-ready session {chosen!r}"
+            )
+        if self._observing:
+            self._park_tag = chosen.block_tag
+            self._seed_touches(chosen, chosen.block_tag)
+            if self._enabled is None:
+                self._enabled = tuple(s.index for s in ready)
+        chosen.state = _RUNNING
+        return chosen
+
+    def _end_step(self, session: Session) -> None:
+        """``session``'s step ended: it parked (READY or BLOCKED) or
+        finished.  The :class:`ScheduleStep` is built only for a policy
+        that overrides ``observe``: nobody else reads it."""
+        if self._observing:
             step = ScheduleStep(
                 index=self._step_index,
-                chosen=chosen.index,
-                enabled=enabled,
-                touched=frozenset(chosen.step_touches),
-                park_tag=park_tag,
-                end_tag=chosen.block_tag,
-                final_state=chosen.state,
+                chosen=session.index,
+                enabled=self._enabled,
+                touched=frozenset(session.step_touches),
+                park_tag=self._park_tag,
+                end_tag=session.block_tag,
+                final_state=session.state,
             )
-            self._step_index += 1
-            chosen.step_touches.clear()
-            if chosen.state != _READY:
-                ready.remove(chosen)
-                if chosen.state == _BLOCKED:
-                    blocked.append(chosen)
-                enabled = None
+        self._step_index += 1
+        session.step_touches.clear()
+        if session.state != _READY:
+            ready = self._ready
+            del ready[bisect_left(ready, session.index, key=_INDEX)]
+            if session.state == _BLOCKED:
+                self._blocked.append(session)
+            self._enabled = None
+        if self._observing:
             self.policy.observe(step)
-            if chosen.state == _FAILED:
-                return
 
     def _seed_touches(self, session: Session, park_tag: str | None) -> None:
         """A step resumed at a registered yield point re-touches that
         tag's process: the very next action (the append after a
         ``log.append`` park, the delivery after ``net.request``) acts on
         it before any further touch is recorded."""
-        if not park_tag:
-            return
-        family, _, process_name = park_tag.partition(":")
-        if process_name and family in YIELD_TAGS:
-            session.step_touches.add(process_name)
+        if park_tag:
+            process_name = self._tag_touch(park_tag)
+            if process_name:
+                session.step_touches.add(process_name)
+
+    def _tag_touch(self, tag: str) -> str | None:
+        """The process a ``family:process`` tag names ('' for none), or
+        None when its family is not a registered yield family.  Memoized:
+        a run passes the same few tags thousands of times."""
+        try:
+            return self._tag_touches[tag]
+        except KeyError:
+            family, _, process_name = tag.partition(":")
+            touch = process_name if family in YIELD_TAGS else None
+            self._tag_touches[tag] = touch
+            return touch
 
     def spawn(self, fn: Callable[[], object], name: str = "worker") -> Session:
         """Add a *system* session to the running interleaving (e.g. a
@@ -554,15 +628,15 @@ class DeterministicScheduler:
             else {}
         )
         self.sessions.append(session)
-        thread = threading.Thread(
-            target=self._session_body,
-            args=(session,),
-            name=f"phx-session-{session.index}-{name}",
+        self._start(session, f"phx-session-{session.index}-{name}")
+        return session
+
+    def _start(self, session: Session, name: str) -> None:
+        session.thread = threading.Thread(
+            target=self._session_body, args=(session,), name=name,
             daemon=True,
         )
-        session.thread = thread
-        thread.start()
-        return session
+        session.thread.start()
 
     def _session_body(self, session: Session) -> None:
         self._by_thread[threading.get_ident()] = session
@@ -578,34 +652,55 @@ class DeterministicScheduler:
             session.error = exc
             session.state = _FAILED
         finally:
-            self._main_turn.release()
+            # A finished session is never its own successor.
+            self._pass_turn(session).release()
 
-    def _resume(self, session: Session) -> None:
-        session.state = _RUNNING
-        session.turn.release()
-        self._main_turn.acquire()
+    def _pass_turn(self, session: Session) -> threading.Lock | None:
+        """``session`` parked or finished: take the next decision on its
+        thread.  Returns the lock to release — the successor's turn,
+        ``_main_turn`` once the run is over (an error the decision
+        raised is kept for run() to re-raise), or None when the session
+        picked itself and simply runs on."""
+        if self._abort:
+            return self._main_turn  # teardown: see _abort_survivors
+        try:
+            successor = self._decide(session)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            self._error = exc
+            return self._main_turn
+        if successor is None:
+            return self._main_turn
+        return None if successor is session else successor.turn
 
-    def _switch_to_main(self, session: Session, state: str, tag: str) -> None:
+    def _switch(self, session: Session, state: str, tag: str) -> None:
         session.state = state
         session.block_tag = tag
-        self._main_turn.release()
-        session.turn.acquire()
+        turn = self._pass_turn(session)
+        if turn is not None:
+            turn.release()
+            session.turn.acquire()
         session.block_tag = None
         if self._abort:
             raise SchedulerAbort()
 
     def _abort_survivors(self) -> None:
+        """Teardown, on the main thread: resume every unfinished session
+        until it has unwound (it raises :class:`SchedulerAbort` at its
+        next resume, and every park on its way out hands the turn
+        straight back here)."""
         self._abort = True
         for session in self.sessions:
             while session.state not in (_DONE, _FAILED):
-                self._resume(session)
+                session.state = _RUNNING
+                session.turn.release()
+                self._main_turn.acquire()
         self._abort = False
 
     # ------------------------------------------------------------------
     # yielding and blocking (called from session threads)
     # ------------------------------------------------------------------
     def yield_point(self, tag: str) -> None:
-        """Hand control back to the scheduler; a no-op on the main
+        """Hand the turn to the next session; a no-op on the main
         thread.  The tag's family must be registered in
         ``tags.YIELD_TAGS`` — a typo'd tag would silently hide a
         durability boundary from schedule exploration, so it is a hard
@@ -613,15 +708,16 @@ class DeterministicScheduler:
         session = self.current_session()
         if session is None:
             return
-        try:
-            validate_tag(tag)
-        except ValueError as exc:
-            raise InvariantViolationError(str(exc)) from None
-        _family, _, process_name = tag.partition(":")
+        process_name = self._tag_touch(tag)
+        if process_name is None:
+            try:
+                validate_tag(tag)
+            except ValueError as exc:
+                raise InvariantViolationError(str(exc)) from None
         if process_name:
             session.step_touches.add(process_name)
         self._tick(session)
-        self._switch_to_main(session, _READY, tag)
+        self._switch(session, _READY, tag)
         self._check_ghost(session)
 
     def block_until(self, predicate: Callable[[], bool], tag: str) -> None:
@@ -638,7 +734,7 @@ class DeterministicScheduler:
         while not predicate():
             session.predicate = predicate
             self._tick(session)
-            self._switch_to_main(session, _BLOCKED, tag)
+            self._switch(session, _BLOCKED, tag)
             session.predicate = None
             self._check_ghost(session)
 

@@ -14,8 +14,15 @@ from repro.analysis.trace_check import record_signature
 from repro.concurrency import DeterministicScheduler
 from repro.concurrency.bench import clock_bytes_per_traced_event
 from repro.concurrency.explore import EXPLORE_WORKLOADS, derive_crash_specs
-from repro.concurrency.policies import ControlledPolicy, SeededRandomPolicy
-from repro.concurrency.scheduler import SerialScheduler
+from repro.concurrency.policies import (
+    ControlledPolicy,
+    ReplayPolicy,
+    ScheduleDivergenceError,
+    SchedulePolicy,
+    ScheduleStep,
+    SeededRandomPolicy,
+)
+from repro.concurrency.scheduler import SerialScheduler, Session
 from repro.errors import InvariantViolationError
 from repro.faults.plane import CrashSpec
 from repro.faults.workloads import PHOENIX_LEGS, run
@@ -421,6 +428,246 @@ class TestTurnstile:
         assert overlaps == []
 
 
+# ----------------------------------------------------------------------
+# decisions on session threads: errors, handoffs, step records
+# ----------------------------------------------------------------------
+def _raising_thread(monkeypatch, scheduler) -> list:
+    """Record the name of every thread whose ``_decide`` raised."""
+    decide = scheduler._decide
+    raised_on = []
+
+    def recording(ended):
+        try:
+            return decide(ended)
+        except BaseException:
+            raised_on.append(threading.current_thread().name)
+            raise
+
+    monkeypatch.setattr(scheduler, "_decide", recording)
+    return raised_on
+
+
+def _waiter_and_opener(runtime, scheduler) -> list:
+    """Session #0 waits for a gate that session #1 opens after one
+    yield: run #0 first and, until #1 runs, #0 is BLOCKED."""
+    gate = []
+
+    def waiter():
+        scheduler.block_until(lambda: bool(gate), tag="gate")
+
+    def opener():
+        runtime.sched_yield("log.append:server")
+        gate.append(True)
+
+    return [waiter, opener]
+
+
+def _assert_torn_down(runtime, scheduler, serial) -> None:
+    assert runtime.scheduler is serial
+    assert isinstance(runtime.scheduler, SerialScheduler)
+    assert not scheduler.active
+    assert not any(s.thread.is_alive() for s in scheduler.sessions)
+
+
+class TestErrorsDecidedOnASessionThread:
+    """Every decision after a run's first is taken by the session whose
+    step just ended; an error it raises there must reach ``run()``'s
+    caller unchanged, with the run torn down as before."""
+
+    def test_replay_divergence_at_a_later_step(self, monkeypatch):
+        runtime, __, __ = _deploy(1)
+        serial = runtime.scheduler
+        # Step 0 runs #0 into a wait; step 1's recorded choice is #0
+        # again, which is BLOCKED by then.
+        scheduler = DeterministicScheduler(
+            runtime, policy=ReplayPolicy([0, 0])
+        )
+        raised_on = _raising_thread(monkeypatch, scheduler)
+        with pytest.raises(ScheduleDivergenceError) as excinfo:
+            scheduler.run(_waiter_and_opener(runtime, scheduler))
+        assert str(excinfo.value) == (
+            "replay step 1: session #0 is not READY (ready: [1]) — the "
+            "schedule was recorded against a different program"
+        )
+        assert raised_on == ["phx-session-0"]
+        _assert_torn_down(runtime, scheduler, serial)
+
+    def test_deadlock_found_after_the_last_session_parks(self, monkeypatch):
+        runtime, __, counters = _deploy(2)
+        serial = runtime.scheduler
+        scheduler = DeterministicScheduler(
+            runtime, policy=ReplayPolicy([0, 1])
+        )
+        raised_on = _raising_thread(monkeypatch, scheduler)
+
+        def stuck(index, tag):
+            def session():
+                counters[index].increment()
+                scheduler.block_until(lambda: False, tag=tag)
+
+            return session
+
+        with pytest.raises(InvariantViolationError) as excinfo:
+            scheduler.run([stuck(0, "claim"), stuck(1, "drain")])
+        assert str(excinfo.value) == (
+            "scheduler deadlock: all sessions blocked: "
+            "Session(#0, blocked at claim), Session(#1, blocked at drain)"
+        )
+        assert raised_on == ["phx-session-1"]
+        _assert_torn_down(runtime, scheduler, serial)
+
+
+class _Picking(SchedulePolicy):
+    """Picks whatever ``pick(scheduler)`` names, READY or not."""
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def choose(self, ready, scheduler):
+        return self.pick(scheduler)
+
+
+class TestPolicyMustChooseAReadySession:
+    def test_a_blocked_session_is_refused(self, monkeypatch):
+        runtime, __, __ = _deploy(1)
+        serial = runtime.scheduler
+        scheduler = DeterministicScheduler(
+            runtime, policy=_Picking(lambda sched: sched.sessions[0])
+        )
+        raised_on = _raising_thread(monkeypatch, scheduler)
+        with pytest.raises(InvariantViolationError) as excinfo:
+            scheduler.run(_waiter_and_opener(runtime, scheduler))
+        assert str(excinfo.value) == (
+            "schedule policy chose non-ready session "
+            "Session(#0, blocked at gate)"
+        )
+        assert raised_on == ["phx-session-0"]
+        _assert_torn_down(runtime, scheduler, serial)
+
+    def test_a_session_of_another_run_is_refused(self):
+        runtime, __, __ = _deploy(1)
+        # READY, and its index is in range, but it is not this run's.
+        scheduler = DeterministicScheduler(
+            runtime,
+            policy=_Picking(lambda sched: Session(1, lambda: None)),
+        )
+        with pytest.raises(
+            InvariantViolationError,
+            match=r"non-ready session Session\(#1, ready\)",
+        ):
+            scheduler.run(_waiter_and_opener(runtime, scheduler))
+
+
+class _CountingTurn:
+    """Test double for one half of the turnstile: a held raw lock that
+    counts its releases (each release is one handoff)."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._lock.acquire()
+        self.releases = 0
+
+    def acquire(self):
+        return self._lock.acquire()
+
+    def release(self):
+        self.releases += 1
+        self._lock.release()
+
+
+@pytest.fixture
+def counting_turns(monkeypatch):
+    monkeypatch.setattr(
+        "repro.concurrency.scheduler._held_lock", _CountingTurn
+    )
+
+
+def _yielding(runtime, yields: int):
+    def session():
+        for __ in range(yields):
+            runtime.sched_yield("log.append:server")
+        return True
+
+    return session
+
+
+class TestHandoffs:
+    def test_at_most_one_turn_release_per_step(self, counting_turns):
+        runtime, __, __ = _deploy(1)
+        scheduler = DeterministicScheduler(runtime, seed=5)
+        sessions, yields = 3, 4
+        assert scheduler.run(
+            [_yielding(runtime, yields)] * sessions
+        ) == [True] * sessions
+        steps = scheduler._step_index
+        assert steps == sessions * (yields + 1)
+        turns = sum(s.turn.releases for s in scheduler.sessions)
+        # The run's first handoff, then at most one per step (none on a
+        # self-pick); the old main-loop round trip made two per step.
+        assert 0 < turns <= steps
+        assert turns + scheduler._main_turn.releases <= steps + 1
+
+    def test_the_main_thread_wakes_once_per_run(self, counting_turns):
+        runtime, __, __ = _deploy(1)
+        scheduler = DeterministicScheduler(runtime, seed=5)
+        scheduler.run([_yielding(runtime, 3)] * 4)
+        assert scheduler._main_turn.releases == 1
+        scheduler.run([_yielding(runtime, 2)] * 2)
+        assert scheduler._main_turn.releases == 2
+
+    def test_a_one_session_run_releases_nothing_mid_run(
+        self, counting_turns
+    ):
+        runtime, __, __ = _deploy(1)
+        scheduler = DeterministicScheduler(runtime, seed=5)
+        assert scheduler.run([_yielding(runtime, 5)]) == [True]
+        assert scheduler._step_index == 6
+        # Only the start (main -> session) and the end (session ->
+        # main): every yield picks the yielding session itself.
+        (session,) = scheduler.sessions
+        assert session.turn.releases == 1
+        assert scheduler._main_turn.releases == 1
+
+
+@pytest.fixture
+def built_steps(monkeypatch) -> list:
+    """Every ScheduleStep the scheduler constructs."""
+    built = []
+
+    def building(**fields):
+        step = ScheduleStep(**fields)
+        built.append(step)
+        return step
+
+    monkeypatch.setattr(
+        "repro.concurrency.scheduler.ScheduleStep", building
+    )
+    return built
+
+
+class TestStepRecords:
+    def test_no_step_is_built_when_nobody_observes(self, built_steps):
+        runtime, __, counters = _deploy(3)
+        scheduler = DeterministicScheduler(runtime, seed=11)
+        scheduler.run(
+            [lambda c=c: [c.increment() for __ in range(2)]
+             for c in counters]
+        )
+        assert scheduler._step_index > 0
+        assert built_steps == []
+
+    def test_one_step_per_step_for_an_observing_policy(self, built_steps):
+        runtime, __, counters = _deploy(3)
+        policy = _RecordingPolicy(11)
+        scheduler = DeterministicScheduler(runtime, policy=policy)
+        scheduler.run(
+            [lambda c=c: [c.increment() for __ in range(2)]
+             for c in counters]
+        )
+        assert len(built_steps) == scheduler._step_index > 0
+        assert policy.steps == built_steps
+
+
 class TestTraceFootprint:
     def test_vector_clocks_stay_under_1_kib_per_traced_event_at_n64(self):
         """One flat tuple per traced decision (64 x 8 bytes + header,
@@ -574,7 +821,8 @@ def _pinned_steps() -> list:
 
 class TestPinnedSchedule:
     def test_same_seed_steps_equal_the_recorded_sequence(self):
-        """Recorded before the ready set became incremental and the
-        turnstile two raw locks: same seed, same READY order, same
-        draws, same steps."""
+        """Recorded before the ready set became incremental, the
+        turnstile became raw locks and decisions moved onto the parking
+        session's thread: same seed, same READY order, same draws, same
+        steps."""
         assert _pinned_steps() == json.loads(PINNED_STEPS.read_text())
