@@ -49,6 +49,7 @@ from collections import defaultdict
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import sub
 
 from ..errors import (
     InvariantViolationError,
@@ -62,7 +63,7 @@ from .records import (
     LogRecord,
     decode_record,
     encode_record_into,
-    payload_context,
+    payload_columns,
     payload_kind,
     record_kind,
 )
@@ -73,9 +74,22 @@ from .serialization import (
     end_frame,
     read_frame,
     read_frame_incremental,
+    validate_frames,
 )
 
 _WELL_KNOWN_STRUCT = struct.Struct("<q")
+
+
+def _frame_lengths(starts: list[int], stop: int) -> list[int]:
+    """Frame lengths from a walk's frame offsets and its stop offset."""
+    ends = starts[1:]
+    ends.append(stop)
+    return list(map(sub, ends, starts))
+
+
+def _shifted(offsets: list[int], by: int) -> list[int]:
+    """``offsets`` moved by ``by`` (the list itself when ``by`` is 0)."""
+    return list(map(by.__add__, offsets)) if by else offsets
 
 
 @dataclass
@@ -340,29 +354,23 @@ class LogManager:
             return  # already known undecodable; repair_tail resets this
         start = self._indexed_upto
         suffix = self._read_range(start, size - start)
-        offset = 0
-        while True:
-            try:
-                result = read_frame(suffix, offset)
-                if result is None:
-                    break
-                payload, next_offset = result
-                kind = payload_kind(payload)
-                context = payload_context(payload)
-            except LogCorruptionError:
-                # Unindexable bytes: a torn tail awaiting repair_tail,
-                # or interior corruption (an unknown record kind or a
-                # malformed context id included) a read will surface.
-                self._indexed_upto = start + offset
-                self._index_stale_block = (self._indexed_upto, size)
-                return
-            self._index_lsns.append(self._base_lsn + start + offset)
-            self._index_lengths.append(next_offset - offset)
-            self._index_kinds.append(kind)
-            self._index_contexts.append(context)
-            offset = next_offset
-        self._indexed_upto = start + offset
-        self._index_stale_block = None
+        starts, stop = validate_frames(suffix)
+        lengths = _frame_lengths(starts, stop)
+        kinds, contexts, refused = payload_columns(suffix, starts, lengths)
+        if refused is not None:
+            stop = starts[len(kinds)]
+            del starts[len(kinds):], lengths[len(kinds):]
+        self._index_lsns += _shifted(starts, self._base_lsn + start)
+        self._index_lengths += lengths
+        self._index_kinds += kinds
+        self._index_contexts += contexts
+        self._indexed_upto = start + stop
+        # Bytes left unindexed are a torn tail awaiting repair_tail, or
+        # interior corruption (an unknown record kind or a malformed
+        # context id included) a read will surface.
+        self._index_stale_block = (
+            None if stop == len(suffix) else (self._indexed_upto, size)
+        )
 
     # ------------------------------------------------------------------
     # reading
@@ -370,59 +378,44 @@ class LogManager:
     def repair_tail(self) -> int:
         """Truncate a torn tail left by a crash mid-write.
 
-        Scans frames from the beginning and truncates the stable file at
+        Walks frames from the beginning (``validate_frames``: magic,
+        bounds and CRC, nothing decoded) and truncates the stable file at
         the first torn frame.  Interior corruption (a bad frame followed
         by good data) raises :class:`LogCorruptionError` instead of being
         silently dropped.  The walk revalidates every surviving frame, so
-        the LSN index — kind and context columns included, which is how
-        it comes back after a restart — is rebuilt from it as a side
-        effect.  Returns the repaired stable end LSN.
+        the LSN index — kind and context columns included, read in bulk
+        by ``payload_columns``, which is how it comes back after a
+        restart — is rebuilt from it as a side effect.  Returns the
+        repaired stable end LSN.
         """
         data = self._stable.read()
         self.stats.reads += 1
         self.stats.bytes_read += len(data)
-        offset = 0
-        last_good = 0
-        lsns: list[int] = []
-        lengths: list[int] = []
-        kinds = bytearray()
-        contexts: list[int] = []
-        torn = False
-        while True:
-            try:
-                result = read_frame(data, offset)
-            except LogCorruptionError:
-                # Torn tail only if nothing decodable follows.
-                if self._any_frame_after(data, offset):
-                    raise
-                self._stable.truncate(last_good)
-                torn = True
-                break
-            if result is None:
-                break
-            payload, next_offset = result
-            lsn = self._base_lsn + offset
-            # Outside the try above: a CRC-valid frame of an unknown
+        starts, stop = validate_frames(data)
+        lengths = _frame_lengths(starts, stop)
+        kinds, contexts, refused = payload_columns(data, starts, lengths)
+        if refused is not None:
+            # Checked before the tail: a CRC-valid frame of an unknown
             # kind or with a malformed context id is not a torn write,
             # so it is never truncated away.
+            lsn = self._base_lsn + starts[len(kinds)]
+            raise self._corruption(lsn, refused)
+        if stop < len(data):
             try:
-                kinds.append(payload_kind(payload))
-                contexts.append(payload_context(payload))
-            except LogCorruptionError as exc:
-                raise self._corruption(lsn, exc) from None
-            lsns.append(lsn)
-            lengths.append(next_offset - offset)
-            offset = next_offset
-            last_good = offset
-        self._index_lsns = lsns
+                read_frame(data, stop)
+            except LogCorruptionError:
+                # Torn tail only if nothing decodable follows.
+                if self._any_frame_after(data, stop):
+                    raise
+                self._stable.truncate(stop)
+                self._buffer_start_lsn = self._base_lsn + stop
+        self._index_lsns = _shifted(starts, self._base_lsn)
         self._index_lengths = lengths
         self._index_kinds = kinds
         self._index_contexts = contexts
-        self._indexed_upto = last_good
+        self._indexed_upto = stop
         self._index_stale_block = None
-        if torn:
-            self._buffer_start_lsn = self._base_lsn + last_good
-        return self._base_lsn + last_good
+        return self._base_lsn + stop
 
     def _corruption(self, lsn: int, cause: object) -> LogCorruptionError:
         """``cause`` with its position: which log (the name carries the
@@ -463,9 +456,11 @@ class LogManager:
 
         Reads only the byte suffix from ``from_lsn`` — a tail scan of a
         long log no longer pays for the log's full history.  A filtered
-        scan seeks from one selected frame to the next through the
-        index's kind column: the frames in between are neither
-        CRC-checked again nor decoded (``repair_tail`` and the lazy
+        scan from a record boundary picks its frames from the index's
+        kind column and reads only those, through ``read_records`` (one
+        stable read per run of neighbours), plus any bytes past the
+        indexed prefix: the frames in between are neither read, nor
+        CRC-checked again, nor decoded (``repair_tail`` and the lazy
         index build validated them, kind byte included).  A record of a
         skipped kind whose *payload* is malformed therefore surfaces
         from the first reader that selects it, not from this scan.
@@ -487,27 +482,35 @@ class LogManager:
         )
         if on_boundary:
             self.stats.index_hits += 1
-        suffix = self._read_range(physical, size - physical)
-        offset = 0
         selected = None
+        chosen: list[int] = []
         if kinds is not None:
             table = bytearray(256)
             for cls in kinds:
                 table[record_kind(cls)] = 1
             selected = bytes(table)
             if on_boundary:
-                # The columns are copied: the caller may append, flush
-                # or truncate while this generator is suspended.
-                chosen = compress(
-                    self._index_lsns[first:],
-                    self._index_kinds[first:].translate(selected),
+                # Only the chosen frames are read, by read_records' run
+                # reads; whatever the index could not vouch for (bytes
+                # past a frame it refused) is walked below, like any
+                # scan.
+                chosen = list(
+                    compress(
+                        self._index_lsns[first:],
+                        self._index_kinds[first:].translate(selected),
+                    )
                 )
-                # Whatever the index could not vouch for (bytes past a
-                # frame it refused) is walked below, like any scan.
-                offset = self._indexed_upto - physical
-                for lsn in chosen:
-                    record, __ = self._decode_frame(lsn, suffix, lsn - start)
-                    yield lsn, record
+                physical = self._indexed_upto
+                start = self._base_lsn + physical
+        # Read before the first yield: the caller may append, flush or
+        # truncate while this generator is suspended.
+        suffix = (
+            self._read_range(physical, size - physical)
+            if physical < size
+            else b""
+        )
+        yield from self.read_records(chosen)
+        offset = 0
         while offset < len(suffix):
             lsn = start + offset
             record, offset = self._decode_frame(lsn, suffix, offset, selected)

@@ -24,13 +24,15 @@ payload with a CRC (see :mod:`repro.log.serialization`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..common.ids import GlobalCallId
 from ..common.messages import MessageKind, MethodCallMessage, ReplyMessage
 from ..common.types import ComponentType
 from ..errors import LogCorruptionError
-from .serialization import Reader, Writer, message_encoding
+from .serialization import Reader, Writer, frame_overhead, message_encoding
 
 CallerKey = tuple[str, int, int]
 
@@ -227,6 +229,68 @@ def payload_context(payload: bytes) -> int:
             f"context id overruns the {size}-byte payload"
         )
     return int.from_bytes(payload[2 : 2 + payload[1]], "little", signed=True)
+
+
+# Byte translation tables flagging (1) what the bulk read cannot take:
+# an unknown kind byte, an id longer than one byte, a negative id.
+_UNKNOWN_KIND = bytes(0 if b in _KNOWN_KINDS else 1 for b in range(256))
+_NOT_ONE = bytes(0 if b == 1 else 1 for b in range(256))
+_HIGH_BIT = bytes(b >> 7 for b in range(256))
+
+
+def _flagged(flags: bytes) -> Iterator[int]:
+    """The positions of the 1s in a string of 0/1 bytes."""
+    at = flags.find(1)
+    while at >= 0:
+        yield at
+        at = flags.find(1, at + 1)
+
+
+def payload_columns(
+    data: bytes, starts: list[int], lengths: list[int]
+) -> tuple[bytearray, list[int], LogCorruptionError | None]:
+    """The kind and context columns of the CRC-valid frames of ``data``
+    at ``starts`` (frame offsets) with ``lengths`` (whole frames).
+
+    Equal to :func:`payload_kind` and :func:`payload_context` applied to
+    each payload in order, but read in bulk: every payload's first three
+    bytes — kind, id length, a one-byte id — are picked out of ``data``
+    shifted by one header, plus one and plus two bytes, and only frames
+    those bytes do not settle (an unknown kind, any id but a
+    non-negative one-byte one, a payload under three bytes) go through
+    the two functions.  Returns ``(kinds, contexts, error)``: at the
+    first frame they refuse, the columns stop short and ``error`` is
+    what they raised; otherwise ``error`` is ``None``.
+    """
+    count = len(starts)
+    header = frame_overhead()
+    unsettled: Iterable[int]
+    if count > 1 and min(lengths) >= header + 3:
+        pick = itemgetter(*starts)  # a tuple for two or more offsets
+        kinds = bytearray(pick(data[header:]))
+        sizes = bytes(pick(data[header + 1 :]))
+        ids = bytes(pick(data[header + 2 :]))
+        contexts = list(ids)
+        unsettled = sorted(
+            {
+                *_flagged(kinds.translate(_UNKNOWN_KIND)),
+                *_flagged(sizes.translate(_NOT_ONE)),
+                *_flagged(ids.translate(_HIGH_BIT)),
+            }
+        )
+    else:
+        kinds = bytearray(count)
+        contexts = [0] * count
+        unsettled = range(count)
+    for i in unsettled:
+        start = starts[i]
+        payload = data[start + header : start + lengths[i]]
+        try:
+            kinds[i] = payload_kind(payload)
+            contexts[i] = payload_context(payload)
+        except LogCorruptionError as exc:
+            return kinds[:i], contexts[:i], exc
+    return kinds, contexts, None
 
 
 def encode_record(record: LogRecord) -> bytes:

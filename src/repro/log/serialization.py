@@ -652,16 +652,49 @@ def end_frame(buffer: bytearray, header_offset: int) -> int:
     return _FRAME_HEADER.size + length
 
 
+def validate_frames(data: bytes, offset: int = 0) -> tuple[list[int], int]:
+    """Walk the frames of ``data`` from ``offset`` without decoding them.
+
+    Checks what :func:`read_frame` checks — magic, bounds, CRC — and
+    nothing else: per frame one header unpack, one CRC over the payload
+    slice and one append.  Returns ``(starts, stop)``: the offsets of
+    the valid frames, in order, and the offset where the walk stopped —
+    ``len(data)`` at a clean end, otherwise the first bad frame, where
+    :func:`read_frame` raises the error that says why.  The restart
+    walk of every framed file goes through here.
+    """
+    starts: list[int] = []
+    append = starts.append
+    unpack = _FRAME_HEADER.unpack_from
+    crc32 = zlib.crc32
+    header = _FRAME_HEADER.size
+    size = len(data)
+    last = size - header
+    while offset <= last:
+        magic, length, crc = unpack(data, offset)
+        start = offset + header
+        end = start + length
+        if (
+            magic != _FRAME_MAGIC
+            or end > size
+            or crc32(data[start:end]) != crc
+        ):
+            break
+        append(offset)
+        offset = end
+    return starts, offset
+
+
 def iter_frames(
     data: bytes, offset: int = 0
 ) -> "Iterator[tuple[int, bytes, int]]":
     """Yield ``(offset, payload, next_offset)`` for each frame in
     ``data`` starting at ``offset``.
 
-    The shared read loop for every framed file in the system (process
-    logs, the recovery service's registration table, the queued
-    substrate's durable logs).  Raises :class:`LogCorruptionError` at
-    the first bad frame, exactly like :func:`read_frame`.
+    The decoding read loop of the recovery service's registration table
+    and the queued substrate's durable logs.  Raises
+    :class:`LogCorruptionError` at the first bad frame, exactly like
+    :func:`read_frame`.
     """
     while True:
         result = read_frame(data, offset)
@@ -707,12 +740,12 @@ def repair_framed_tail(stable_file) -> int:
     the repaired file.
     """
     data = stable_file.read()
-    last_good = 0
-    try:
-        for __, ___, next_offset in iter_frames(data):
-            last_good = next_offset
-    except LogCorruptionError:
-        if any_frame_after(data, last_good):
-            raise
-        stable_file.truncate(last_good)
-    return last_good
+    __, stop = validate_frames(data)
+    if stop < len(data):
+        try:
+            read_frame(data, stop)
+        except LogCorruptionError:
+            if any_frame_after(data, stop):
+                raise
+            stable_file.truncate(stop)
+    return stop

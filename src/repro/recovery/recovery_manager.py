@@ -48,6 +48,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from ..common.messages import MessageKind, MethodCallMessage, ReplyMessage
+from ..core.attributes import is_read_only_method
 from ..core.context import Context
 from ..core.interceptor import MessageInterceptor
 from ..core.swizzle import unswizzle_for_message
@@ -479,8 +480,6 @@ class RecoveryManager:
                 assert message is not None
                 reply = context.interceptor.invoke_for_replay(message)
                 client_type = MessageInterceptor.client_type_of(message)
-                from ..core.attributes import is_read_only_method
-
                 method_read_only = is_read_only_method(
                     type(context.parent), message.method
                 )

@@ -63,9 +63,8 @@ class StableFile:
                 f"read offset {offset} outside file {self.name!r} "
                 f"of size {len(self._data)}"
             )
-        if length is None:
-            return bytes(self._data[offset:])
-        return bytes(self._data[offset:offset + length])
+        end = len(self._data) if length is None else offset + length
+        return self._copy(offset, end)
 
     def read_range(self, offset: int, length: int) -> bytes:
         """Read exactly ``length`` bytes starting at ``offset``.
@@ -85,7 +84,13 @@ class StableFile:
                 f"read range [{offset}, {end}) outside file {self.name!r} "
                 f"of size {len(self._data)}"
             )
-        return bytes(self._data[offset:end])
+        return self._copy(offset, end)
+
+    def _copy(self, start: int, end: int) -> bytes:
+        """``bytes`` of ``[start, end)``, copied once: slicing the
+        ``bytearray`` itself would copy it twice."""
+        with memoryview(self._data)[start:end] as view:
+            return bytes(view)
 
     def overwrite(self, data: bytes) -> None:
         """Atomically replace the whole file (used by well-known files)."""

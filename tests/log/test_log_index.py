@@ -381,6 +381,38 @@ class TestFilteredScan:
         ]
         assert len(decoded) == 1
 
+    def test_reads_only_the_selected_frames(self, log):
+        """From an index boundary the scan fetches the frames it picked,
+        one stable read per run of neighbours, and none of the rest;
+        bytes past the indexed prefix are still read and walked."""
+        creations = []
+        for i in range(60):
+            log.append(record(i))
+            if i % 20 == 10:
+                creations.append(log.append(MAKERS[1](i)))
+                creations.append(log.append(MAKERS[1](i + 1)))
+        log.force()
+        length = dict(zip(log._index_lsns, log._index_lengths))
+        chosen_bytes = sum(length[lsn] for lsn in creations)
+        before = log.stats.snapshot()
+        found = [lsn for lsn, __ in log.scan(kinds={CreationRecord})]
+        assert found == creations
+        assert log.stats.bytes_read - before.bytes_read == chosen_bytes
+        assert log.stats.reads - before.reads == 3  # three adjacent pairs
+        # a torn tail the index refused: the selected frames, then the
+        # unindexed bytes, walked until they raise
+        stable = log.stable_store.open("p1.log")
+        stable.truncate(stable.size - 3)
+        log._ensure_index()
+        unindexed = stable.size - log._indexed_upto
+        before = log.stats.snapshot()
+        with pytest.raises(LogCorruptionError, match="torn frame payload"):
+            list(log.scan(kinds={CreationRecord}))
+        assert (
+            log.stats.bytes_read - before.bytes_read
+            == chosen_bytes + unindexed
+        )
+
     def test_start_inside_a_frame_is_still_an_error(self, log):
         lsns = [log.append_and_force(MAKERS[i](i)) for i in range(3)]
         with pytest.raises(LogCorruptionError, match=f"LSN {lsns[1] + 1}"):

@@ -1,0 +1,322 @@
+"""The restart walk against the per-frame loop it replaced.
+
+``LogManager.repair_tail`` and the lazy ``_ensure_index`` validate the
+stable log with one tight walk (``serialization.validate_frames``:
+magic, bounds, CRC) and read the index's kind and context columns in
+bulk (``records.payload_columns``).  The reference below is the loop
+they used before: ``read_frame`` + ``payload_kind`` + ``payload_context``
+per frame.  Over the same bytes — torn at every cut, header slices
+included, bit-flipped in the interior, holding zero- to two-byte
+payloads, unknown kind bytes and negative, multi-byte and overrunning
+context ids — both must give the same repaired end and the same four
+index columns, or raise the same exception with the same message.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common import (
+    GlobalCallId,
+    MessageKind,
+    MethodCallMessage,
+    ReplyMessage,
+)
+from repro.errors import LogCorruptionError
+from repro.faults.plan import HEADER_CUTS
+from repro.log import (
+    BeginCheckpointRecord,
+    CreationRecord,
+    LastCallReplyRecord,
+    LogManager,
+    MessageRecord,
+    encode_record,
+    frame,
+    iter_frames,
+    payload_kind,
+    read_frame,
+)
+from repro.log.records import payload_context
+from repro.log.serialization import any_frame_after, repair_framed_tail
+from repro.sim import Cluster
+
+CALL = GlobalCallId("alpha", 1, 1, 1)
+MAKERS = (
+    lambda n: MessageRecord(
+        context_id=0,
+        kind=MessageKind.INCOMING_CALL,
+        message=MethodCallMessage(
+            target_uri="phoenix://alpha/p/1", method="m", args=(n,)
+        ),
+    ),
+    lambda n: CreationRecord(context_id=0, component_lid=n, class_name="C"),
+    lambda n: LastCallReplyRecord(
+        context_id=0,
+        caller_key=CALL.caller_key,
+        call_id=CALL,
+        reply=ReplyMessage(call_id=CALL, value=n),
+    ),
+    lambda n: BeginCheckpointRecord(context_id=0),
+)
+
+# ----------------------------------------------------------------------
+# the reference: the per-frame loops the walk replaced
+# ----------------------------------------------------------------------
+
+
+def reference_repair_tail(log: LogManager) -> int:
+    data = log._stable.read()
+    offset = 0
+    last_good = 0
+    lsns: list[int] = []
+    lengths: list[int] = []
+    kinds = bytearray()
+    contexts: list[int] = []
+    torn = False
+    while True:
+        try:
+            result = read_frame(data, offset)
+        except LogCorruptionError:
+            if log._any_frame_after(data, offset):
+                raise
+            log._stable.truncate(last_good)
+            torn = True
+            break
+        if result is None:
+            break
+        payload, next_offset = result
+        lsn = log._base_lsn + offset
+        try:
+            kinds.append(payload_kind(payload))
+            contexts.append(payload_context(payload))
+        except LogCorruptionError as exc:
+            raise log._corruption(lsn, exc) from None
+        lsns.append(lsn)
+        lengths.append(next_offset - offset)
+        offset = next_offset
+        last_good = offset
+    log._index_lsns = lsns
+    log._index_lengths = lengths
+    log._index_kinds = kinds
+    log._index_contexts = contexts
+    log._indexed_upto = last_good
+    log._index_stale_block = None
+    if torn:
+        log._buffer_start_lsn = log._base_lsn + last_good
+    return log._base_lsn + last_good
+
+
+def reference_ensure_index(log: LogManager) -> None:
+    size = log._stable.size
+    log._clamp_index(size)
+    if log._indexed_upto >= size:
+        return
+    if log._index_stale_block == (log._indexed_upto, size):
+        return
+    start = log._indexed_upto
+    suffix = log._stable.read_range(start, size - start)
+    offset = 0
+    while True:
+        try:
+            result = read_frame(suffix, offset)
+            if result is None:
+                break
+            payload, next_offset = result
+            kind = payload_kind(payload)
+            context = payload_context(payload)
+        except LogCorruptionError:
+            log._indexed_upto = start + offset
+            log._index_stale_block = (log._indexed_upto, size)
+            return
+        log._index_lsns.append(log._base_lsn + start + offset)
+        log._index_lengths.append(next_offset - offset)
+        log._index_kinds.append(kind)
+        log._index_contexts.append(context)
+        offset = next_offset
+    log._indexed_upto = start + offset
+    log._index_stale_block = None
+
+
+def reference_repair_framed_tail(stable_file) -> int:
+    data = stable_file.read()
+    last_good = 0
+    try:
+        for __, ___, next_offset in iter_frames(data):
+            last_good = next_offset
+    except LogCorruptionError:
+        if any_frame_after(data, last_good):
+            raise
+        stable_file.truncate(last_good)
+    return last_good
+
+
+# ----------------------------------------------------------------------
+# running both over the same bytes
+# ----------------------------------------------------------------------
+
+
+def _manager(data: bytes, origin: int, warm: bytes | None) -> LogManager:
+    """A manager over ``data``; with ``warm``, one that indexed those
+    bytes first (the stable file changed under it since)."""
+    machine = Cluster().machine("alpha")
+    stable = machine.stable_store.open("p1.log", create=True)
+    stable.origin = origin
+    stable.overwrite(warm if warm is not None else data)
+    log = LogManager("p1", machine.disk, machine.stable_store)
+    if warm is not None:
+        log._ensure_index()
+        stable.overwrite(data)
+    return log
+
+
+def _state(log: LogManager) -> tuple:
+    return (
+        list(log._index_lsns),
+        list(log._index_lengths),
+        bytes(log._index_kinds),
+        list(log._index_contexts),
+        log._indexed_upto,
+        log._index_stale_block,
+        log.stable_lsn,
+        log.stable_bytes(),
+    )
+
+
+def _outcome(operation, log: LogManager) -> tuple:
+    try:
+        result = operation(log)
+    except LogCorruptionError as exc:
+        return ("raised", type(exc), str(exc), _state(log))
+    return ("returned", result, _state(log))
+
+
+def assert_walks_agree(
+    data: bytes, origin: int = 0, warm: bytes | None = None
+) -> None:
+    for real, reference in (
+        (LogManager.repair_tail, reference_repair_tail),
+        (LogManager._ensure_index, reference_ensure_index),
+    ):
+        got = _outcome(real, _manager(data, origin, warm))
+        want = _outcome(reference, _manager(data, origin, warm))
+        assert got == want, real.__name__
+    outcomes = []
+    for repair in (repair_framed_tail, reference_repair_framed_tail):
+        stable = Cluster().machine("alpha").stable_store.open(
+            "t.log", create=True
+        )
+        stable.overwrite(data)
+        try:
+            outcomes.append((repair(stable), stable.read()))
+        except LogCorruptionError as exc:
+            outcomes.append((type(exc), str(exc), stable.read()))
+    assert outcomes[0] == outcomes[1], "repair_framed_tail"
+
+
+# ----------------------------------------------------------------------
+# generated logs
+# ----------------------------------------------------------------------
+_context_ids = st.sampled_from(
+    (-1, 0, 1, 127, 128, -129, 300, 1 << 20, -(1 << 40))
+) | st.integers(-(1 << 70), 1 << 70)
+
+_records = st.builds(
+    lambda make, n, cid: encode_record(
+        replace(MAKERS[make](n), context_id=cid)
+    ),
+    st.integers(0, len(MAKERS) - 1),
+    st.integers(0, 300),
+    _context_ids,
+)
+
+#: Payloads the writer never produces but a CRC can still vouch for:
+#: zero to two bytes, an unknown kind byte, and a context id field of
+#: any length byte (one byte, several, more than the payload holds).
+_odd_payloads = st.one_of(
+    st.binary(max_size=2),
+    st.builds(
+        lambda kind, size, rest: bytes([kind, size]) + rest,
+        st.integers(0, 255),
+        st.integers(0, 12),
+        st.binary(max_size=10),
+    ),
+)
+
+_payloads = st.lists(
+    st.one_of(_records, _records, _records, _odd_payloads),
+    max_size=10,
+)
+
+#: (what, where, how): where is reduced modulo the log's size or frame
+#: count, so any integer names a valid spot.
+_damage = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 1 << 16), st.just(0)),
+    st.tuples(
+        st.just("header"), st.integers(0, 64), st.sampled_from(HEADER_CUTS)
+    ),
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(0, 7)),
+)
+
+
+def _damaged(payloads: list[bytes], damages) -> bytes:
+    frames = [frame(payload) for payload in payloads]
+    data = bytearray(b"".join(frames))
+    for what, where, how in damages:
+        if not data:
+            break
+        if what == "cut":
+            del data[where % len(data) :]
+        elif what == "header":
+            # keep ``how`` bytes of one frame's header, nothing after
+            at = sum(map(len, frames[: where % len(frames)]))
+            del data[at + how :]
+        else:
+            data[where % len(data)] ^= 1 << how
+    return bytes(data)
+
+
+class TestWalkMatchesPerFrameLoop:
+    @given(
+        payloads=_payloads,
+        damages=st.lists(_damage, max_size=2),
+        origin=st.sampled_from((0, 4096)),
+        warm=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_generated_logs(self, payloads, damages, origin, warm):
+        data = _damaged(payloads, damages)
+        undamaged = b"".join(frame(payload) for payload in payloads)
+        assert_walks_agree(data, origin, undamaged if warm else None)
+
+    def test_every_cut_of_a_mixed_log(self):
+        """Torn at every byte — each frame's 1-, 3- and 9-byte header
+        slices among them — of a log of mixed record kinds holding every
+        width of context id."""
+        payloads = [
+            encode_record(replace(MAKERS[i % len(MAKERS)](i), context_id=c))
+            for i, c in enumerate((0, -1, 127, 128, 300, 1 << 20, 5))
+        ]
+        data = b"".join(frame(payload) for payload in payloads)
+        for cut in range(len(data) + 1):
+            assert_walks_agree(data[:cut])
+            assert_walks_agree(data[:cut], warm=data)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", b"\x01", b"\x01\x01", b"\x01\x00", b"\xee\x01\x05",
+         b"\x01\x02\x05", b"\x01\x01\xff", b"\x01\x09\x01\x02"],
+        ids=["empty", "kind-only", "id-length-only", "zero-length-id",
+             "unknown-kind", "id-overruns", "negative-id", "long-overrun"],
+    )
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_odd_payload_anywhere(self, payload, where):
+        good = [encode_record(MAKERS[i % len(MAKERS)](i)) for i in range(4)]
+        at = {"first": 0, "middle": 2, "last": 4}[where]
+        payloads = good[:at] + [payload] + good[at:]
+        data = b"".join(frame(p) for p in payloads)
+        assert_walks_agree(data)
+        assert_walks_agree(data[: len(data) - 1])
+        assert_walks_agree(data, origin=4096)
+
