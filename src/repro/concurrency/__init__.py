@@ -1,4 +1,4 @@
-"""Deterministic concurrent-session scheduling and group commit.
+"""Deterministic concurrent-session scheduling.
 
 See :mod:`repro.concurrency.scheduler` for the scheduling model and
 :mod:`repro.concurrency.bench` for the concurrent-throughput experiment
@@ -15,13 +15,12 @@ from .policies import (
     ScheduleStep,
     SeededRandomPolicy,
 )
-from .scheduler import DeterministicScheduler, GroupCommitBatch, SchedulerAbort
+from .scheduler import DeterministicScheduler, SchedulerAbort
 from .tags import YIELD_TAGS, covered_site_families, validate_tag
 
 __all__ = [
     "ControlledPolicy",
     "DeterministicScheduler",
-    "GroupCommitBatch",
     "ReplayPolicy",
     "ScheduleDivergenceError",
     "SchedulePolicy",

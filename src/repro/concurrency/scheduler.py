@@ -40,17 +40,9 @@ run's first decision and then sleeps until the run is over — every
 session finished, one failed, a deadlock, or a decision that raised,
 which :meth:`DeterministicScheduler.run` re-raises.
 
-The scheduler is also the one **commit gate**: every committing send
-asks it for its commit point (:meth:`commit_point`) and then for the
-force that makes the point stable (:meth:`force`), so it is the only
-runtime code that reads ``config.group_commit`` and
-``config.pipelined_commit``.  Under group commit, force requests
-arriving within one disk-rotation window on the same log stream join a
-shared :class:`GroupCommitBatch` and are satisfied by a single
-stable-store write, performed by the batch's first waiter (the leader)
-once the window closes.  Under pipelined causal commit the commit point
-relaxes to the session's causal watermark and a send whose prefix is
-already stable skips its force (docs/internals.md section 14).
+The runtime's commit gate (``core/commit.py``) owns durability; the
+scheduler only reports its run, ``spawn``, context sync edges and
+decision loop (window close and sleep) to it.
 
 Crash handling: a session suspended inside a process that another
 session crashes is a *ghost* of a dead incarnation.  Each session keeps
@@ -76,7 +68,6 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..analysis import vector_clock
-from ..core.process import ProcessState
 from ..errors import CrashSignal, InvariantViolationError
 from .policies import SchedulePolicy, ScheduleStep, SeededRandomPolicy
 from .tags import YIELD_TAGS, validate_tag
@@ -145,49 +136,13 @@ class Session:
         return f"Session(#{self.index}, {self.state}{tag})"
 
 
-class GroupCommitBatch:
-    """One shared in-flight group write against one log stream.
-
-    Two-phase completion: ``closed`` (the window expired; the leader may
-    write) then ``done`` (the write finished or failed; riders may
-    return).  The leader is the first waiter; riders block on ``done``
-    and report ``wrote=False`` exactly like a force whose bytes were
-    already flushed by someone else.
-    """
-
-    __slots__ = ("deadline", "seq", "waiters", "closed", "done", "error",
-                 "vc", "wm", "targets")
-
-    def __init__(self, deadline: float, seq: int):
-        self.deadline = deadline
-        self.seq = seq
-        self.waiters: list[int] = []
-        self.closed = False
-        self.done = False
-        self.error: BaseException | None = None
-        #: Joined vector clock of every waiter; merged back into each
-        #: waiter when the shared write completes (a sync edge: all
-        #: batched records became stable together).
-        self.vc: dict[int, int] = {}
-        #: Joined durability watermarks, mirroring ``vc`` (pipelined
-        #: causal commit; see DeterministicScheduler.note_append).
-        self.wm: dict[str, int] = {}
-        #: Pipelined mode only: each waiter's commit target — the LSN
-        #: the log must be stable through before that waiter's send may
-        #: leave.  The leader skips the shared write when an earlier
-        #: in-flight write already covered every remaining target.
-        self.targets: dict[int, int] = {}
-
-
 class SerialScheduler:
     """The one-session scheduler: ``runtime.scheduler`` whenever no
     :class:`DeterministicScheduler` run is active.
 
     One call chain runs at a time, so there is nobody to yield to, no
-    session to name, no clock, watermark or context claim to keep, no
-    window to share a force with, and the one session drives every
-    recovery it meets.  Every commit point is Algorithm 2's ``end_lsn``
-    and every force is the stream's own.  A wait whose predicate does
+    session to name, no clock or context claim to keep, and the one
+    session drives every recovery it meets.  A wait whose predicate does
     not already hold could never be satisfied, so :meth:`block_until`
     raises instead of waiting."""
 
@@ -210,18 +165,6 @@ class SerialScheduler:
 
     def current_vc(self) -> None:
         return None
-
-    def note_append(self, log) -> None:
-        pass
-
-    def commit_point(self, log) -> int:
-        return log.end_lsn
-
-    def force(self, stream: "LogStream", commit_lsn: int | None = None) -> bool:
-        return stream.force()
-
-    def clamp_watermarks(self, process: "AppProcess") -> None:
-        pass
 
     def enter_process(self, process: "AppProcess") -> bool:
         return False
@@ -265,7 +208,6 @@ class DeterministicScheduler:
         policy: SchedulePolicy | None = None,
     ):
         self.runtime = runtime
-        self.clock = runtime.clock
         self.seed = seed
         #: Which READY session runs next is delegated to the policy;
         #: the default reproduces the historical seeded draw exactly.
@@ -277,8 +219,8 @@ class DeterministicScheduler:
         self._main_turn = _held_lock()
         self._abort = False
         self.active = False
-        self._batches: dict["LogStream", GroupCommitBatch] = {}
-        self._batch_seq = 0
+        #: The runtime's commit gate, told of every sync edge.
+        self.commit = runtime.commit
         self._recovery_drivers: dict["AppProcess", Session | None] = {}
         #: Per-session vector clocks (session index -> live clock),
         #: ticked at yield points, merged across sync edges.
@@ -287,19 +229,6 @@ class DeterministicScheduler:
         #: context URI; merged into the next acquirer (admission is a
         #: real lock, hence a real happens-before edge).
         self._context_vcs: dict[str, dict[int, int]] = {}
-        #: Per-session durability watermarks (pipelined causal commit):
-        #: log name -> highest post-append end-LSN the session causally
-        #: knows.  Maintained on exactly the same edges as the vector
-        #: clocks — own appends via :meth:`note_append`, merges wherever
-        #: a clock merges — so a send gated on its watermark is stable
-        #: through at least its TRC107 happens-before cone.
-        self._wms: dict[int, dict[str, int]] = {}
-        self._context_wms: dict[str, dict[str, int]] = {}
-        #: Appends that happened before the run started (or outside any
-        #: session): totally ordered with every session event, so they
-        #: sit in everyone's causal prefix — the watermark analogue of
-        #: the trace checker's serial max.
-        self._serial_wm: dict[str, int] = {}
         self._step_index = 0
         #: Decision state, reset by run() (see :meth:`_decide`): READY
         #: sessions sorted by index, BLOCKED ones, how many of
@@ -349,74 +278,6 @@ class DeterministicScheduler:
         return vector_clock.snapshot(self.session_clock(session))
 
     # ------------------------------------------------------------------
-    # per-session durability watermarks (pipelined causal commit)
-    # ------------------------------------------------------------------
-    def session_watermarks(self, session: Session) -> dict[str, int]:
-        return self._wms.setdefault(session.index, {})
-
-    def note_append(self, log) -> None:
-        """Record that the calling session appended to ``log`` (one
-        stream of a process — watermarks are per-(session, stream) since
-        every stream has its own name): its watermark for that log
-        advances to the post-append end LSN.  ``vector_clock.merge_into``
-        is a generic pointwise max, so the same helper merges these
-        dicts across sync edges."""
-        name = log.process_name
-        end = log.end_lsn
-        session = self.current_session()
-        wm = (
-            self._serial_wm
-            if session is None
-            else self.session_watermarks(session)
-        )
-        if end > wm.get(name, 0):
-            wm[name] = end
-
-    def commit_point(self, log) -> int:
-        """The LSN a committing message on ``log`` (the context's own
-        stream) must make stable.
-
-        Algorithm 2 "forces all previous messages": the whole-log
-        ``end_lsn``, a global ordering point.  Under
-        ``config.pipelined_commit`` a session's commit point relaxes to
-        its *causal* watermark: the highest LSN in its causal prefix.
-        Everything the session appended or learned of through a sync
-        edge is below it; records of causally unrelated sessions are not
-        — exactly the slack TRC107 permits, and TRC107 recomputes that
-        cone independently from the trace's vector clocks, so an
-        under-computed watermark cannot pass unnoticed.  Clamped to
-        ``end_lsn`` (a crash reuses LSNs; :meth:`clamp_watermarks`
-        resets the stored entries too)."""
-        session = self.current_session()
-        if session is None or not self.runtime.config.pipelined_commit:
-            return log.end_lsn
-        name = log.process_name
-        target = max(
-            self.session_watermarks(session).get(name, 0),
-            self._serial_wm.get(name, 0),
-        )
-        return min(target, log.end_lsn)
-
-    def clamp_watermarks(self, process: "AppProcess") -> None:
-        """A crash wiped ``process``'s volatile records: every watermark
-        entry above the stable boundary points at bytes that no longer
-        exist (and whose LSNs will be reused), so clamp them all —
-        every stream of the process, each at its own boundary.  Also
-        re-run after recovery's tail repair, which can truncate below
-        the crash-time boundary."""
-        for stream in process.streams:
-            name = stream.log.process_name
-            bound = stream.log.stable_lsn
-            for wm in self._wms.values():
-                if wm.get(name, 0) > bound:
-                    wm[name] = bound
-            for wm in self._context_wms.values():
-                if wm.get(name, 0) > bound:
-                    wm[name] = bound
-            if self._serial_wm.get(name, 0) > bound:
-                self._serial_wm[name] = bound
-
-    # ------------------------------------------------------------------
     # the run and its decisions
     # ------------------------------------------------------------------
     def run(self, fns: list[Callable[[], object]]) -> list[object]:
@@ -427,15 +288,7 @@ class DeterministicScheduler:
         self._abort = False
         self._vcs = {s.index: {} for s in self.sessions}
         self._context_vcs.clear()
-        self._wms = {s.index: {} for s in self.sessions}
-        self._context_wms.clear()
-        # Everything already in any log happens-before every session
-        # event (the main thread never overlaps a run).
-        self._serial_wm = {
-            stream.log.process_name: stream.log.end_lsn
-            for process in self.runtime.processes()
-            for stream in process.streams
-        }
+        self.commit.begin_run(self)
         self._step_index = 0
         self._ready = []
         self._blocked = []
@@ -462,7 +315,7 @@ class DeterministicScheduler:
             self._abort_survivors()
             self.active = False
             self.runtime.scheduler = serial
-            self._batches.clear()
+            self.commit.end_run()
             self._recovery_drivers.clear()
             self._by_thread.clear()
             for session in self.sessions:
@@ -516,7 +369,7 @@ class DeterministicScheduler:
             blocked = self._blocked
             if not ready and not blocked:
                 return None
-            self._close_due_batches()
+            self.commit.close_due_windows()
             woken = [s for s in blocked if s.predicate()]
             if woken:
                 for session in woken:
@@ -529,7 +382,7 @@ class DeterministicScheduler:
             # Everyone is blocked.  If a group-commit window is still
             # open, the only missing event is simulated time: sleep to
             # the earliest deadline and re-evaluate.
-            if not self._sleep_to_next_batch():
+            if not self.commit.sleep_to_next_window():
                 raise InvariantViolationError(
                     "scheduler deadlock: all sessions blocked: "
                     + ", ".join(repr(s) for s in sorted(blocked, key=_INDEX))
@@ -622,11 +475,7 @@ class DeterministicScheduler:
         self._vcs[session.index] = (
             dict(self.session_clock(parent)) if parent is not None else {}
         )
-        self._wms[session.index] = (
-            dict(self.session_watermarks(parent))
-            if parent is not None
-            else {}
-        )
+        self.commit.spawned(parent, session)
         self.sessions.append(session)
         self._start(session, f"phx-session-{session.index}-{name}")
         return session
@@ -794,14 +643,7 @@ class DeterministicScheduler:
         context.service_owner = session.index
         # Admission is a real lock: everything the previous serving
         # session did up to its release happens-before this claim.
-        released = self._context_vcs.get(context.uri)
-        if released:
-            vector_clock.merge_into(self.session_clock(session), released)
-        released_wm = self._context_wms.get(context.uri)
-        if released_wm:
-            vector_clock.merge_into(
-                self.session_watermarks(session), released_wm
-            )
+        self._merge(session, context)
         return True
 
     def release_context(self, context: "Context") -> None:
@@ -811,14 +653,7 @@ class DeterministicScheduler:
             # stored clock *while* a claim is held (it bypasses
             # admission), and the owner has not necessarily merged that
             # publish — replacing the dict would drop the edge forever.
-            vector_clock.merge_into(
-                self._context_vcs.setdefault(context.uri, {}),
-                self.session_clock(session),
-            )
-            vector_clock.merge_into(
-                self._context_wms.setdefault(context.uri, {}),
-                self.session_watermarks(session),
-            )
+            self._publish(session, context)
             context.service_owner = None
 
     def publish_context(self, context: "Context") -> None:
@@ -830,16 +665,15 @@ class DeterministicScheduler:
         the next admission merges it, keeping the happens-before order
         TRC108 checks complete."""
         session = self.current_session()
-        if session is None:
-            return
+        if session is not None:
+            self._publish(session, context)
+
+    def _publish(self, session: Session, context: "Context") -> None:
         vector_clock.merge_into(
             self._context_vcs.setdefault(context.uri, {}),
             self.session_clock(session),
         )
-        vector_clock.merge_into(
-            self._context_wms.setdefault(context.uri, {}),
-            self.session_watermarks(session),
-        )
+        self.commit.release_edge(session, context.uri)
 
     def merge_context(self, context: "Context") -> None:
         """Record an acquire edge on ``context`` outside the admission
@@ -850,16 +684,14 @@ class DeterministicScheduler:
         the drainer's effects, so it must also inherit the drainer's
         clock even though no ``acquire_context`` interleaved."""
         session = self.current_session()
-        if session is None:
-            return
+        if session is not None:
+            self._merge(session, context)
+
+    def _merge(self, session: Session, context: "Context") -> None:
         stored = self._context_vcs.get(context.uri)
         if stored:
             vector_clock.merge_into(self.session_clock(session), stored)
-        stored_wm = self._context_wms.get(context.uri)
-        if stored_wm:
-            vector_clock.merge_into(
-                self.session_watermarks(session), stored_wm
-            )
+        self.commit.acquire_edge(session, context.uri)
 
     # ------------------------------------------------------------------
     # recovery driving
@@ -883,222 +715,9 @@ class DeterministicScheduler:
             and self._recovery_drivers[process] is self.current_session()
         )
 
-    # ------------------------------------------------------------------
-    # the commit gate: serial force, causal gate or group batch
-    # ------------------------------------------------------------------
-    def force(self, stream: "LogStream", commit_lsn: int | None = None) -> bool:
-        """Make ``stream`` stable through ``commit_lsn`` (its whole
-        buffer when None); returns whether this request wrote.
-
-        Without ``config.group_commit``, while the process is not
-        RUNNING or still owes on-demand replay (a window wait inside
-        replay would distort recovery timing for no sharing), and on the
-        main thread (nobody to share a window with), the stream forces
-        alone — exactly the serial runtime's force."""
-        process = stream.process
-        if (
-            not self.runtime.config.group_commit
-            or process.state is not ProcessState.RUNNING
-            or process.incarnation.pending_recovery is not None
-            or self.current_session() is None
-        ):
-            return stream.force()
-        log = stream.log
-        if log.stable_lsn == log.end_lsn:
-            # Nothing buffered: the force is free either way; don't hold
-            # the session in a window for it.
-            return stream.force()
-        if (
-            self.runtime.config.pipelined_commit
-            and commit_lsn is not None
-            and log.stable_lsn >= commit_lsn
-        ):
-            # Causally-gated send: the requester's whole causal prefix
-            # is already durable (another session's force flushed it),
-            # so Algorithm 2's "force all previous" is satisfied for
-            # everything this send could depend on — release it without
-            # a write or a window wait.  Volatile bytes above the target
-            # belong to causally unrelated sessions (TRC107's slack).
-            stream.note_gated()
-            return False
-        return self.group_force(stream, commit_lsn)
-
     def group_force(
         self, stream: "LogStream", commit_lsn: int | None = None
     ) -> bool:
-        """Join (or open) the stream's group-commit batch.
-
-        The first waiter becomes the leader: it blocks until the window
-        closes, then performs the one shared write.  Later waiters are
-        riders: they block until the leader finished and return False
-        (their bytes rode the shared flush).
-
-        In pipelined mode (``config.pipelined_commit``) the batch
-        machinery additionally overlaps: the leader yields once between
-        the window closing and the write (``log.submit``), so the next
-        batch opens while this one is in flight; a waiter whose commit
-        target an earlier in-flight write already covered releases
-        immediately instead of waiting for its own batch; and a closed
-        batch whose every remaining target is stable skips its write.
-        A plain batch merges each waiter's clock at join time, a
-        pipelined one only at write time (see :meth:`_pipelined_force`).
-        """
-        session = self.current_session()
-        if self.runtime.config.pipelined_commit:
-            return self._pipelined_force(session, stream, commit_lsn)
-        batch, leading = self._join_batch(session, stream)
-        vector_clock.merge_into(batch.vc, self.session_clock(session))
-        vector_clock.merge_into(batch.wm, self.session_watermarks(session))
-        if leading:
-            try:
-                self.block_until(
-                    lambda: batch.closed,
-                    tag=f"group-commit:{stream.name}",
-                )
-                return stream.execute_batch(len(batch.waiters) - 1)
-            except BaseException as exc:
-                batch.error = exc
-                raise
-            finally:
-                batch.done = True
-                # The shared write is a sync edge among all waiters.
-                vector_clock.merge_into(batch.vc, self.session_clock(session))
-                vector_clock.merge_into(self.session_clock(session), batch.vc)
-                vector_clock.merge_into(
-                    batch.wm, self.session_watermarks(session)
-                )
-                vector_clock.merge_into(
-                    self.session_watermarks(session), batch.wm
-                )
-                if self._batches.get(stream) is batch:
-                    del self._batches[stream]
-        self.block_until(
-            lambda: batch.done, tag=f"group-ride:{stream.name}"
-        )
-        vector_clock.merge_into(self.session_clock(session), batch.vc)
-        vector_clock.merge_into(self.session_watermarks(session), batch.wm)
-        if batch.error is not None:
-            # The shared write died.  The rider's own ghost check above
-            # normally catches the crash first (it holds a frame for the
-            # same process); cover direct callers with a stale signal so
-            # the boundary converts without re-crashing the process.
-            raise CrashSignal(
-                stream.name, "group-commit write",
-                process=stream.process, stale=True,
-            )
-        return False
-
-    def _pipelined_force(
-        self,
-        session: Session,
-        stream: "LogStream",
-        commit_lsn: int | None,
-    ) -> bool:
-        """Pipelined batch semantics.  Clock merges here are deliberate:
-        a waiter does NOT merge into the batch clock at join time — an
-        early-released waiter never synchronized with the batch, and a
-        join-time merge would forge a happens-before edge that could
-        hide a real TRC108 race.  Instead the leader joins the remaining
-        waiters' clocks at write time, and only waiters that stayed for
-        the write merge the batch clock back."""
-        log = stream.log
-        target = commit_lsn if commit_lsn is not None else log.end_lsn
-        batch, leading = self._join_batch(session, stream)
-        batch.targets[session.index] = target
-        if leading:
-            try:
-                self.block_until(
-                    lambda: batch.closed or (
-                        len(batch.waiters) == 1
-                        and log.stable_lsn >= target
-                    ),
-                    tag=f"group-commit:{stream.name}",
-                )
-                if not batch.closed:
-                    # An earlier in-flight write covered our causal
-                    # prefix and nobody joined: cancel the batch.
-                    batch.waiters.remove(session.index)
-                    stream.note_gated()
-                    return False
-                # The window closed; the write is now in flight.  Yield
-                # before performing it so other sessions can open (and
-                # even close) the next batch underneath it.
-                self.yield_point(f"log.submit:{stream.name}")
-                riders = len(batch.waiters) - 1
-                for index in batch.waiters:
-                    vector_clock.merge_into(batch.vc, self._vcs[index])
-                    vector_clock.merge_into(
-                        batch.wm, self._wms.setdefault(index, {})
-                    )
-                needed = max(
-                    batch.targets[index] for index in batch.waiters
-                )
-                if log.stable_lsn >= needed:
-                    # Every remaining waiter's prefix was covered by an
-                    # earlier in-flight write: elide the disk write.
-                    stream.note_write_skip(1 + riders)
-                    return False
-                return stream.execute_batch(riders)
-            except BaseException as exc:
-                batch.error = exc
-                raise
-            finally:
-                batch.done = True
-                vector_clock.merge_into(self.session_clock(session), batch.vc)
-                vector_clock.merge_into(
-                    self.session_watermarks(session), batch.wm
-                )
-                if self._batches.get(stream) is batch:
-                    del self._batches[stream]
-        self.block_until(
-            lambda: batch.done or log.stable_lsn >= target,
-            tag=f"group-ride:{stream.name}",
-        )
-        if not batch.done:
-            # Early release: an earlier in-flight write made our causal
-            # prefix stable before our own batch got to the platter.
-            batch.waiters.remove(session.index)
-            del batch.targets[session.index]
-            stream.note_gated()
-            return False
-        vector_clock.merge_into(self.session_clock(session), batch.vc)
-        vector_clock.merge_into(self.session_watermarks(session), batch.wm)
-        if batch.error is not None:
-            raise CrashSignal(
-                stream.name, "group-commit write",
-                process=stream.process, stale=True,
-            )
-        return False
-
-    def _join_batch(
-        self, session: Session, stream: "LogStream"
-    ) -> tuple[GroupCommitBatch, bool]:
-        """Add ``session`` to the stream's open batch, opening one (with
-        the session as its leader) when none is open; returns the batch
-        and whether the session leads it."""
-        batch = self._batches.get(stream)
-        leading = batch is None or batch.closed
-        if leading:
-            self._batch_seq += 1
-            batch = GroupCommitBatch(
-                deadline=self.clock.now + stream.group_window_ms(),
-                seq=self._batch_seq,
-            )
-            self._batches[stream] = batch
-        batch.waiters.append(session.index)
-        session.step_touches.add(stream.process.name)
-        return batch, leading
-
-    def _close_due_batches(self) -> None:
-        for batch in self._batches.values():
-            if not batch.closed and self.clock.now >= batch.deadline:
-                batch.closed = True
-
-    def _sleep_to_next_batch(self) -> bool:
-        open_batches = [b for b in self._batches.values() if not b.closed]
-        if not open_batches:
-            return False
-        earliest = min(open_batches, key=lambda b: (b.deadline, b.seq))
-        self.clock.sleep_until(earliest.deadline)
-        self._close_due_batches()
-        return True
+        """The commit gate's batch body, behind the name perf/spans.py
+        wraps."""
+        return self.commit.group_force(stream, commit_lsn)

@@ -97,7 +97,7 @@ class RuntimeConfig:
     # global "force all previous records" point to the *causal* prefix
     # TRC107 proves sufficient.  Each session keeps a per-log durability
     # watermark (the highest LSN it causally knows, maintained by the
-    # scheduler from the same sync edges as the vector clocks); a send
+    # commit gate from the same sync edges as the vector clocks); a send
     # is released the moment the log is stable through that watermark,
     # even while other sessions' tails are volatile, and group-commit
     # batches pipeline — a new batch opens while the previous write is

@@ -171,9 +171,9 @@ class LoggingPolicy:
             # read AFTER the append: the commit covers the own record;
             # with no record — the message is re-creatable by replay —
             # everything before the send (its causal prefix, under
-            # pipelined commit) must still be stable.  The scheduler is
-            # the commit gate: it picks the point and decides the force.
-            commit = process.runtime.scheduler.commit_point(log)
+            # pipelined commit) must still be stable.  The runtime's
+            # commit gate picks the point and decides the force.
+            commit = process.runtime.commit.commit_point(log)
             try:
                 performed = process.log_force(
                     commit_lsn=commit, context_id=context_id

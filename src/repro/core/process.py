@@ -65,8 +65,8 @@ class LogStream:
     the rest ride along for free, counted as
     ``LogStats.coalesced_forces``.  Whether a request is forced alone,
     causally gated or batched with other sessions' requests is the
-    scheduler's decision (``runtime.scheduler.force``); the stream only
-    performs and accounts what the scheduler decided.
+    commit gate's decision (``runtime.commit.force``); the stream only
+    performs and accounts what the gate decided.
     """
 
     __slots__ = ("shard_id", "log", "trace", "process", "_clock",
@@ -281,8 +281,8 @@ class AppProcess:
         self.runtime.clock.advance(self.runtime.costs.log_buffer_write)
         lsn = stream.log.append(record)  # phx: disable=PHX005
         # Advance the appending session's durability watermark
-        # (pipelined causal commit; pure bookkeeping otherwise).
-        self.runtime.scheduler.note_append(stream.log)
+        # (pipelined causal commit; a no-op under every other gate).
+        self.runtime.commit.note_append(stream.log)
         self._maybe_publish_checkpoint()
         return lsn
 
@@ -291,7 +291,7 @@ class AppProcess:
         commit_lsn: int | None = None,
         context_id: int | None = None,
     ) -> bool:
-        wrote = self.runtime.scheduler.force(
+        wrote = self.runtime.commit.force(
             self.stream_for(context_id), commit_lsn
         )
         self._maybe_publish_checkpoint()
@@ -621,10 +621,6 @@ class AppProcess:
             # Volatile records above the stable boundary are gone and
             # their LSNs will be reused; tell the conformance trace.
             stream.trace.note_crash(stream.log.stable_lsn)
-        # Per-session durability watermarks are volatile too: entries
-        # above the stable boundary point at lost bytes whose LSNs the
-        # next incarnation will reuse.
-        self.runtime.scheduler.clamp_watermarks(self)
 
     def finish_recovery(self) -> None:
         self.state = ProcessState.RUNNING

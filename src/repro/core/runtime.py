@@ -34,6 +34,7 @@ from ..faults import plane as faultplane
 from ..log.serialization import serialized_size
 from ..recovery.recovery_service import RecoveryService
 from ..sim.cluster import Cluster
+from .commit import commit_gate
 from .component import ComponentClassRegistry
 from .config import RuntimeConfig
 from .context import SUB_LID_BASE, Context
@@ -81,6 +82,8 @@ class PhoenixRuntime:
         #: ``DeterministicScheduler.run`` has installed itself (see
         #: repro.concurrency).
         self.scheduler = SerialScheduler()
+        #: The commit gate, chosen once from the config (core/commit.py).
+        self.commit = commit_gate(self)
 
         # The LogPlan the sharded runtime routes by (repro.log.sharding).
         # ``install_log_plan`` pins one explicitly (benches and tests

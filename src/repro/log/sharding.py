@@ -19,7 +19,7 @@ Routing rules:
 * each plan shard whose ``processes`` list names this process gets one
   extra stream, named ``{log_name}@{shard_id}`` — a distinct stream
   name means distinct log files, distinct per-(session, stream)
-  scheduler watermarks, and distinct torn-tail fault sites for free.
+  commit-gate watermarks, and distinct torn-tail fault sites for free.
 * a component routes by its class name per the plan's shard membership;
   the assignment is fixed at creation time (``assign``) so replay and
   recovery resolve the same stream from the records alone.

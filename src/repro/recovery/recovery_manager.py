@@ -147,12 +147,6 @@ class RecoveryManager:
             # the repaired boundary: records in the torn region are gone
             # and their LSNs will be reused.
             stream.trace.note_crash(repaired)
-        # Durability watermarks (pipelined commit) are volatile state:
-        # repair may have truncated torn frames below the crash-time
-        # stable LSN, so clamp every session's watermark for this log to
-        # the repaired boundary — they are rebuilt from fresh appends,
-        # exactly like PendingRecovery.
-        runtime.scheduler.clamp_watermarks(process)
         # Pass-boundary crash sites: a second crash while recovery itself
         # is running must leave a log from which a fresh recovery still
         # reaches the same state (crash-during-recovery cascades).

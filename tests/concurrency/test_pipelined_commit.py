@@ -12,19 +12,22 @@ Four pins:
   wedge would surface as the scheduler's all-blocked deadlock error,
   so plain completion of the run is the proof.
 * **Watermarks die with the process** — the per-session durability
-  watermarks are volatile bookkeeping; a crash (and a torn-tail
-  repair, which can truncate BELOW the crash-time stable LSN) must
-  clamp every stored watermark to the surviving boundary, and a fresh
-  scheduler run must never inherit stale entries.
-* **Serial fallback** — outside an active scheduler run the causal
-  commit point degenerates to the paper's global ``end_lsn``.
+  watermarks are keyed by the incarnation's ``LogManager``, so after a
+  crash no pre-crash entry can set a commit point on the new
+  incarnation's log, and a fresh scheduler run never inherits stale
+  entries.
+* **Serial fallback** — the serial and group gates, and the causal gate
+  outside an active scheduler run, use the paper's global ``end_lsn``.
 """
 
 import pytest
 
 from repro import PhoenixRuntime, RuntimeConfig
+from repro.analysis.trace import CrashMark
+from repro.analysis.trace_check import check_runtime
 from repro.concurrency import DeterministicScheduler
 from repro.concurrency.bench import _run as _bench_run
+from repro.core.commit import CausalGate, GroupGate, SerialGate
 from repro.errors import ComponentUnavailableError
 from repro.faults.plane import CrashSpec, FaultPlane, installed
 
@@ -133,50 +136,101 @@ class TestLeaderCrashUnwindsRiders:
 
 
 class TestWatermarksDieWithTheProcess:
-    def test_clamp_pulls_every_stored_watermark_to_the_boundary(self):
-        """The clamp must cover all three stores — per-session maps,
-        parked context-edge maps, and the serial baseline — because any
-        surviving entry above the boundary would gate a future send
-        against durability that no longer exists (the crash wiped those
-        bytes and their LSNs will be reused)."""
+    @pytest.mark.parametrize("occurrence", [3, 5])
+    def test_a_crash_mid_run_orphans_every_pre_crash_entry(
+        self, monkeypatch, occurrence
+    ):
+        """The server crashes inside a batch's shared write.  Sessions
+        keep their pre-crash entries, keyed by the dead incarnation's
+        log, until the run ends; those must match nothing.  So every
+        commit point on the new incarnation's log is 0 or an end LSN
+        some session appended to that very log, and every send traced
+        after the crash mark commits at 0 or above the mark."""
         runtime, process, counters = _deploy(
-            1, group_commit=True, pipelined_commit=True
+            4, group_commit=True, pipelined_commit=True
         )
-        scheduler = DeterministicScheduler(runtime, seed=0)
-        scheduler.run([_persistent_session(counters[0], 2)])
-        name = process.log.process_name
-        bound = process.log.stable_lsn
-        scheduler._wms[0] = {name: bound + 10_000, "other": 7}
-        scheduler._context_wms["ctx"] = {name: bound + 5_000}
-        scheduler._serial_wm[name] = bound + 1
-        scheduler.clamp_watermarks(process)
-        assert scheduler._wms[0][name] == bound
-        assert scheduler._wms[0]["other"] == 7  # other logs untouched
-        assert scheduler._context_wms["ctx"][name] == bound
-        assert scheduler._serial_wm[name] == bound
+        dead_log = process.log
+        appended: dict[object, set[int]] = {}
+        points: list[tuple[object, int, bool]] = []
+        note_append = CausalGate.note_append
+        commit_point = CausalGate.commit_point
+
+        def spy_append(gate, log):
+            note_append(gate, log)
+            appended.setdefault(log, set()).add(log.end_lsn)
+
+        def spy_point(gate, log):
+            point = commit_point(gate, log)
+            session = runtime.scheduler.current_session()
+            if session is not None:
+                table = gate.session_watermarks(session)
+                points.append((log, point, dead_log in table))
+            return point
+
+        monkeypatch.setattr(CausalGate, "note_append", spy_append)
+        monkeypatch.setattr(CausalGate, "commit_point", spy_point)
+        plane = FaultPlane(
+            specs=(CrashSpec("log.force.before:beta-server", occurrence),)
+        )
+        plane.bind(runtime)
+        scheduler = DeterministicScheduler(runtime, seed=4)
+        with installed(plane):
+            results = scheduler.run(
+                [_persistent_session(c, 3) for c in counters]
+            )
+        assert plane.fired, "the crash spec never fired"
+        assert results == [3, 3, 3, 3]
+        live_log = process.log
+        assert live_log is not dead_log
+        after = [(point, held) for log, point, held in points
+                 if log is live_log]
+        assert any(held for __, held in after), (
+            "no session still held a pre-crash entry: the test is vacuous"
+        )
+        for point, __ in after:
+            assert point == 0 or point in appended[live_log], point
+
+        entries = process.streams[0].trace.entries
+        last = max(
+            i for i, e in enumerate(entries) if isinstance(e, CrashMark)
+        )
+        boundary = entries[last].stable_lsn
+        sends = [
+            e for e in entries[last + 1:]
+            if e.commit_lsn is not None and not e.interrupted
+        ]
+        assert sends
+        assert all(
+            e.commit_lsn == 0 or e.commit_lsn > boundary for e in sends
+        ), [e.commit_lsn for e in sends]
+        assert check_runtime(runtime) == []
 
     def test_a_fresh_run_never_inherits_stale_watermarks(self):
-        """``run()`` rebuilds the per-session maps and re-captures the
-        serial baseline, so watermarks poisoned between runs (e.g. by a
-        crash whose process never ran again) cannot leak forward."""
+        """The gate drops its tables at run end and rebuilds them at run
+        begin, seeding every session with the logs' current ends, so
+        watermarks poisoned between runs cannot leak forward."""
         runtime, process, counters = _deploy(
             1, group_commit=True, pipelined_commit=True
         )
+        gate = runtime.commit
         scheduler = DeterministicScheduler(runtime, seed=0)
         scheduler.run([_persistent_session(counters[0], 1)])
-        name = process.log.process_name
-        scheduler._wms[0] = {name: 10**9}
-        scheduler._serial_wm[name] = 10**9
+        assert (gate._wms, gate._context_wms) == ({}, {})
+        log = process.log
+        gate._wms[0] = {log: 10**9}
+        gate._context_wms["ctx"] = {log: 10**9}
         observed = {}
 
         def session():
             value = counters[0].increment()
-            wm = scheduler.session_watermarks(scheduler.current_session())
+            wm = gate.session_watermarks(scheduler.current_session())
             observed["wm"] = dict(wm)
+            observed["point"] = gate.commit_point(log)
             return value
 
         scheduler.run([session])
-        assert observed["wm"].get(name, 0) <= process.log.end_lsn
+        assert observed["wm"].get(log, 0) <= log.end_lsn
+        assert observed["point"] <= log.end_lsn
 
     def test_recover_twice_is_idempotent_under_pipelined_commit(self):
         """Crash everything after a pipelined run, recover, crash and
@@ -222,12 +276,28 @@ class TestSerialFallback:
         )
 
     def test_scheduler_commit_point_is_end_lsn(self):
-        """Neither the serial scheduler nor a deterministic one outside
-        its run has a session whose watermark could relax the point."""
-        runtime, process, counters = _deploy(
-            1, group_commit=True, pipelined_commit=True
-        )
-        counters[0].increment()
-        log = process.log
-        for gate in (runtime.scheduler, DeterministicScheduler(runtime)):
+        """The serial and group gates always answer ``end_lsn``, inside
+        a run too; the causal gate does outside a run, where no session
+        has a watermark that could relax the point."""
+        for flags, kind in (
+            ({}, SerialGate),
+            ({"group_commit": True}, GroupGate),
+            ({"group_commit": True, "pipelined_commit": True}, CausalGate),
+        ):
+            runtime, process, counters = _deploy(1, **flags)
+            gate = runtime.commit
+            assert type(gate) is kind
+            counters[0].increment()
+            log = process.log
             assert gate.commit_point(log) == log.end_lsn
+            if kind is CausalGate:
+                continue
+            seen = []
+
+            def session():
+                value = counters[0].increment()
+                seen.append(gate.commit_point(log) == log.end_lsn)
+                return value
+
+            DeterministicScheduler(runtime, seed=0).run([session])
+            assert seen == [True]

@@ -13,6 +13,9 @@ import weakref
 import pytest
 
 from repro import PhoenixRuntime, RuntimeConfig
+from repro.concurrency import DeterministicScheduler
+from repro.core.process import ProcessState
+from repro.errors import ComponentUnavailableError
 
 from ..conftest import Counter, KvStore
 
@@ -30,9 +33,9 @@ DURABLE = {
 }
 
 
-def _deploy(sharded: bool):
+def _deploy(sharded: bool, **overrides):
     runtime = PhoenixRuntime(
-        config=RuntimeConfig.optimized(sharded_logging=sharded)
+        config=RuntimeConfig.optimized(sharded_logging=sharded, **overrides)
     )
     if sharded:
         runtime.install_log_plan(SHARDS)
@@ -69,6 +72,49 @@ class TestDeadIncarnation:
         assert store.get("k") == 1
         gc.collect()
         assert [name for name, ref in refs.items() if ref() is not None] == []
+
+    def test_a_pipelined_run_drops_the_dead_logs(self, sharded, streams):
+        """Causal commit keys its watermarks by ``LogManager``.  A crash
+        mid-run leaves the dead incarnation's logs as keys in the
+        sessions' tables; the gate must drop them at run end, or they
+        would outlive their incarnation."""
+        runtime, process, counter, store = _deploy(
+            sharded, group_commit=True, pipelined_commit=True
+        )
+        logs = [weakref.ref(stream.log) for stream in process.streams]
+        assert len(logs) == streams
+        held = []
+
+        def retrying(call):
+            while True:
+                try:
+                    return call()
+                except ComponentUnavailableError:
+                    continue
+
+        def crasher():
+            retrying(counter.increment)
+            runtime.crash_process(process)
+            held.append(any(
+                ref() in table
+                for ref in logs
+                for table in runtime.commit._wms.values()
+            ))
+            return retrying(counter.increment)  # restart and recover
+
+        def writer():
+            for key in range(3):
+                retrying(lambda: store.put(key, key))
+            return retrying(lambda: store.get(0))
+
+        results = DeterministicScheduler(runtime, seed=3).run(
+            [crasher, writer]
+        )
+        assert results == [2, 0]
+        assert held == [True], "no dead log was ever a watermark key"
+        assert process.state is ProcessState.RUNNING
+        gc.collect()
+        assert [ref for ref in logs if ref() is not None] == []
 
     def test_the_crash_builds_one_incarnation(self, sharded, streams):
         runtime, process, counter, __ = _deploy(sharded)

@@ -198,9 +198,10 @@ class TestPipelinedCrashSchedules:
 
     def test_torn_flush_clamps_watermarks_below_stable(self, golden):
         """A torn stable write: repair truncates BELOW the crash-time
-        stable LSN, so the recovery-side clamp (not just the crash-side
-        one) must pull every session's watermark down to the repaired
-        boundary before traffic resumes."""
+        stable LSN, and the new incarnation reuses the torn LSNs.  No
+        session's pre-crash watermark may gate a send there: they are
+        keyed by the dead incarnation's log, so traffic resumes with
+        watermarks rebuilt from fresh appends only."""
         run_schedule(
             "bookstore-concurrent-pipelined:"
             "log.flush:alpha-sweep-driver@29+9B",
@@ -211,9 +212,9 @@ class TestPipelinedCrashSchedules:
     def test_second_crash_during_pipelined_recovery(
         self, golden, boundary
     ):
-        """Crash-during-recovery composite: the second crash must
-        discard the watermarks the first recovery's replay traffic
-        rebuilt, and the third pass still converges byte-identically
+        """Crash-during-recovery composite: the second crash orphans
+        the watermarks the first recovery's replay traffic rebuilt, and
+        the third pass still converges byte-identically
         (recover-twice idempotency under the relaxed ordering)."""
         run_schedule(
             "bookstore-concurrent-pipelined:"
