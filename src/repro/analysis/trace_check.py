@@ -1,7 +1,8 @@
 """Post-hoc log/trace invariant checker.
 
-Consumes a finished :class:`~repro.log.log_manager.LogManager` stable
-stream (via ``scan``, which rides the PR-1 LSN index) plus the process's
+Consumes the message records of a finished
+:class:`~repro.log.log_manager.LogManager` stable stream (the log fold,
+``log/inspect.py::fold``, decodes nothing else) plus the process's
 :class:`~repro.analysis.trace.ProtocolTrace` and asserts the paper's
 commit conditions after the fact:
 
@@ -37,7 +38,9 @@ commit conditions after the fact:
 TRC107/TRC108 activate only on vector-clocked (concurrent) traces;
 serial traces carry ``vc=None`` and are covered by TRC101-106 alone.
 
-Violations carry the invariant ID and the LSN they anchor to.
+Violations carry the invariant ID and the LSN they anchor to.  A torn
+stable tail (not yet repaired) leaves only the trace rules to run; any
+other damage raises ``LogCorruptionError`` naming the log and the LSN.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from dataclasses import dataclass
 
 from ..common.messages import MessageKind
 from ..common.types import ComponentType
+from ..errors import LogCorruptionError
+from ..log.inspect import fold
 from ..log.records import MessageRecord
 from . import vector_clock
 from .trace import NO_LSN, CrashMark, ProtocolTrace, TraceEvent
@@ -358,7 +363,7 @@ def _race_violations(trace: ProtocolTrace) -> list[Violation]:
 # stream-only checks (TRC102 ordering, TRC105 identity)
 # ----------------------------------------------------------------------
 def _stream_violations(
-    records: list[tuple[int, object]], complete_history: bool = True
+    records: list[tuple[int, MessageRecord]], complete_history: bool = True
 ) -> list[Violation]:
     out: list[Violation] = []
     # TRC102: a short message-2 record pairs with a preceding external
@@ -370,8 +375,6 @@ def _stream_violations(
     # TRC105: same (kind, call_id) -> identical message payload.
     seen: dict[tuple, tuple[int, object]] = {}
     for lsn, record in records:
-        if not isinstance(record, MessageRecord):
-            continue
         context_id = record.context_id
         if (
             record.kind is MessageKind.INCOMING_CALL
@@ -412,16 +415,12 @@ def _stream_violations(
 # ----------------------------------------------------------------------
 def _cross_check(
     events: list[TraceEvent],
-    records: list[tuple[int, object]],
+    records: list[tuple[int, MessageRecord]],
     base_lsn: int,
     stable_lsn: int,
 ) -> list[Violation]:
     out: list[Violation] = []
-    by_lsn = {
-        lsn: record
-        for lsn, record in records
-        if isinstance(record, MessageRecord)
-    }
+    by_lsn = dict(records)
     claimed: set[int] = set()
     for event in events:
         if not event.wrote_record or event.record_lsn == NO_LSN:
@@ -657,12 +656,14 @@ def check_log(log, trace: ProtocolTrace | None = None) -> list[Violation]:
     """Check one finished log (and its trace, when available)."""
     try:
         # Every check below reads message records only; the filtered
-        # scan skips decoding the rest (state and checkpoint records are
+        # fold skips decoding the rest (state and checkpoint records are
         # the large ones).
-        records = list(log.scan(log.base_lsn, kinds=(MessageRecord,)))
-    except Exception:
+        records = fold(log, log.base_lsn, (MessageRecord,)).messages
+    except LogCorruptionError as exc:
         # A torn tail awaiting recovery's repair pass: the stream is not
-        # finished, so there is nothing to assert yet.
+        # finished, so there is nothing to assert on it yet.
+        if exc.lsn is None or exc.lsn != log.torn_tail_lsn():
+            raise
         records = None
     violations: list[Violation] = []
     if records is not None:

@@ -31,6 +31,10 @@ class SerializationError(PhoenixError):
 class LogCorruptionError(PhoenixError):
     """A log record failed its integrity check (outside the torn tail)."""
 
+    def __init__(self, message: str, lsn: int | None = None):
+        super().__init__(message)
+        self.lsn = lsn  # where the damage starts, when the raiser knows
+
 
 class UnknownComponentClassError(PhoenixError):
     """Recovery found a creation record for an unregistered class."""

@@ -400,15 +400,11 @@ class LogManager:
             # so it is never truncated away.
             lsn = self._base_lsn + starts[len(kinds)]
             raise self._corruption(lsn, refused)
-        if stop < len(data):
-            try:
-                read_frame(data, stop)
-            except LogCorruptionError:
-                # Torn tail only if nothing decodable follows.
-                if self._any_frame_after(data, stop):
-                    raise
-                self._stable.truncate(stop)
-                self._buffer_start_lsn = self._base_lsn + stop
+        if self._torn_at(data, stop):
+            self._stable.truncate(stop)
+            self._buffer_start_lsn = self._base_lsn + stop
+        elif stop < len(data):
+            read_frame(data, stop)  # interior damage: raises what it is
         self._index_lsns = _shifted(starts, self._base_lsn)
         self._index_lengths = lengths
         self._index_kinds = kinds
@@ -421,8 +417,20 @@ class LogManager:
         """``cause`` with its position: which log (the name carries the
         process and the stream) and which LSN."""
         return LogCorruptionError(
-            f"log {self.process_name!r}, LSN {lsn}: {cause}"
+            f"log {self.process_name!r}, LSN {lsn}: {cause}", lsn=lsn
         )
+
+    def _torn_at(self, data: bytes, stop: int) -> bool:
+        """The torn-tail rule: the walk of ``data`` stopped at ``stop``
+        on a bad frame with nothing decodable after it."""
+        return stop < len(data) and not self._any_frame_after(data, stop)
+
+    def torn_tail_lsn(self) -> int | None:
+        """Where ``repair_tail``'s torn-tail rule would cut the stable
+        log, or ``None`` when its tail is not torn.  Repairs nothing."""
+        data = self._read_range(0, self._stable.size)
+        __, stop = validate_frames(data)
+        return self._base_lsn + stop if self._torn_at(data, stop) else None
 
     def _decode_frame(
         self,

@@ -691,8 +691,8 @@ def iter_frames(
     """Yield ``(offset, payload, next_offset)`` for each frame in
     ``data`` starting at ``offset``.
 
-    The decoding read loop of the recovery service's registration table
-    and the queued substrate's durable logs.  Raises
+    A frame-by-frame reference for the walks above (restarts decode the
+    payloads :func:`read_repaired_frames` hands back instead).  Raises
     :class:`LogCorruptionError` at the first bad frame, exactly like
     :func:`read_frame`.
     """
@@ -730,17 +730,22 @@ def any_frame_after(data: bytes, bad_offset: int) -> bool:
 
 
 def repair_framed_tail(stable_file) -> int:
-    """Truncate a torn trailing frame off a framed stable file.
+    """Repair a torn tail (:func:`read_repaired_frames`); return the size."""
+    return read_repaired_frames(stable_file)[1]
 
-    ``stable_file`` is any object with ``read()`` / ``truncate(size)``
-    (a :class:`repro.sim.stable_store.StableFile`).  Walks the frames;
-    a corrupt frame with nothing decodable after it is a torn write and
-    is chopped off, while corruption followed by good data is interior
-    damage and raises :class:`LogCorruptionError`.  Returns the size of
-    the repaired file.
+
+def read_repaired_frames(stable_file) -> tuple[list[bytes], int]:
+    """Truncate a torn trailing frame off a framed stable file (any
+    object with ``read()`` / ``truncate(size)``); return the payloads of
+    the frames kept, in order, and the repaired size.
+
+    One read and one walk: a corrupt frame with nothing decodable after
+    it is a torn write and is chopped off, while corruption followed by
+    good data is interior damage and raises :class:`LogCorruptionError`.
+    A restart decodes the payloads instead of reading the file again.
     """
     data = stable_file.read()
-    __, stop = validate_frames(data)
+    starts, stop = validate_frames(data)
     if stop < len(data):
         try:
             read_frame(data, stop)
@@ -748,4 +753,6 @@ def repair_framed_tail(stable_file) -> int:
             if any_frame_after(data, stop):
                 raise
             stable_file.truncate(stop)
-    return stop
+    ends = starts[1:] + [stop]
+    header = _FRAME_HEADER.size
+    return [data[start + header:end] for start, end in zip(starts, ends)], stop

@@ -20,8 +20,7 @@ from ..log.serialization import (
     Writer,
     begin_frame,
     end_frame,
-    iter_frames,
-    repair_framed_tail,
+    read_repaired_frames,
 )
 from ..sim.machine import Machine
 
@@ -40,6 +39,9 @@ class DurableLog:
         self._buffer = bytearray()
         self.forces = 0
         self.appends = 0
+        #: The payloads the last crash's repair walk kept, until the
+        #: replay that follows it decodes them.
+        self._restart_payloads: list[bytes] | None = None
 
     def append(self, tag: str, value: object) -> None:
         header_at = begin_frame(self._buffer)
@@ -68,28 +70,38 @@ class DurableLog:
                 raise
             raise signal from None
         self._buffer.clear()
+        self._restart_payloads = None
         self.forces += 1
         faultplane.site_hit(f"qforce.after:{self.name}")
         return True
 
-    def crash(self) -> int:
+    def crash(self) -> None:
         """A crash loses whatever was not forced, and truncates a torn
         tail left by a crash mid-force.
 
         Without the repair, a later append would land *after* the torn
-        bytes and :meth:`records` — which stops at the first
-        undecodable frame — would silently hide every record behind the
-        tear.  Resource managers call this on their crash path, before
-        replaying the log.  Returns the repaired stable size.
+        bytes and every record behind the tear would be unreadable.
+        Resource managers call this on their crash path, right before
+        replaying the log, and the replay decodes the frames this walk
+        kept.
         """
         self._buffer.clear()
-        return repair_framed_tail(self._stable)
+        self._restart_payloads = read_repaired_frames(self._stable)[0]
 
     def records(self) -> Iterator[tuple[str, object]]:
-        """Replay the stable records (torn tails are skipped)."""
-        try:
-            for __, payload, ___ in iter_frames(self._stable.read()):
-                reader = Reader(payload)
-                yield reader.text(), reader.value()
-        except LogCorruptionError:
-            return  # torn tail
+        """Replay the stable records: the frames the last crash's repair
+        walk kept, or else those of a fresh repair walk."""
+        payloads, self._restart_payloads = self._restart_payloads, None
+        if payloads is None:
+            payloads = read_repaired_frames(self._stable)[0]
+        for index, payload in enumerate(payloads):
+            reader = Reader(payload)
+            try:
+                tag, value = reader.text(), reader.value()
+            except LogCorruptionError:
+                # A bad last record ends the replay, as it always has; a
+                # bad one with records after it would hide them.
+                if index + 1 < len(payloads):
+                    raise
+                return
+            yield tag, value

@@ -60,7 +60,8 @@ from ..faults import plane as faultplane
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.process import AppProcess
-    from .recovery_manager import RecoveryManager, _ContextDiscovery
+    from ..log.inspect import ContextFacts
+    from .recovery_manager import RecoveryManager
 
 PENDING = "pending"
 REPLAYING = "replaying"
@@ -116,7 +117,7 @@ class PendingRecovery:
     def __init__(
         self,
         manager: "RecoveryManager",
-        discoveries: dict[int, "_ContextDiscovery"],
+        discoveries: dict[int, "ContextFacts"],
     ):
         self.process: "AppProcess" = manager.process
         self.runtime = manager.runtime

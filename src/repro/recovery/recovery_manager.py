@@ -2,13 +2,14 @@
 
 Process-crash recovery is an analysis pass followed by one redo:
 
-* **Analysis** starts at the LSN in the well-known file (the last
-  flushed process checkpoint), or at the beginning of the log.  It finds
-  every context that existed at the crash, the latest state-record LSN
-  (or creation LSN) of each, and seeds the global tables from the
-  checkpoint's table records.  Contexts with state records are restored
-  right after this pass (ordinary fields applied, component references
-  resolved); every other context gets its shell.
+* **Analysis** folds each stream (``log/inspect.py::fold``, only the
+  kinds it consumes) from the LSN in the well-known file (the last
+  flushed process checkpoint), or from the beginning of the log.  It
+  finds every context that existed at the crash, the latest
+  state-record LSN (or creation LSN) of each, and seeds the global
+  tables from the checkpoint's table records.  Contexts with state
+  records are restored right after this pass (ordinary fields applied,
+  component references resolved); every other context gets its shell.
 
 * **Redo** replays each context's *frame chain* — the ordered LSNs of
   its records past the restored state, grouped from the frame index the
@@ -55,6 +56,7 @@ from ..core.swizzle import unswizzle_for_message
 from ..core.tables import ContextTableEntry, NO_LSN
 from ..errors import RecoveryError
 from ..faults import plane as faultplane
+from ..log.inspect import ContextFacts, LogFacts, fold
 from ..log.records import (
     CheckpointContextTableRecord,
     CheckpointLastCallRecord,
@@ -82,25 +84,6 @@ _PASS_ONE_KINDS = (
     CheckpointRemoteTypeRecord,
     CheckpointLastCallRecord,
 )
-
-
-@dataclass
-class _ContextDiscovery:
-    """What pass 1 learned about one context."""
-
-    context_id: int
-    creation_lsn: int = NO_LSN
-    creation: CreationRecord | None = None
-    state_lsn: int = NO_LSN
-    state: ContextStateRecord | None = None
-    #: The stream index whose scan found this context's records (0 for
-    #: the legacy log; sharded logging keeps each context's records on
-    #: exactly one stream, so the discovery rebuilds the routing table).
-    stream: int = 0
-
-    @property
-    def start_lsn(self) -> int:
-        return self.state_lsn if self.state_lsn != NO_LSN else self.creation_lsn
 
 
 @dataclass
@@ -207,74 +190,41 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # pass 1
     # ------------------------------------------------------------------
-    def _pass_one(self) -> dict[int, _ContextDiscovery]:
+    def _pass_one(self) -> dict[int, ContextFacts]:
         process = self.process
-        discoveries: dict[int, _ContextDiscovery] = {}
-        for index in range(len(process.streams)):
-            self._scan_stream(index, discoveries)
+        facts = LogFacts(process.name)
+        for index, stream in enumerate(process.streams):
+            log = stream.log
+            published = log.read_well_known_lsn()
+            if index == 0:
+                # Stream 0's well-known LSN is the published checkpoint;
+                # extra streams publish their truncation point instead
+                # (the scan anchor), which covers no last-call entries.
+                self.reply_watermarks[0] = (
+                    NO_LSN if published is None else published
+                )
+            fold(log, published or 0, _PASS_ONE_KINDS, facts, index)
+        for bracket in facts.checkpoints:
+            for uri, component_type in bracket.remote_types:
+                process.incarnation.remote_types.seed(uri, component_type)
+            for entry in bracket.last_calls:
+                process.incarnation.last_calls.seed(
+                    entry.caller_key,
+                    entry.call_id,
+                    NO_LSN,
+                    reply_lsn=entry.reply_lsn,
+                )
         # The crash wiped the in-memory routing table; the discoveries
         # rebuild it — every context maps back to the stream its records
         # were found on, so replay appends route exactly as the original
         # run did.
-        for info in discoveries.values():
+        for info in facts.contexts.values():
             process.assign_stream(info.context_id, info.stream)
-        self._materialize_pointers(discoveries)
-        return discoveries
-
-    def _scan_stream(
-        self, index: int, discoveries: dict[int, _ContextDiscovery]
-    ) -> None:
-        process = self.process
-        log = process.streams[index].log
-        published = log.read_well_known_lsn()
-        start = published or 0
-        if index == 0:
-            # Stream 0's well-known LSN is the published checkpoint;
-            # extra streams publish their truncation point instead (the
-            # scan anchor), which covers no last-call entries.
-            self.reply_watermarks[0] = (
-                NO_LSN if published is None else published
-            )
-
-        def discovery(context_id: int) -> _ContextDiscovery:
-            if context_id not in discoveries:
-                discoveries[context_id] = _ContextDiscovery(context_id)
-            return discoveries[context_id]
-
-        for lsn, record in log.scan(start, kinds=_PASS_ONE_KINDS):
-            if isinstance(record, CreationRecord):
-                info = discovery(record.context_id)
-                info.stream = index
-                info.creation_lsn = lsn
-                info.creation = record
-            elif isinstance(record, ContextStateRecord):
-                info = discovery(record.context_id)
-                info.stream = index
-                if lsn > info.state_lsn:
-                    info.state_lsn = lsn
-                    info.state = record
-            elif isinstance(record, CheckpointContextTableRecord):
-                for entry in record.entries:
-                    info = discovery(entry.context_id)
-                    if info.creation_lsn == NO_LSN:
-                        info.creation_lsn = entry.creation_lsn
-                    if entry.state_record_lsn > info.state_lsn:
-                        info.state_lsn = entry.state_record_lsn
-                        info.state = None  # read lazily below
-            elif isinstance(record, CheckpointRemoteTypeRecord):
-                for uri, component_type in record.entries:
-                    process.incarnation.remote_types.seed(uri, component_type)
-            elif isinstance(record, CheckpointLastCallRecord):
-                for entry in record.entries:
-                    process.incarnation.last_calls.seed(
-                        entry.caller_key,
-                        entry.call_id,
-                        NO_LSN,
-                        reply_lsn=entry.reply_lsn,
-                    )
+        self._materialize_pointers(facts.contexts)
+        return facts.contexts
 
     def _materialize_pointers(
-        self, discoveries: dict[int, _ContextDiscovery]
+        self, discoveries: dict[int, ContextFacts]
     ) -> None:
         # Materialize records the checkpoint only pointed at.  A context
         # with a state record does not need its creation record — the
@@ -311,7 +261,7 @@ class RecoveryManager:
     # restore contexts that have state records
     # ------------------------------------------------------------------
     def _restore_saved_contexts(
-        self, discoveries: dict[int, _ContextDiscovery]
+        self, discoveries: dict[int, ContextFacts]
     ) -> None:
         from ..checkpoint.state_record import restore_context_state
 
@@ -325,7 +275,7 @@ class RecoveryManager:
             self.runtime.clock.advance(self.runtime.costs.object_creation)
             restore_context_state(self.process, context, info.state)
 
-    def _register_context(self, info: _ContextDiscovery) -> Context:
+    def _register_context(self, info: ContextFacts) -> Context:
         """Materialize the Context shell from the creation record, or —
         when the creation record was garbage-collected — from the state
         record's identity information."""

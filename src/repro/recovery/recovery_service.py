@@ -24,8 +24,7 @@ from ..log.serialization import (
     Writer,
     begin_frame,
     end_frame,
-    iter_frames,
-    repair_framed_tail,
+    read_repaired_frames,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,8 +55,8 @@ class RecoveryService:
     def _load_table(self) -> None:
         # A machine crash can tear the force-write of a registration
         # mid-frame; repair before reading, exactly like a process log.
-        repair_framed_tail(self._stable)
-        for __, payload, ___ in iter_frames(self._stable.read()):
+        payloads, __ = read_repaired_frames(self._stable)
+        for payload in payloads:
             reader = Reader(payload)
             name = reader.text()
             pid = reader.signed()

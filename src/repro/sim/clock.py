@@ -70,16 +70,6 @@ class SimClock:
         self._now = base + longest
         return self._now
 
-    def sleep_until(self, when_ms: float) -> float:
-        """Park until the absolute time ``when_ms`` (a past wakeup is a
-        no-op, like :meth:`advance_to`).
-
-        The deterministic scheduler uses this when every session is
-        blocked on an open group-commit window: the only event left is
-        the window's deadline, so simulated time jumps straight to it.
-        """
-        return self.advance_to(when_ms)
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.6f}ms)"
 
