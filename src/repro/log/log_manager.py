@@ -44,7 +44,7 @@ holds the LSN of the last flushed begin-checkpoint record.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -68,8 +68,8 @@ from .records import (
     record_kind,
 )
 from .serialization import (
+    FramedFile,
     Writer,
-    any_frame_after,
     begin_frame,
     end_frame,
     read_frame,
@@ -154,11 +154,10 @@ class LogManager:
         self.buffer_capacity = buffer_capacity
         self.stats = LogStats() if stats is None else stats
 
-        log_name = f"{process_name}.log"
-        self._stable = stable_store.open(log_name, create=True)
-        if not disk.has_file(log_name):
-            disk.create_file(log_name)
-        self._disk_file = disk.file(log_name)
+        self._file = FramedFile(
+            stable_store, disk, f"{process_name}.log", log=process_name
+        )
+        self._stable = self._file.stable
 
         well_known_name = f"{process_name}.wellknown"
         self._well_known = stable_store.open(well_known_name, create=True)
@@ -255,12 +254,9 @@ class LogManager:
         flush_offset = self._stable.size
         site = f"log.flush:{self.process_name}"
         cut = faultplane.flush_cut(site, nbytes, self.process_name)
-        if cut is not None:
-            self._stable.arm_partial_write(cut)
-        self.disk.write(self._disk_file, nbytes)
         try:
             with memoryview(self._buffer) as view:
-                self._stable.append(view)
+                self._file.append(view, cut)
         except PartialWriteError:
             # The crash landed inside this write: a torn frame (or a bare
             # slice of a frame header) is now the stable tail.  Nothing is
@@ -378,20 +374,17 @@ class LogManager:
     def repair_tail(self) -> int:
         """Truncate a torn tail left by a crash mid-write.
 
-        Walks frames from the beginning (``validate_frames``: magic,
-        bounds and CRC, nothing decoded) and truncates the stable file at
-        the first torn frame.  Interior corruption (a bad frame followed
-        by good data) raises :class:`LogCorruptionError` instead of being
-        silently dropped.  The walk revalidates every surviving frame, so
-        the LSN index — kind and context columns included, read in bulk
-        by ``payload_columns``, which is how it comes back after a
-        restart — is rebuilt from it as a side effect.  Returns the
-        repaired stable end LSN.
+        Walks frames from the beginning (``FramedFile.walk``: magic,
+        bounds and CRC, nothing decoded), and ``FramedFile.repair``
+        truncates a torn tail; interior corruption (a bad frame followed
+        by good data) raises, naming the log and the LSN.  The walk
+        revalidates every surviving frame, so the LSN index — kind and
+        context columns included, read in bulk by ``payload_columns``,
+        which is how it comes back after a restart — is rebuilt from it
+        as a side effect; its boundaries bound the repair's search for
+        a frame after a bad one.  Returns the repaired stable end LSN.
         """
-        data = self._stable.read()
-        self.stats.reads += 1
-        self.stats.bytes_read += len(data)
-        starts, stop = validate_frames(data)
+        walk = data, starts, stop = self._walk()
         lengths = _frame_lengths(starts, stop)
         kinds, contexts, refused = payload_columns(data, starts, lengths)
         if refused is not None:
@@ -399,12 +392,9 @@ class LogManager:
             # kind or with a malformed context id is not a torn write,
             # so it is never truncated away.
             lsn = self._base_lsn + starts[len(kinds)]
-            raise self._corruption(lsn, refused)
-        if self._torn_at(data, stop):
-            self._stable.truncate(stop)
+            raise self._file.corruption(lsn, refused)
+        if self._file.repair(walk, self._index_lsns) is not None:
             self._buffer_start_lsn = self._base_lsn + stop
-        elif stop < len(data):
-            read_frame(data, stop)  # interior damage: raises what it is
         self._index_lsns = _shifted(starts, self._base_lsn)
         self._index_lengths = lengths
         self._index_kinds = kinds
@@ -413,24 +403,19 @@ class LogManager:
         self._index_stale_block = None
         return self._base_lsn + stop
 
-    def _corruption(self, lsn: int, cause: object) -> LogCorruptionError:
-        """``cause`` with its position: which log (the name carries the
-        process and the stream) and which LSN."""
-        return LogCorruptionError(
-            f"log {self.process_name!r}, LSN {lsn}: {cause}", lsn=lsn
-        )
-
-    def _torn_at(self, data: bytes, stop: int) -> bool:
-        """The torn-tail rule: the walk of ``data`` stopped at ``stop``
-        on a bad frame with nothing decodable after it."""
-        return stop < len(data) and not self._any_frame_after(data, stop)
+    def _walk(self) -> tuple[bytes, list[int], int]:
+        """The framed file's restart walk, counted as one stable read."""
+        walk = self._file.walk()
+        self.stats.reads += 1
+        self.stats.bytes_read += len(walk[0])
+        return walk
 
     def torn_tail_lsn(self) -> int | None:
         """Where ``repair_tail``'s torn-tail rule would cut the stable
-        log, or ``None`` when its tail is not torn.  Repairs nothing."""
-        data = self._read_range(0, self._stable.size)
-        __, stop = validate_frames(data)
-        return self._base_lsn + stop if self._torn_at(data, stop) else None
+        log, or ``None`` when its tail is not torn.  Repairs nothing;
+        interior damage raises, as it does from ``repair_tail``."""
+        torn = self._file.torn_tail(self._walk(), self._index_lsns)
+        return None if torn is None else self._base_lsn + torn
 
     def _decode_frame(
         self,
@@ -450,7 +435,7 @@ class LogManager:
                 return None, next_offset
             return decode_record(payload), next_offset
         except LogCorruptionError as exc:
-            raise self._corruption(lsn, exc) from None
+            raise self._file.corruption(lsn, exc) from None
 
     def scan(
         self,
@@ -480,7 +465,7 @@ class LogManager:
         if physical >= size:
             if physical == size:
                 return
-            raise self._corruption(
+            raise self._file.corruption(
                 start, f"torn frame header at offset {physical}"
             )
         first = bisect_left(self._index_lsns, start)
@@ -598,7 +583,7 @@ class LogManager:
                 raise InvariantViolationError(f"no record at LSN {lsn}")
             return decode_record(result[0])
         except LogCorruptionError as exc:
-            raise self._corruption(lsn, exc) from None
+            raise self._file.corruption(lsn, exc) from None
 
     def component_chains(self, from_lsn: int = 0) -> dict[int, list[int]]:
         """Per-component frame chains over the stable log from
@@ -626,35 +611,6 @@ class LogManager:
             for lsn, record in self.scan(max(start, refused)):
                 chains[record.context_id].append(lsn)
         return dict(chains)
-
-    def _any_frame_after(self, data: bytes, bad_offset: int) -> bool:
-        """Is there a decodable frame anywhere after a corrupt one?
-
-        Bounded by the LSN index: the boundaries recorded at append time
-        are the only places a real record can start, so checking them is
-        O(frames after the corruption) with no byte-by-byte magic
-        search.  Falls back to the magic scan only when the index has no
-        knowledge of the region (e.g. a fresh manager over an existing
-        file, where lazy indexing stopped at the same corruption).
-        """
-        bad_lsn = self._base_lsn + bad_offset
-        checked = False
-        i = bisect_right(self._index_lsns, bad_lsn)
-        for j in range(i, len(self._index_lsns)):
-            physical = self._index_lsns[j] - self._base_lsn
-            if physical <= bad_offset:
-                continue
-            if physical >= len(data):
-                break
-            checked = True
-            try:
-                if read_frame(data, physical) is not None:
-                    return True
-            except LogCorruptionError:
-                continue
-        if checked:
-            return False
-        return any_frame_after(data, bad_offset)
 
     # ------------------------------------------------------------------
     # garbage collection

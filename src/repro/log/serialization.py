@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_right
 from collections.abc import Iterator
 
 from ..common.ids import ComponentRef, GlobalCallId, LocalRef
@@ -566,9 +567,9 @@ def read_frame(data: bytes, offset: int) -> tuple[bytes, int] | None:
 
     Returns ``(payload, next_offset)``, or ``None`` for a clean end of
     log (no bytes past ``offset``).  A partial or corrupt frame raises
-    :class:`LogCorruptionError`; the log manager treats corruption at the
-    *tail* as a torn write and truncates, but corruption in the interior
-    is surfaced to the operator.
+    :class:`LogCorruptionError`; :class:`FramedFile` treats corruption at
+    the *tail* as a torn write and truncates, but corruption in the
+    interior is surfaced to the operator.
     """
     if offset == len(data):
         return None
@@ -691,8 +692,8 @@ def iter_frames(
     """Yield ``(offset, payload, next_offset)`` for each frame in
     ``data`` starting at ``offset``.
 
-    A frame-by-frame reference for the walks above (restarts decode the
-    payloads :func:`read_repaired_frames` hands back instead).  Raises
+    A frame-by-frame reference for the walks above (a restart reads a
+    file through :class:`FramedFile` instead).  Raises
     :class:`LogCorruptionError` at the first bad frame, exactly like
     :func:`read_frame`.
     """
@@ -705,54 +706,117 @@ def iter_frames(
         offset = next_offset
 
 
-def any_frame_after(data: bytes, bad_offset: int) -> bool:
-    """Is there a decodable frame anywhere after a corrupt one?
+def _frame_error(data: bytes, offset: int) -> LogCorruptionError | None:
+    """What :func:`read_frame` raises at ``offset``, or ``None`` if a
+    whole, CRC-valid frame starts there."""
+    try:
+        read_frame(data, offset)
+    except LogCorruptionError as exc:
+        return exc
+    return None
 
-    Distinguishes a torn tail (safe to truncate) from interior
-    corruption (must be surfaced): search for the frame magic past
-    ``bad_offset`` and try to decode from each candidate position.
-    This is the unindexed fallback — the log manager first consults its
-    frame index, which knows the true boundaries and answers without a
-    byte-by-byte magic search.
+
+class FramedFile:
+    """A stable file of frames, and the one rule for reading it back:
+    a process log, the recovery service's registration table or a
+    durable log of the queued substrate.  Damage the torn-tail rule
+    does not cut off raises :meth:`corruption`, naming the file and the
+    position: an LSN for a process log (``log`` is then its name, which
+    carries the process and the stream), else a frame index.
     """
-    magic_bytes = struct.pack("<H", _FRAME_MAGIC)
-    search_from = bad_offset + 1
-    while True:
-        candidate = data.find(magic_bytes, search_from)
-        if candidate < 0:
-            return False
-        try:
-            if read_frame(data, candidate) is not None:
-                return True
-        except LogCorruptionError:
-            pass
-        search_from = candidate + 1
 
+    def __init__(self, stable_store, disk, name: str, log: str | None = None):
+        self.name = name
+        self.log = log
+        self.stable = stable_store.open(name, create=True)
+        if not disk.has_file(name):
+            disk.create_file(name)
+        self._disk = disk
+        self._disk_file = disk.file(name)
 
-def repair_framed_tail(stable_file) -> int:
-    """Repair a torn tail (:func:`read_repaired_frames`); return the size."""
-    return read_repaired_frames(stable_file)[1]
+    def append(self, data, cut: int | None = None) -> None:
+        """Charge one disk write for ``data`` and append it; with ``cut``,
+        a torn write keeps only that many bytes and raises."""
+        if cut is not None:
+            self.stable.arm_partial_write(cut)
+        self._disk.write(self._disk_file, len(data))
+        self.stable.append(data)
 
+    def walk(self) -> tuple[bytes, list[int], int]:
+        """One read and one :func:`validate_frames`: data, starts, stop."""
+        data = self.stable.read()
+        return (data, *validate_frames(data))
 
-def read_repaired_frames(stable_file) -> tuple[list[bytes], int]:
-    """Truncate a torn trailing frame off a framed stable file (any
-    object with ``read()`` / ``truncate(size)``); return the payloads of
-    the frames kept, in order, and the repaired size.
+    def corruption(self, position: int, cause: object) -> LogCorruptionError:
+        """``cause`` with the file and the position of the damage."""
+        if self.log is None:
+            return LogCorruptionError(
+                f"file {self.name!r}, frame {position}: {cause}"
+            )
+        return LogCorruptionError(
+            f"log {self.log!r}, LSN {position}: {cause}", lsn=position
+        )
 
-    One read and one walk: a corrupt frame with nothing decodable after
-    it is a torn write and is chopped off, while corruption followed by
-    good data is interior damage and raises :class:`LogCorruptionError`.
-    A restart decodes the payloads instead of reading the file again.
-    """
-    data = stable_file.read()
-    starts, stop = validate_frames(data)
-    if stop < len(data):
-        try:
-            read_frame(data, stop)
-        except LogCorruptionError:
-            if any_frame_after(data, stop):
-                raise
-            stable_file.truncate(stop)
-    ends = starts[1:] + [stop]
-    header = _FRAME_HEADER.size
-    return [data[start + header:end] for start, end in zip(starts, ends)], stop
+    def torn_tail(self, walk, boundaries=()) -> int | None:
+        """The torn-tail rule, truncating nothing: where ``walk`` stopped
+        if that is a torn tail (a bad frame with no whole frame after
+        it), or ``None`` at a clean end; interior damage raises.  The
+        search for a whole frame past the bad one tries ``boundaries``,
+        the ascending LSNs frames were written at (a process log's
+        index), and every frame magic only where they hold none."""
+        data, starts, stop = walk
+        if stop == len(data):
+            return None
+        origin = self.stable.origin
+        indexed = [
+            lsn - origin
+            for lsn in boundaries[bisect_right(boundaries, origin + stop):]
+            if lsn - origin < len(data)
+        ]
+        candidates = indexed or self._magic_offsets(data, stop + 1)
+        if not any(_frame_error(data, at) is None for at in candidates):
+            return stop
+        position = len(starts) if self.log is None else origin + stop
+        # A whole frame follows, so this header is whole, and a payload
+        # running past the data is a bad length field, not a torn write.
+        magic, length, __ = _FRAME_HEADER.unpack_from(data, stop)
+        overruns = stop + _FRAME_HEADER.size + length > len(data)
+        cause = (
+            f"bad frame length {length} at offset {stop}"
+            if magic == _FRAME_MAGIC and overruns
+            else _frame_error(data, stop)
+        )
+        raise self.corruption(position, cause)
+
+    def repair(self, walk, boundaries=()) -> int | None:
+        """Truncate ``walk``'s torn tail (:meth:`torn_tail`, which
+        raises for interior damage); return where it cut, if it did."""
+        torn = self.torn_tail(walk, boundaries)
+        if torn is not None:
+            self.stable.truncate(torn)
+        return torn
+
+    def replay(self, decode) -> list:
+        """Walk and repair the file, then ``decode(Reader(payload))``
+        each frame it keeps, in order.  A force wrote every kept frame
+        whole, so one that does not decode is damage, last or not: it
+        raises :meth:`corruption` at its index."""
+        walk = data, starts, stop = self.walk()
+        self.repair(walk)
+        header = _FRAME_HEADER.size
+        records = []
+        for index, (start, end) in enumerate(zip(starts, starts[1:] + [stop])):
+            try:
+                records.append(decode(Reader(data[start + header:end])))
+            except LogCorruptionError as exc:
+                raise self.corruption(index, exc) from None
+        return records
+
+    @staticmethod
+    def _magic_offsets(data: bytes, offset: int) -> Iterator[int]:
+        """Every offset from ``offset`` on where the frame magic occurs."""
+        magic = struct.pack("<H", _FRAME_MAGIC)
+        offset = data.find(magic, offset)
+        while offset >= 0:
+            yield offset
+            offset = data.find(magic, offset + 1)

@@ -20,11 +20,10 @@ from typing import TYPE_CHECKING
 from ..core.process import ProcessState
 from ..errors import InvariantViolationError, LogCorruptionError
 from ..log.serialization import (
-    Reader,
+    FramedFile,
     Writer,
     begin_frame,
     end_frame,
-    read_repaired_frames,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,11 +41,9 @@ class RecoveryService:
         self._table: dict[str, int] = {}  # process name -> logical pid
         self._next_pid = 1
 
-        log_name = "recovery-service.log"
-        self._stable = machine.stable_store.open(log_name, create=True)
-        if not machine.disk.has_file(log_name):
-            machine.disk.create_file(log_name)
-        self._disk_file = machine.disk.file(log_name)
+        self._file = FramedFile(
+            machine.stable_store, machine.disk, "recovery-service.log"
+        )
         self._load_table()
 
     # ------------------------------------------------------------------
@@ -55,11 +52,9 @@ class RecoveryService:
     def _load_table(self) -> None:
         # A machine crash can tear the force-write of a registration
         # mid-frame; repair before reading, exactly like a process log.
-        payloads, __ = read_repaired_frames(self._stable)
-        for payload in payloads:
-            reader = Reader(payload)
-            name = reader.text()
-            pid = reader.signed()
+        for name, pid in self._file.replay(
+            lambda reader: (reader.text(), reader.signed())
+        ):
             self._table[name] = pid
             self._next_pid = max(self._next_pid, pid + 1)
 
@@ -70,8 +65,7 @@ class RecoveryService:
         writer.text(name)
         writer.signed(pid)
         end_frame(buffer, header_at)
-        self.machine.disk.write(self._disk_file, len(buffer))
-        self._stable.append(buffer)
+        self._file.append(buffer)
 
     def register(self, process: "AppProcess") -> int:
         """Assign (or re-assign after a restart) the logical PID."""

@@ -193,13 +193,21 @@ class TestUnknownWireValues:
         with pytest.raises(LogCorruptionError, match="component type"):
             decode_record(payload)
 
-    def test_durable_log_replay_stops_at_the_bad_record(self):
-        """The queued substrate's replay loop treats a corrupt frame as
-        its torn tail; a raw error would escape it instead."""
+    def test_durable_log_replay_raises_at_the_bad_record(self):
+        """A CRC-valid last record that does not decode was written
+        whole by a force, so it is damage, not a torn tail: the queued
+        substrate's replay raises the typed error naming the file and
+        the frame, instead of a raw one or a shorter log."""
         machine = Cluster().machine("alpha")
         log = DurableLog(machine, "q")
         log.append("ok", 1)
         log.force()
         stable = machine.stable_store.open("q.qlog")
         stable.append(frame(_text(b"bad") + b"Y" + _text(b"xyz")))
-        assert list(log.records()) == [("ok", 1)]
+        size = stable.size
+        with pytest.raises(
+            LogCorruptionError,
+            match="file 'q.qlog', frame 1: unknown component type 'xyz'",
+        ):
+            list(log.records())
+        assert stable.size == size

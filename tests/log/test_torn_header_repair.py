@@ -20,13 +20,12 @@ from repro.errors import (
 from repro.faults.plan import HEADER_CUTS
 from repro.log import LogManager, MessageRecord
 from repro.log.serialization import (
+    FramedFile,
     frame,
     frame_overhead,
     iter_frames,
-    repair_framed_tail,
 )
 from repro.sim import Cluster
-from repro.sim.stable_store import StableFile
 
 
 def record(n) -> MessageRecord:
@@ -73,32 +72,37 @@ class TestIterFramesHeaderSlices:
         assert [payload for __, payload, ___ in frames] == [b"payload"]
 
 
+def framed_file(data: bytes) -> FramedFile:
+    """A framed file ``t.log`` holding ``data``."""
+    machine = Cluster().machine("alpha")
+    framed = FramedFile(machine.stable_store, machine.disk, "t.log")
+    framed.stable.append(data)
+    return framed
+
+
 class TestRepairFramedTail:
     @pytest.mark.parametrize("cut", HEADER_CUTS)
     def test_truncates_header_slice(self, cut):
         good = frame(b"keep")
-        stable = StableFile("t.log")
-        stable.append(good + frame(b"gone")[:cut])
-        assert repair_framed_tail(stable) == len(good)
-        assert stable.read() == good
+        framed = framed_file(good + frame(b"gone")[:cut])
+        assert framed.repair(framed.walk()) == len(good)
+        assert framed.stable.read() == good
 
     def test_truncates_torn_payload(self):
         good = frame(b"keep")
         torn = frame(b"a-longer-payload-than-the-header")
-        stable = StableFile("t.log")
-        stable.append(good + torn[: frame_overhead() + 5])
-        assert repair_framed_tail(stable) == len(good)
-        assert stable.read() == good
+        framed = framed_file(good + torn[: frame_overhead() + 5])
+        assert framed.repair(framed.walk()) == len(good)
+        assert framed.stable.read() == good
 
     def test_interior_corruption_is_not_silently_dropped(self):
         first = frame(b"first")
         data = bytearray(first + frame(b"second") + frame(b"third"))
         data[len(first) + 2] ^= 0xFF  # corrupt mid-stream, good data after
-        stable = StableFile("t.log")
-        stable.append(bytes(data))
-        with pytest.raises(LogCorruptionError):
-            repair_framed_tail(stable)
-        assert stable.size == len(data)  # nothing was chopped
+        framed = framed_file(bytes(data))
+        with pytest.raises(LogCorruptionError, match="'t.log', frame 1: "):
+            framed.repair(framed.walk())
+        assert framed.stable.size == len(data)  # nothing was chopped
 
 
 # ----------------------------------------------------------------------

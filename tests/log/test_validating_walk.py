@@ -5,11 +5,16 @@ stable log with one tight walk (``serialization.validate_frames``:
 magic, bounds, CRC) and read the index's kind and context columns in
 bulk (``records.payload_columns``).  The reference below is the loop
 they used before: ``read_frame`` + ``payload_kind`` + ``payload_context``
-per frame.  Over the same bytes — torn at every cut, header slices
-included, bit-flipped in the interior, holding zero- to two-byte
-payloads, unknown kind bytes and negative, multi-byte and overrunning
-context ids — both must give the same repaired end and the same four
-index columns, or raise the same exception with the same message.
+per frame, with the torn-tail search written out as a plain filter over
+the index's boundaries or every frame magic.  Interior damage raises
+``read_frame``'s error (a payload that overruns the data is a bad
+length field there) with its position: an LSN for a process log, a
+frame index for ``FramedFile``'s other files.  Over the same bytes —
+torn at every cut, header slices included, bit-flipped in the interior,
+holding zero- to two-byte payloads, unknown kind bytes and negative,
+multi-byte and overrunning context ids — both must give the same
+repaired end and the same four index columns, or raise the same
+exception with the same message.
 """
 
 from dataclasses import replace
@@ -39,7 +44,7 @@ from repro.log import (
     read_frame,
 )
 from repro.log.records import payload_context
-from repro.log.serialization import any_frame_after, repair_framed_tail
+from repro.log.serialization import FramedFile
 from repro.sim import Cluster
 
 CALL = GlobalCallId("alpha", 1, 1, 1)
@@ -64,6 +69,32 @@ MAKERS = (
 # ----------------------------------------------------------------------
 # the reference: the per-frame loops the walk replaced
 # ----------------------------------------------------------------------
+MAGIC = frame(b"")[:2]
+
+
+def reference_frame_after(data: bytes, bad: int, boundaries) -> bool:
+    """Does a whole frame start past the bad one at ``bad``?  Tried at
+    the indexed boundaries (physical offsets) past it, or, when none
+    lies inside ``data``, at every frame magic past it."""
+    candidates = [at for at in boundaries if bad < at < len(data)] or [
+        at for at in range(bad + 1, len(data)) if data[at:at + 2] == MAGIC
+    ]
+    for at in candidates:
+        try:
+            read_frame(data, at)
+        except LogCorruptionError:
+            continue
+        return True
+    return False
+
+
+def reference_cause(data: bytes, bad: int, exc: LogCorruptionError):
+    """``read_frame``'s error at ``bad``, a frame with a whole one after
+    it, except that a payload running past the data is a bad length."""
+    if "torn frame payload" not in str(exc):
+        return exc
+    length = int.from_bytes(data[bad + 2 : bad + 6], "little")
+    return f"bad frame length {length} at offset {bad}"
 
 
 def reference_repair_tail(log: LogManager) -> int:
@@ -78,9 +109,12 @@ def reference_repair_tail(log: LogManager) -> int:
     while True:
         try:
             result = read_frame(data, offset)
-        except LogCorruptionError:
-            if log._any_frame_after(data, offset):
-                raise
+        except LogCorruptionError as exc:
+            boundaries = [lsn - log._base_lsn for lsn in log._index_lsns]
+            if reference_frame_after(data, offset, boundaries):
+                lsn = log._base_lsn + offset
+                cause = reference_cause(data, offset, exc)
+                raise log._file.corruption(lsn, cause) from None
             log._stable.truncate(last_good)
             torn = True
             break
@@ -92,7 +126,7 @@ def reference_repair_tail(log: LogManager) -> int:
             kinds.append(payload_kind(payload))
             contexts.append(payload_context(payload))
         except LogCorruptionError as exc:
-            raise log._corruption(lsn, exc) from None
+            raise log._file.corruption(lsn, exc) from None
         lsns.append(lsn)
         lengths.append(next_offset - offset)
         offset = next_offset
@@ -139,17 +173,21 @@ def reference_ensure_index(log: LogManager) -> None:
     log._index_stale_block = None
 
 
-def reference_repair_framed_tail(stable_file) -> int:
-    data = stable_file.read()
+def reference_repair_framed_tail(framed: FramedFile) -> int | None:
+    data = framed.stable.read()
     last_good = 0
+    index = 0
     try:
         for __, ___, next_offset in iter_frames(data):
             last_good = next_offset
-    except LogCorruptionError:
-        if any_frame_after(data, last_good):
-            raise
-        stable_file.truncate(last_good)
-    return last_good
+            index += 1
+    except LogCorruptionError as exc:
+        if reference_frame_after(data, last_good, ()):
+            cause = reference_cause(data, last_good, exc)
+            raise framed.corruption(index, cause) from None
+        framed.stable.truncate(last_good)
+        return last_good
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -203,16 +241,18 @@ def assert_walks_agree(
         want = _outcome(reference, _manager(data, origin, warm))
         assert got == want, real.__name__
     outcomes = []
-    for repair in (repair_framed_tail, reference_repair_framed_tail):
-        stable = Cluster().machine("alpha").stable_store.open(
-            "t.log", create=True
-        )
-        stable.overwrite(data)
+    for repair in (
+        lambda framed: framed.repair(framed.walk()),
+        reference_repair_framed_tail,
+    ):
+        machine = Cluster().machine("alpha")
+        framed = FramedFile(machine.stable_store, machine.disk, "t.log")
+        framed.stable.overwrite(data)
         try:
-            outcomes.append((repair(stable), stable.read()))
+            outcomes.append((repair(framed), framed.stable.read()))
         except LogCorruptionError as exc:
-            outcomes.append((type(exc), str(exc), stable.read()))
-    assert outcomes[0] == outcomes[1], "repair_framed_tail"
+            outcomes.append((type(exc), str(exc), framed.stable.read()))
+    assert outcomes[0] == outcomes[1], "FramedFile.repair"
 
 
 # ----------------------------------------------------------------------
