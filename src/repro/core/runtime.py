@@ -555,6 +555,8 @@ class PhoenixRuntime:
         context.crashed = True
         context.parent = None
         context.subordinates = {}
+        context.next_outgoing_seq = 0
+        context.incoming_calls_handled = 0
         context.busy = False
         context.current_call = None
 

@@ -567,9 +567,9 @@ def read_frame(data: bytes, offset: int) -> tuple[bytes, int] | None:
 
     Returns ``(payload, next_offset)``, or ``None`` for a clean end of
     log (no bytes past ``offset``).  A partial or corrupt frame raises
-    :class:`LogCorruptionError`; :class:`FramedFile` treats corruption at
-    the *tail* as a torn write and truncates, but corruption in the
-    interior is surfaced to the operator.
+    :class:`LogCorruptionError`; :class:`FramedFile` treats a *short*
+    frame at the tail as a torn write and truncates, but any other
+    corruption is surfaced to the operator.
     """
     if offset == len(data):
         return None
@@ -759,34 +759,38 @@ class FramedFile:
 
     def torn_tail(self, walk, boundaries=()) -> int | None:
         """The torn-tail rule, truncating nothing: where ``walk`` stopped
-        if that is a torn tail (a bad frame with no whole frame after
-        it), or ``None`` at a clean end; interior damage raises.  The
-        search for a whole frame past the bad one tries ``boundaries``,
-        the ascending LSNs frames were written at (a process log's
-        index), and every frame magic only where they hold none."""
+        if that is a torn tail, or ``None`` at a clean end; other damage
+        raises.  A torn write keeps a prefix of what it wrote, so a torn
+        tail is a short frame (a header cut off, or a payload running
+        past the data) with no whole frame after it; a frame that fits
+        but fails its magic or CRC is damage, last or not.  The search
+        for a whole frame past a short one tries ``boundaries``, the
+        ascending LSNs frames were written at (a process log's index),
+        and every frame magic only where they hold none."""
         data, starts, stop = walk
-        if stop == len(data):
+        size = len(data)
+        if stop == size:
             return None
+        if stop + _FRAME_HEADER.size > size:
+            return stop  # a header cut off: no whole frame fits after it
         origin = self.stable.origin
+        position = len(starts) if self.log is None else origin + stop
+        magic, length, __ = _FRAME_HEADER.unpack_from(data, stop)
+        if magic != _FRAME_MAGIC or stop + _FRAME_HEADER.size + length <= size:
+            raise self.corruption(position, _frame_error(data, stop))
         indexed = [
             lsn - origin
             for lsn in boundaries[bisect_right(boundaries, origin + stop):]
-            if lsn - origin < len(data)
+            if lsn - origin < size
         ]
         candidates = indexed or self._magic_offsets(data, stop + 1)
         if not any(_frame_error(data, at) is None for at in candidates):
             return stop
-        position = len(starts) if self.log is None else origin + stop
-        # A whole frame follows, so this header is whole, and a payload
-        # running past the data is a bad length field, not a torn write.
-        magic, length, __ = _FRAME_HEADER.unpack_from(data, stop)
-        overruns = stop + _FRAME_HEADER.size + length > len(data)
-        cause = (
-            f"bad frame length {length} at offset {stop}"
-            if magic == _FRAME_MAGIC and overruns
-            else _frame_error(data, stop)
+        # A whole frame follows, so a payload running past the data is a
+        # bad length field, not a torn write.
+        raise self.corruption(
+            position, f"bad frame length {length} at offset {stop}"
         )
-        raise self.corruption(position, cause)
 
     def repair(self, walk, boundaries=()) -> int | None:
         """Truncate ``walk``'s torn tail (:meth:`torn_tail`, which

@@ -29,6 +29,9 @@ differs:
 3. **Sharded** (``config.sharded_logging``): one drain per stream that
    has anything pending, as a clock lane or a scheduler session.
 
+4. **One context** (``recover_context``, a context crash in a live
+   process): one mark, replayed at once by :meth:`ensure_component`.
+
 The on-demand and sharded drains are one loop, :meth:`PendingRecovery.drain`
 (one chain at a time, a scheduling point after each); the schedules
 differ only in which contexts each drain gets and whether it runs as
@@ -75,8 +78,8 @@ class ComponentWatermark:
     """One component's recovery progress."""
 
     __slots__ = (
-        "context_id", "restored", "state_lsn", "chain", "cursor", "status",
-        "owner", "applied_lsn",
+        "context_id", "restored", "state_lsn", "chain", "reply_floor",
+        "cursor", "status", "owner", "applied_lsn",
     )
 
     def __init__(
@@ -85,6 +88,7 @@ class ComponentWatermark:
         restored: bool,
         state_lsn: int,
         chain: list[int],
+        reply_floor: int,
     ):
         self.context_id = context_id
         self.restored = restored  # state record already applied
@@ -92,6 +96,9 @@ class ComponentWatermark:
         #: The LSNs of this component's not-yet-applied records, in log
         #: order (its frame chain past the restored state record).
         self.chain = chain
+        #: Reply records at or below this LSN of the component's stream
+        #: are already in the last-call table (``NO_LSN``: none are).
+        self.reply_floor = reply_floor
         #: How many of ``chain``'s records have been handed to the replay
         #: buffers (the log-order drain advances it record by record; a
         #: per-chain replay consumes the rest at once).
@@ -147,7 +154,8 @@ class PendingRecovery:
             else:
                 tail = chain[bisect_left(chain, info.creation_lsn):]
             mark = ComponentWatermark(
-                info.context_id, restored, info.state_lsn, tail
+                info.context_id, restored, info.state_lsn, tail,
+                manager.reply_watermarks.get(info.stream, NO_LSN),
             )
             if restored and not tail:
                 # Nothing past the state record: the restore already
@@ -227,15 +235,13 @@ class PendingRecovery:
         mark.status = REPLAYING
         mark.owner = self._current_owner_key()
         faultplane.site_hit(f"recovery.lazy_replay.before:{name}", name)
-        reply_floor = self.redo.reply_watermarks.get(
-            process.stream_index(context_id), NO_LSN
-        )
         rest = mark.chain[mark.cursor:]
         mark.cursor = len(mark.chain)
+        redo = self.redo
         try:
-            self.redo.replay_chain(
-                context_id, rest, mark.restored, reply_floor
-            )
+            for lsn, record in process.log_for(context_id).read_records(rest):
+                redo.replay_record(lsn, record, mark.restored, mark.reply_floor)
+            redo.drain_context(context_id)
         except LogCorruptionError:
             # The chain cannot be read, so this component is half
             # replayed and its mark would stay REPLAYING, which later
@@ -334,7 +340,6 @@ class PendingRecovery:
                 by_stream.setdefault(stream, {})[mark.context_id] = mark
         for stream in sorted(by_stream):
             marks = by_stream[stream]
-            reply_floor = self.redo.reply_watermarks.get(stream, NO_LSN)
             lsns = list(heapq.merge(*(mark.chain for mark in marks.values())))
             log = process.streams[stream].log
             try:
@@ -345,7 +350,9 @@ class PendingRecovery:
                     if mark.status != REPLAYING:
                         continue  # a live call finished it already
                     mark.cursor += 1
-                    redo.replay_record(lsn, record, mark.restored, reply_floor)
+                    redo.replay_record(
+                        lsn, record, mark.restored, mark.reply_floor
+                    )
             except LogCorruptionError:
                 # Same rule as _replay_component: the claimed components
                 # are half replayed, so the process stays crashed.

@@ -36,14 +36,13 @@ stream (a clock lane, or a session under the scheduler), and on-demand
 recovery admits calls first and leaves the rest to lazy replay and
 background drains.
 
-Context-crash recovery is the easy case at the bottom: restore the
-context's latest state record (or replay its creation) and replay only
-that context's chain.
+Context-crash recovery (:func:`recover_context`) is the same redo over
+one context: its restored state record, then its chain as one more mark
+in the pending table (an on-demand restart's, while one is published).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
@@ -235,27 +234,34 @@ class RecoveryManager:
         # never passes a recovery-start LSN), so the owning stream's own
         # scan has already assigned ``info.stream``.
         for info in discoveries.values():
-            log = self.process.streams[info.stream].log
             if info.state_lsn != NO_LSN and info.state is None:
-                record = log.read_record(info.state_lsn)
-                if not isinstance(record, ContextStateRecord):
-                    raise RecoveryError(
-                        f"checkpoint points at LSN {info.state_lsn}, which "
-                        "is not a context state record"
-                    )
-                info.state = record
+                info.state = self._read_pointer(
+                    info, info.state_lsn, ContextStateRecord
+                )
             if info.creation is None and info.state is None:
                 if info.creation_lsn == NO_LSN:
-                    raise RecoveryError(
-                        f"context {info.context_id} has neither a creation "
-                        "record nor a state record on the log"
+                    raise self._error(
+                        info, "neither a creation record nor a state "
+                        "record on the log"
                     )
-                record = log.read_record(info.creation_lsn)
-                if not isinstance(record, CreationRecord):
-                    raise RecoveryError(
-                        f"LSN {info.creation_lsn} is not a creation record"
-                    )
-                info.creation = record
+                info.creation = self._read_pointer(
+                    info, info.creation_lsn, CreationRecord
+                )
+
+    def _read_pointer(self, info: ContextFacts, lsn: int, kind: type):
+        """The record at table pointer ``lsn``; it must be a ``kind``."""
+        record = self.process.streams[info.stream].log.read_record(lsn)
+        if not isinstance(record, kind):
+            raise self._error(info, f"LSN {lsn} is not a {kind.__name__}")
+        return record
+
+    def _error(self, info: ContextFacts, problem: str) -> RecoveryError:
+        """``problem`` with the process, the stream and the context."""
+        stream = self.process.streams[info.stream].name
+        return RecoveryError(
+            f"process {self.process.name!r}, stream {stream!r}, "
+            f"context {info.context_id}: {problem}"
+        )
 
     # ------------------------------------------------------------------
     # restore contexts that have state records
@@ -263,17 +269,19 @@ class RecoveryManager:
     def _restore_saved_contexts(
         self, discoveries: dict[int, ContextFacts]
     ) -> None:
+        for info in sorted(discoveries.values(), key=lambda d: d.context_id):
+            if info.state is not None:
+                self._restore(self._register_context(info), info.state)
+
+    def _restore(self, context: Context, state: ContextStateRecord) -> None:
+        """Rebuild ``context`` from its latest state record."""
         from ..checkpoint.state_record import restore_context_state
 
-        for info in sorted(discoveries.values(), key=lambda d: d.context_id):
-            if info.state is None:
-                continue
-            context = self._register_context(info)
-            # Reading the creation record, creating the object shell and
-            # registering it costs the same as the creation path; the
-            # state restore is charged inside restore_context_state.
-            self.runtime.clock.advance(self.runtime.costs.object_creation)
-            restore_context_state(self.process, context, info.state)
+        # Reading the creation record, creating the object shell and
+        # registering it costs the same as the creation path; the
+        # state restore is charged inside restore_context_state.
+        self.runtime.clock.advance(self.runtime.costs.object_creation)
+        restore_context_state(self.process, context, state)
 
     def _register_context(self, info: ContextFacts) -> Context:
         """Materialize the Context shell from the creation record, or —
@@ -304,23 +312,8 @@ class RecoveryManager:
         return context
 
     # ------------------------------------------------------------------
-    # redo: one frame chain
+    # redo: one record of a frame chain
     # ------------------------------------------------------------------
-    def replay_chain(
-        self,
-        context_id: int,
-        chain: list[int],
-        restored: bool,
-        reply_floor: int,
-    ) -> None:
-        """Replay one context's frame chain — the LSNs of its records
-        past its restored state record (or from its creation record), in
-        log order — ending with its last call, replayed final."""
-        log = self.process.log_for(context_id)
-        for lsn, record in log.read_records(chain):
-            self.replay_record(lsn, record, restored, reply_floor)
-        self.drain_context(context_id)
-
     def replay_record(
         self, lsn: int, record: LogRecord, restored: bool, reply_floor: int
     ) -> None:
@@ -493,45 +486,34 @@ class RecoveryManager:
 # ----------------------------------------------------------------------
 def recover_context(context: Context) -> None:
     """Recover a crashed context inside a live process: restore its
-    state record, then replay its frame chain."""
-    from ..checkpoint.state_record import restore_context_state
-
+    state record, then replay its frame chain as one more mark in the
+    pending table."""
     process = context.process
-    runtime = context.runtime
     context_id = context.context_id
+    manager = RecoveryManager(process)
+    info = ContextFacts(context_id, process.stream_index(context_id))
     entry = process.incarnation.context_table.get(context_id)
-    if entry is None:
-        raise RecoveryError(
-            f"context {context_id} is not in the context table"
+    if entry is None or entry.recovery_start_lsn == NO_LSN:
+        raise manager._error(info, "no creation or state record in its table")
+    info.creation_lsn = entry.creation_lsn
+    info.state_lsn = entry.state_record_lsn
+    if info.state_lsn != NO_LSN:
+        info.state = manager._read_pointer(
+            info, info.state_lsn, ContextStateRecord
         )
-    start = entry.recovery_start_lsn
-    if start == NO_LSN:
-        raise RecoveryError(
-            f"context {context_id} has no creation or state record"
-        )
-
-    context.subordinates = {}
-    context.parent = None
-    context.next_outgoing_seq = 0
-    context.incoming_calls_handled = 0
-
-    log = process.log_for(context_id)
-    chain = log.component_chains(start).get(context_id, [])
-    restored = entry.state_record_lsn != NO_LSN
-    if restored:
-        record = log.read_record(entry.state_record_lsn)
-        if not isinstance(record, ContextStateRecord):
-            raise RecoveryError(
-                f"LSN {entry.state_record_lsn} is not a state record"
-            )
-        runtime.clock.advance(runtime.costs.object_creation)
-        restore_context_state(process, context, record)
-        chain = chain[bisect_right(chain, entry.state_record_lsn):]
-
-    context.crashed = False
+        manager._restore(context, info.state)
     # The process is live, so its last-call table is intact: every reply
     # record sits below the floor (the end of the log).
-    RecoveryManager(process).replay_chain(
-        context_id, chain, restored, reply_floor=log.end_lsn
-    )
-    log.force()
+    manager.reply_watermarks[info.stream] = process.log_for(context_id).end_lsn
+    fresh = PendingRecovery(manager, {context_id: info})
+    context.crashed = False
+    if fresh.component_recovered(context_id):
+        return  # nothing past the state record: the restore recovered it
+    table = process.incarnation.pending_recovery
+    if table is None:
+        table = process.incarnation.pending_recovery = fresh
+    else:
+        # An on-demand restart is still draining: the mark joins its
+        # table, which detaches itself once every mark is recovered.
+        table.marks[context_id] = fresh.marks[context_id]
+    table.ensure_component(context_id)

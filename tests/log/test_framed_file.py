@@ -5,7 +5,9 @@ durable log of the queued substrate (``<name>.qlog``) and the recovery
 service's registration table (``recovery-service.log``).  Each is
 written here by its own writer, damaged, and restarted the way the
 system restarts it.  Damage a torn write cannot leave behind — a flipped
-byte of an interior frame's magic, length, CRC or payload, or a
+byte of an interior frame's magic, length, CRC or payload, a flipped
+byte of the last frame's magic, CRC or payload (a torn write keeps a
+prefix, so it never leaves a frame that fits and fails), or a
 CRC-valid frame that does not decode, last or not — ends in a
 :class:`LogCorruptionError` naming the file and the position (an LSN
 for a process log, a frame index for the other two) and never calling
@@ -123,7 +125,9 @@ DAMAGE = {
     "payload": _flip(12, 0x01),
     "undecodable": _undecodable,
 }
-CASES = [(what, 1) for what in DAMAGE] + [("undecodable", FRAMES - 1)]
+CASES = [(what, 1) for what in DAMAGE] + [
+    (what, FRAMES - 1) for what in ("magic", "crc", "payload", "undecodable")
+]
 
 
 def _starts(data: bytes) -> list[int]:
@@ -168,18 +172,18 @@ def test_a_torn_tail_is_truncated(kind, cut):
 
 def test_the_boundaries_bound_the_search_after_a_bad_frame():
     """Given the offsets frames were written at (a process log's index),
-    the rule looks for a whole frame after the bad one only there, so a
+    the rule looks for a whole frame after a short one only there, so a
     frame's bytes inside another frame's payload do not count; without
-    them, every frame magic past the bad frame is tried."""
+    them, every frame magic past the short frame is tried."""
     machine = Cluster().machine("alpha")
     framed = FramedFile(machine.stable_store, machine.disk, "t.log")
-    frames = [frame(b"keep"), frame(b"bad"), frame(frame(b"inner"))]
+    frames = [frame(b"keep"), frame(b"short"), frame(frame(b"inner"))]
     starts = [0, len(frames[0]), len(frames[0]) + len(frames[1])]
     data = bytearray(b"".join(frames))
-    data[starts[1] + 6] ^= 1  # the CRC of the last two frames
-    data[starts[2] + 6] ^= 1
+    data[starts[1] + 5] ^= 0x40  # a length running past the data
+    data[starts[2] + 6] ^= 1  # the CRC of the frame holding a whole one
     framed.stable.append(bytes(data))
-    with pytest.raises(LogCorruptionError, match="frame 1: CRC mismatch"):
+    with pytest.raises(LogCorruptionError, match="frame 1: bad frame length"):
         framed.repair(framed.walk())
     assert framed.stable.read() == data
     assert framed.repair(framed.walk(), starts) == starts[1]

@@ -5,11 +5,13 @@ stable log with one tight walk (``serialization.validate_frames``:
 magic, bounds, CRC) and read the index's kind and context columns in
 bulk (``records.payload_columns``).  The reference below is the loop
 they used before: ``read_frame`` + ``payload_kind`` + ``payload_context``
-per frame, with the torn-tail search written out as a plain filter over
-the index's boundaries or every frame magic.  Interior damage raises
-``read_frame``'s error (a payload that overruns the data is a bad
-length field there) with its position: an LSN for a process log, a
-frame index for ``FramedFile``'s other files.  Over the same bytes —
+per frame, with the torn-tail rule written out: a short frame (a cut
+header, or a payload that overruns the data) is torn when no whole frame
+follows it, searched for by a plain filter over the index's boundaries
+or every frame magic.  Any other damage raises ``read_frame``'s error (a
+payload that overruns the data is a bad length field there) with its
+position: an LSN for a process log, a frame index for ``FramedFile``'s
+other files.  Over the same bytes —
 torn at every cut, header slices included, bit-flipped in the interior,
 holding zero- to two-byte payloads, unknown kind bytes and negative,
 multi-byte and overrunning context ids — both must give the same
@@ -88,9 +90,20 @@ def reference_frame_after(data: bytes, bad: int, boundaries) -> bool:
     return False
 
 
+def reference_torn(
+    data: bytes, bad: int, exc: LogCorruptionError, boundaries
+) -> bool:
+    """Is ``read_frame``'s error ``exc`` at ``bad`` a torn tail?  A torn
+    write keeps a prefix of what it wrote, so only a short frame with no
+    whole frame after it is; a frame that fits and fails is damage."""
+    short = str(exc).startswith("torn frame")
+    return short and not reference_frame_after(data, bad, boundaries)
+
+
 def reference_cause(data: bytes, bad: int, exc: LogCorruptionError):
-    """``read_frame``'s error at ``bad``, a frame with a whole one after
-    it, except that a payload running past the data is a bad length."""
+    """``read_frame``'s error at ``bad``, which is not a torn tail,
+    except that a payload running past the data (a short frame with a
+    whole one after it) is a bad length."""
     if "torn frame payload" not in str(exc):
         return exc
     length = int.from_bytes(data[bad + 2 : bad + 6], "little")
@@ -111,7 +124,7 @@ def reference_repair_tail(log: LogManager) -> int:
             result = read_frame(data, offset)
         except LogCorruptionError as exc:
             boundaries = [lsn - log._base_lsn for lsn in log._index_lsns]
-            if reference_frame_after(data, offset, boundaries):
+            if not reference_torn(data, offset, exc, boundaries):
                 lsn = log._base_lsn + offset
                 cause = reference_cause(data, offset, exc)
                 raise log._file.corruption(lsn, cause) from None
@@ -182,7 +195,7 @@ def reference_repair_framed_tail(framed: FramedFile) -> int | None:
             last_good = next_offset
             index += 1
     except LogCorruptionError as exc:
-        if reference_frame_after(data, last_good, ()):
+        if not reference_torn(data, last_good, exc, ()):
             cause = reference_cause(data, last_good, exc)
             raise framed.corruption(index, cause) from None
         framed.stable.truncate(last_good)
