@@ -17,7 +17,10 @@ the frames' own bytes either way.  A fourth restarts: a fresh manager
 over a ≈69k-frame log (the size of ``recovery-ondemand-50k``'s) runs
 ``repair_tail`` and then ``component_chains(0)``: the repair validates
 the clean log without one ``read_frame`` call, and the chains decode no
-record and cost a small fraction of the repair walk they ride on.
+record and cost a small fraction of the repair walk they ride on.  A
+fifth counts the Python calls ``decode_record`` makes on the mix of an
+on-demand recovery's log (one long incoming call, one short reply): a
+machine-independent count, bounded so no reader spends a call per field.
 
 Run per push in CI, via ``make perf`` (with the Table 7 recovery
 benchmark), or::
@@ -29,7 +32,14 @@ import sys
 from time import perf_counter
 
 from repro.common.messages import MessageKind, MethodCallMessage
-from repro.log import CreationRecord, LogManager, MessageRecord, log_manager
+from repro.log import (
+    CreationRecord,
+    LogManager,
+    MessageRecord,
+    decode_record,
+    encode_record,
+    log_manager,
+)
 from repro.log.serialization import read_frame
 from repro.sim import Cluster
 
@@ -47,6 +57,10 @@ RESTART_FRAMES = 69_000
 #: The chains' group-by may cost at most this share of ``repair_tail``
 #: (measured: 5–8 %).
 CHAINS_MAX_SHARE = 0.15
+DECODE_PAIRS = 500
+#: Python calls per decoded record on the on-demand mix (measured: 3.5; a
+#: reader with one method call per field made 22.5).
+DECODE_MAX_CALLS = 8
 
 
 def _record(n: int) -> MessageRecord:
@@ -307,3 +321,44 @@ def bench_chains_after_restart(benchmark):
     )
     assert r["repair_frame_reads"] == 0
     assert r["chains_s"] <= CHAINS_MAX_SHARE * r["repair_s"]
+
+
+def _decode_calls_experiment() -> dict[str, float]:
+    records = []
+    for n in range(DECODE_PAIRS):
+        records.append(_record(n))
+        records.append(
+            MessageRecord(
+                context_id=1, kind=MessageKind.REPLY_TO_INCOMING, short=True
+            )
+        )
+    payloads = [encode_record(record) for record in records]
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        decoded = [decode_record(payload) for payload in payloads]
+    finally:
+        sys.setprofile(None)
+    return {
+        "records": len(decoded),
+        "same": decoded == records,
+        "calls_per_record": len(calls) / len(payloads),
+    }
+
+
+def bench_decode_calls(benchmark):
+    r = benchmark.pedantic(_decode_calls_experiment, iterations=1, rounds=1)
+
+    print()
+    print(
+        f"{r['records']} records of the on-demand mix: "
+        f"{r['calls_per_record']:.2f} Python calls per decode_record"
+    )
+
+    assert r["same"]
+    assert r["calls_per_record"] <= DECODE_MAX_CALLS

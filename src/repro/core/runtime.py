@@ -551,7 +551,16 @@ class PhoenixRuntime:
         process.crash()
 
     def crash_context(self, context: Context) -> None:
-        """Kill a single context; its process stays up."""
+        """Kill a single context; its process stays up.
+
+        The process's log buffer survives, and may still hold the
+        context's latest state record or calls, which its recovery reads
+        from the stable log: so the context's stream is forced first
+        (free when nothing is buffered).  Forcing here, not when the
+        recovery starts, keeps the force's scheduler yield out of
+        ``recover_context``, where a second session would find the
+        context still crashed and recover it too."""
+        context.process.log_force(context_id=context.context_id)
         context.crashed = True
         context.parent = None
         context.subordinates = {}

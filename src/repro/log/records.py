@@ -32,7 +32,24 @@ from ..common.ids import GlobalCallId
 from ..common.messages import MessageKind, MethodCallMessage, ReplyMessage
 from ..common.types import ComponentType
 from ..errors import LogCorruptionError
-from .serialization import Reader, Writer, frame_overhead, message_encoding
+from .serialization import (
+    _I_METHOD_CALL,
+    _I_NONE,
+    _I_REPLY,
+    Writer,
+    frame_overhead,
+    message_encoding,
+    not_a_tuple,
+    read_call_id,
+    read_component_type,
+    read_method_call,
+    read_reply,
+    read_signed,
+    read_text,
+    read_u32,
+    read_value,
+    truncated,
+)
 
 CallerKey = tuple[str, int, int]
 
@@ -375,108 +392,143 @@ def encode_record_into(writer: Writer, record: LogRecord) -> None:
         )
 
 
+_MESSAGE_KINDS = {kind.value: kind for kind in MessageKind}
+
+#: Content-free message records (Algorithm 3's short reply), one shared
+#: instance per payload: such a record is frozen and carries nothing
+#: but its header, so a payload decodes to it once.  It fills as records
+#: are decoded, and only with payloads that end at the absent message,
+#: so it holds one entry per (context, kind, short) the log has written.
+_CONTENT_FREE: dict[bytes, MessageRecord] = {}
+
+
 def decode_record(payload: bytes) -> LogRecord:
     """Decode a frame payload back into a record.
 
     Malformed payloads (wrong tags, bad enum values, truncated fields)
-    surface uniformly as :class:`LogCorruptionError`, raised by the
-    :class:`Reader` at the field that cannot be what the writer wrote."""
-    reader = Reader(payload)
-    tag = reader.u8()
+    surface uniformly as :class:`LogCorruptionError`, raised at the field
+    that cannot be what the writer wrote."""
+    if not payload:
+        raise truncated(payload, 0, 1)
+    tag = payload[0]
     if tag == _TAG_MESSAGE:
-        # Fields in payload order; the record is built positionally.
-        context_id = reader.signed()
-        kind = reader.message_kind()
-        short = reader.flag()
-        return MessageRecord(context_id, kind, reader.value(), short)
+        if payload[-1] == _I_NONE:
+            record = _CONTENT_FREE.get(payload)
+            if record is not None:
+                return record
+        # Header, kind and short flag in payload order, read inline.
+        pos = 1
+        try:
+            end = 2 + payload[1]
+            if end > len(payload):
+                raise truncated(payload, 2, end - 2)
+            if end == 3:  # a one-byte id: nearly every context's
+                context_id = payload[2]
+                if context_id > 0x7F:
+                    context_id -= 0x100
+            else:
+                context_id = int.from_bytes(
+                    payload[2:end], "little", signed=True
+                )
+            pos = end
+            kind = _MESSAGE_KINDS.get(payload[pos])
+            if kind is None:
+                raise LogCorruptionError(
+                    f"unknown message kind {payload[pos]} at {pos + 1}"
+                )
+            pos += 1
+            short = payload[pos] != 0
+            pos += 1
+            value_tag = payload[pos]
+        except IndexError:
+            raise truncated(payload, pos, 1) from None
+        if value_tag == _I_METHOD_CALL:
+            message, pos = read_method_call(payload, pos + 1)
+        elif value_tag == _I_REPLY:
+            message, pos = read_reply(payload, pos + 1)
+        else:
+            message, pos = read_value(payload, pos)
+        record = MessageRecord(context_id, kind, message, short)
+        if message is None and pos == len(payload):
+            _CONTENT_FREE[payload] = record
+        return record
     if tag == _TAG_CREATION:
-        context_id = reader.signed()
-        component_lid = reader.signed()
-        class_name = reader.text()
-        args = reader.tuple_value()
-        uri = reader.text()
-        component_type = reader.component_type()
-        registered_name = reader.text()
+        context_id, pos = read_signed(payload, 1)
+        component_lid, pos = read_signed(payload, pos)
+        class_name, pos = read_text(payload, pos)
+        args, pos = read_value(payload, pos)
+        if type(args) is not tuple:
+            raise not_a_tuple(args, pos)
+        uri, pos = read_text(payload, pos)
+        component_type, pos = read_component_type(payload, pos)
+        registered_name, pos = read_text(payload, pos)
         return CreationRecord(
-            context_id=context_id,
-            component_lid=component_lid,
-            class_name=class_name,
-            args=args,
-            uri=uri,
-            component_type=component_type,
-            registered_name=registered_name,
+            context_id, component_lid, class_name, args, uri,
+            component_type, registered_name,
         )
     if tag == _TAG_CONTEXT_STATE:
-        context_id = reader.signed()
-        uri = reader.text()
-        incoming_calls_handled = reader.signed()
+        context_id, pos = read_signed(payload, 1)
+        uri, pos = read_text(payload, pos)
+        incoming_calls_handled, pos = read_signed(payload, pos)
+        count, pos = read_u32(payload, pos)
         snapshots = []
-        for _ in range(reader.u32()):
+        for _ in range(count):
+            component_lid, pos = read_signed(payload, pos)
+            class_name, pos = read_text(payload, pos)
+            component_type, pos = read_component_type(payload, pos)
+            fields, pos = read_value(payload, pos)
+            next_outgoing_seq, pos = read_signed(payload, pos)
             snapshots.append(
                 ComponentStateSnapshot(
-                    component_lid=reader.signed(),
-                    class_name=reader.text(),
-                    component_type=reader.component_type(),
-                    fields=reader.value(),
-                    next_outgoing_seq=reader.signed(),
+                    component_lid, class_name, component_type, fields,
+                    next_outgoing_seq,
                 )
             )
-        last_calls = _decode_last_calls(reader)
+        last_calls, pos = _decode_last_calls(payload, pos)
         return ContextStateRecord(
-            context_id=context_id,
-            uri=uri,
-            incoming_calls_handled=incoming_calls_handled,
-            snapshots=tuple(snapshots),
-            last_calls=last_calls,
+            context_id, uri, incoming_calls_handled, tuple(snapshots),
+            last_calls,
         )
     if tag == _TAG_LAST_CALL_REPLY:
-        context_id = reader.signed()
-        caller_key = _decode_caller_key(reader)
-        call_id = reader.call_id()
-        reply = reader.reply()
-        return LastCallReplyRecord(
-            context_id=context_id,
-            caller_key=caller_key,
-            call_id=call_id,
-            reply=reply,
-        )
+        context_id, pos = read_signed(payload, 1)
+        caller_key, pos = _decode_caller_key(payload, pos)
+        call_id, pos = read_call_id(payload, pos)
+        reply, pos = read_reply(payload, pos)
+        return LastCallReplyRecord(context_id, caller_key, call_id, reply)
     if tag == _TAG_BEGIN_CHECKPOINT:
-        return BeginCheckpointRecord(context_id=reader.signed())
+        return BeginCheckpointRecord(read_signed(payload, 1)[0])
     if tag == _TAG_CHECKPOINT_CONTEXTS:
-        context_id = reader.signed()
+        context_id, pos = read_signed(payload, 1)
+        count, pos = read_u32(payload, pos)
         entries = []
-        for _ in range(reader.u32()):
+        for _ in range(count):
+            entry_context, pos = read_signed(payload, pos)
+            uri, pos = read_text(payload, pos)
+            state_record_lsn, pos = read_signed(payload, pos)
+            creation_lsn, pos = read_signed(payload, pos)
             entries.append(
                 CheckpointContextEntry(
-                    context_id=reader.signed(),
-                    uri=reader.text(),
-                    state_record_lsn=reader.signed(),
-                    creation_lsn=reader.signed(),
+                    entry_context, uri, state_record_lsn, creation_lsn
                 )
             )
-        return CheckpointContextTableRecord(
-            context_id=context_id, entries=tuple(entries)
-        )
+        return CheckpointContextTableRecord(context_id, tuple(entries))
     if tag == _TAG_CHECKPOINT_REMOTE_TYPES:
-        context_id = reader.signed()
+        context_id, pos = read_signed(payload, 1)
+        count, pos = read_u32(payload, pos)
         entries = []
-        for _ in range(reader.u32()):
-            uri = reader.text()
-            component_type = reader.component_type()
+        for _ in range(count):
+            uri, pos = read_text(payload, pos)
+            component_type, pos = read_component_type(payload, pos)
             entries.append((uri, component_type))
-        return CheckpointRemoteTypeRecord(
-            context_id=context_id, entries=tuple(entries)
-        )
+        return CheckpointRemoteTypeRecord(context_id, tuple(entries))
     if tag == _TAG_CHECKPOINT_LAST_CALLS:
-        context_id = reader.signed()
-        entries = _decode_last_calls(reader)
-        return CheckpointLastCallRecord(
-            context_id=context_id, entries=entries
-        )
+        context_id, pos = read_signed(payload, 1)
+        entries, pos = _decode_last_calls(payload, pos)
+        return CheckpointLastCallRecord(context_id, entries)
     if tag == _TAG_END_CHECKPOINT:
-        context_id = reader.signed()
-        begin_lsn = reader.signed()
-        return EndCheckpointRecord(context_id=context_id, begin_lsn=begin_lsn)
+        context_id, pos = read_signed(payload, 1)
+        begin_lsn, pos = read_signed(payload, pos)
+        return EndCheckpointRecord(context_id, begin_lsn)
     raise LogCorruptionError(f"unknown record tag {tag}")
 
 
@@ -486,8 +538,11 @@ def _encode_caller_key(writer: Writer, key: CallerKey) -> None:
     writer.signed(key[2])
 
 
-def _decode_caller_key(reader: Reader) -> CallerKey:
-    return (reader.text(), reader.signed(), reader.signed())
+def _decode_caller_key(payload: bytes, pos: int) -> tuple[CallerKey, int]:
+    machine, pos = read_text(payload, pos)
+    process_lid, pos = read_signed(payload, pos)
+    component_lid, pos = read_signed(payload, pos)
+    return (machine, process_lid, component_lid), pos
 
 
 def _encode_last_calls(
@@ -500,14 +555,14 @@ def _encode_last_calls(
         writer.signed(entry.reply_lsn)
 
 
-def _decode_last_calls(reader: Reader) -> tuple[LastCallEntrySnapshot, ...]:
+def _decode_last_calls(
+    payload: bytes, pos: int
+) -> tuple[tuple[LastCallEntrySnapshot, ...], int]:
+    count, pos = read_u32(payload, pos)
     entries = []
-    for _ in range(reader.u32()):
-        entries.append(
-            LastCallEntrySnapshot(
-                caller_key=_decode_caller_key(reader),
-                call_id=reader.call_id(),
-                reply_lsn=reader.signed(),
-            )
-        )
-    return tuple(entries)
+    for _ in range(count):
+        caller_key, pos = _decode_caller_key(payload, pos)
+        call_id, pos = read_call_id(payload, pos)
+        reply_lsn, pos = read_signed(payload, pos)
+        entries.append(LastCallEntrySnapshot(caller_key, call_id, reply_lsn))
+    return tuple(entries), pos

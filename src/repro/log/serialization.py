@@ -23,12 +23,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 
 from ..common.ids import ComponentRef, GlobalCallId, LocalRef
-from ..common.messages import (
-    MessageKind,
-    MethodCallMessage,
-    ReplyMessage,
-    SenderInfo,
-)
+from ..common.messages import MethodCallMessage, ReplyMessage, SenderInfo
 from ..common.types import ComponentType
 from ..errors import LogCorruptionError, SerializationError
 
@@ -291,236 +286,321 @@ def _stable_order(items) -> list:
 
 
 _COMPONENT_TYPES = {kind.wire_value: kind for kind in ComponentType}
-_MESSAGE_KINDS = {kind.value: kind for kind in MessageKind}
 
 
-class Reader:
-    """Decodes what :class:`Writer` wrote.
+# --- the read side ----------------------------------------------------
+# Module-level readers over ``(data, pos)`` that return
+# ``(value, next_pos)``.  A field costs an index, a slice or a struct
+# unpack, never a call: each composite (a call id, a sender, a message)
+# is read inline by the one function that owns it, and tagged values
+# recurse through :func:`read_value` alone.  Anything the writer cannot
+# have produced -- a field past the end, an unknown tag, enum or wire
+# value, invalid UTF-8, a composite of the wrong shape -- raises
+# :class:`LogCorruptionError`.  A slice past the end truncates silently,
+# so every sized body is checked against ``len(data)`` explicitly.  A
+# one-byte field past the end raises ``IndexError`` and a length prefix
+# past it ``struct.error``; each reader catches those once and blames
+# the field that ``pos`` still points at, since ``pos`` moves only after
+# a field is read.
 
-    Each field costs one bounds check against the cached length and
-    builds no throwaway object: ``u8`` indexes the buffer, fixed-width
-    fields unpack in place through precompiled structs, and ``text`` /
-    ``blob`` / ``signed`` take one slice after their length prefix.
-    Anything the writer cannot have produced — a field past the end, an
-    unknown tag, enum or wire value, invalid UTF-8, a composite of the
-    wrong shape — raises :class:`LogCorruptionError`.
-    """
 
-    __slots__ = ("_data", "_pos", "_end")
+def truncated(data: bytes, pos: int, length: int) -> LogCorruptionError:
+    return LogCorruptionError(
+        f"truncated value: wanted {length} bytes at {pos}, "
+        f"have {max(0, len(data) - pos)}"
+    )
 
-    def __init__(self, data: bytes, offset: int = 0):
-        self._data = data
-        self._pos = offset
-        self._end = len(data)
 
-    @property
-    def position(self) -> int:
-        return self._pos
+def _bad_utf8(start: int, exc: UnicodeDecodeError) -> LogCorruptionError:
+    return LogCorruptionError(f"invalid UTF-8 in value at {start}: {exc}")
 
-    def at_end(self) -> bool:
-        return self._pos >= self._end
 
-    def _truncated(self, pos: int, length: int) -> LogCorruptionError:
-        return LogCorruptionError(
-            f"truncated value: wanted {length} bytes at {pos}, "
-            f"have {max(0, self._end - pos)}"
-        )
+def not_a_tuple(value: object, pos: int) -> LogCorruptionError:
+    """The error for a value the writer always writes as a tuple."""
+    return LogCorruptionError(
+        f"expected a tuple, got {type(value).__name__} at {pos}"
+    )
 
-    def _malformed(self, what: str) -> LogCorruptionError:
-        return LogCorruptionError(f"{what} at {self._pos}")
 
-    # -- primitives ----------------------------------------------------
-    def u8(self) -> int:
-        pos = self._pos
-        if pos >= self._end:
-            raise self._truncated(pos, 1)
-        self._pos = pos + 1
-        return self._data[pos]
+def read_u32(data: bytes, pos: int) -> tuple[int, int]:
+    try:
+        return _U32.unpack_from(data, pos)[0], pos + 4
+    except struct.error:
+        raise truncated(data, pos, 4) from None
 
-    def u32(self) -> int:
-        pos = self._pos
-        if pos + 4 > self._end:
-            raise self._truncated(pos, 4)
-        self._pos = pos + 4
-        return _U32.unpack_from(self._data, pos)[0]
 
-    def u64(self) -> int:
-        pos = self._pos
-        if pos + 8 > self._end:
-            raise self._truncated(pos, 8)
-        self._pos = pos + 8
-        return _U64.unpack_from(self._data, pos)[0]
+def read_signed(data: bytes, pos: int) -> tuple[int, int]:
+    start = pos + 1
+    try:
+        end = start + data[pos]
+    except IndexError:
+        raise truncated(data, pos, 1) from None
+    if end > len(data):
+        raise truncated(data, start, end - start)
+    return int.from_bytes(data[start:end], "little", signed=True), end
 
-    def f64(self) -> float:
-        pos = self._pos
-        if pos + 8 > self._end:
-            raise self._truncated(pos, 8)
-        self._pos = pos + 8
-        return _F64.unpack_from(self._data, pos)[0]
 
-    def _sized(self) -> tuple[int, int]:
-        """``(start, end)`` of a u32-length-prefixed body; the prefix is
-        bounds-checked by the unpack itself, the body here."""
-        pos = self._pos
-        try:
-            start = pos + 4
-            end = start + _U32.unpack_from(self._data, pos)[0]
-        except struct.error:
-            raise self._truncated(pos, 4) from None
-        if end > self._end:
-            raise self._truncated(start, end - start)
-        self._pos = end
-        return start, end
+def read_text(data: bytes, pos: int) -> tuple[str, int]:
+    start = pos + 4
+    try:
+        end = start + _U32.unpack_from(data, pos)[0]
+    except struct.error:
+        raise truncated(data, pos, 4) from None
+    if end > len(data):
+        raise truncated(data, start, end - start)
+    try:
+        return data[start:end].decode(), end
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(start, exc) from None
 
-    def text(self) -> str:
-        start, end = self._sized()
-        try:
-            return self._data[start:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LogCorruptionError(
-                f"invalid UTF-8 in value at {start}: {exc}"
-            ) from None
 
-    def blob(self) -> bytes:
-        start, end = self._sized()
-        return self._data[start:end]
+def read_component_type(data: bytes, pos: int) -> tuple[ComponentType, int]:
+    wire, pos = read_text(data, pos)
+    kind = _COMPONENT_TYPES.get(wire)
+    if kind is None:
+        raise LogCorruptionError(f"unknown component type {wire!r} at {pos}")
+    return kind, pos
 
-    def signed(self) -> int:
-        data = self._data
-        start = self._pos + 1
-        try:
-            end = start + data[start - 1]
-        except IndexError:
-            raise self._truncated(start - 1, 1) from None
-        if end > self._end:
-            raise self._truncated(start, end - start)
-        self._pos = end
-        return int.from_bytes(data[start:end], "little", signed=True)
 
-    def flag(self) -> bool:
-        return self.u8() != 0
+_SEQUENCES = frozenset((_I_TUPLE, _I_LIST, _I_SET, _I_FROZENSET))
+_NO_KWARGS = _T_TUPLE + _U32.pack(0)
 
-    # -- enums -----------------------------------------------------------
-    def component_type(self) -> ComponentType:
-        wire = self.text()
-        kind = _COMPONENT_TYPES.get(wire)
-        if kind is None:
-            raise self._malformed(f"unknown component type {wire!r}")
-        return kind
 
-    def message_kind(self) -> MessageKind:
-        code = self.u8()
-        kind = _MESSAGE_KINDS.get(code)
-        if kind is None:
-            raise self._malformed(f"unknown message kind {code}")
-        return kind
-
-    # -- tagged values ---------------------------------------------------
-    def value(self) -> object:
-        pos = self._pos
-        if pos >= self._end:
-            raise self._truncated(pos, 1)
-        tag = self._data[pos]
-        self._pos = pos + 1
+def read_value(data: bytes, pos: int) -> tuple[object, int]:
+    """The tagged value at ``pos``."""
+    try:
+        tag = data[pos]
+        pos += 1
         # The tags message arguments and replies use most, first.
         if tag == _I_STR:
-            return self.text()
+            start = pos + 4
+            pos = start + _U32.unpack_from(data, pos)[0]
+            if pos > len(data):
+                raise truncated(data, start, pos - start)
+            return data[start:pos].decode(), pos
         if tag == _I_INT:
-            return self.signed()
-        if tag == _I_TUPLE:
-            return tuple(self._sequence())
+            start = pos + 1
+            pos = start + data[pos]
+            if pos > len(data):
+                raise truncated(data, start, pos - start)
+            return int.from_bytes(data[start:pos], "little", signed=True), pos
+        if tag in _SEQUENCES:
+            count = _U32.unpack_from(data, pos)[0]
+            pos += 4
+            items = []
+            append = items.append
+            for _ in range(count):
+                item, pos = read_value(data, pos)
+                append(item)
+            if tag == _I_TUPLE:
+                return tuple(items), pos
+            if tag == _I_LIST:
+                return items, pos
+            try:
+                return (set(items) if tag == _I_SET else frozenset(items)), pos
+            except TypeError:
+                raise LogCorruptionError(
+                    f"unhashable set member at {pos}"
+                ) from None
         if tag == _I_NONE:
-            return None
+            return None, pos
         if tag == _I_TRUE:
-            return True
+            return True, pos
         if tag == _I_FALSE:
-            return False
+            return False, pos
         if tag == _I_FLOAT:
-            return self.f64()
+            if pos + 8 > len(data):
+                raise truncated(data, pos, 8)
+            return _F64.unpack_from(data, pos)[0], pos + 8
         if tag == _I_BYTES:
-            return self.blob()
-        if tag == _I_LIST:
-            return self._sequence()
+            start = pos + 4
+            pos = start + _U32.unpack_from(data, pos)[0]
+            if pos > len(data):
+                raise truncated(data, start, pos - start)
+            return data[start:pos], pos
         if tag == _I_DICT:
-            count = self.u32()
-            try:
-                return {self.value(): self.value() for _ in range(count)}
-            except TypeError:
-                raise self._malformed("unhashable dict key") from None
-        if tag == _I_SET or tag == _I_FROZENSET:
-            items = self._sequence()
-            try:
-                return set(items) if tag == _I_SET else frozenset(items)
-            except TypeError:
-                raise self._malformed("unhashable set member") from None
+            count = _U32.unpack_from(data, pos)[0]
+            pos += 4
+            result = {}
+            for _ in range(count):
+                key, pos = read_value(data, pos)
+                item, pos = read_value(data, pos)
+                try:
+                    result[key] = item
+                except TypeError:
+                    raise LogCorruptionError(
+                        f"unhashable dict key at {pos}"
+                    ) from None
+            return result, pos
         if tag == _I_CALL_ID:
-            return self.call_id()
+            return read_call_id(data, pos)
         if tag == _I_COMPONENT_REF:
-            return ComponentRef(self.text())
+            uri, pos = read_text(data, pos)
+            return ComponentRef(uri), pos
         if tag == _I_LOCAL_REF:
-            return LocalRef(self.signed())
+            lid, pos = read_signed(data, pos)
+            return LocalRef(lid), pos
         if tag == _I_COMPONENT_TYPE:
-            return self.component_type()
+            return read_component_type(data, pos)
         if tag == _I_SENDER_INFO:
-            return self.sender_info()
+            return read_sender_info(data, pos)
         if tag == _I_METHOD_CALL:
-            return self.method_call()
+            return read_method_call(data, pos)
         if tag == _I_REPLY:
-            return self.reply()
-        raise LogCorruptionError(f"unknown value tag {tag} at {pos}")
+            return read_reply(data, pos)
+    except IndexError:
+        raise truncated(data, pos, 1) from None
+    except struct.error:
+        raise truncated(data, pos, 4) from None
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(start, exc) from None
+    raise LogCorruptionError(f"unknown value tag {tag} at {pos - 1}")
 
-    def _sequence(self) -> list:
-        count = self.u32()
-        return [self.value() for _ in range(count)]
 
-    def tuple_value(self) -> tuple:
-        """A tagged value the writer always writes as a tuple."""
-        value = self.value()
-        if type(value) is not tuple:
-            raise self._malformed(f"expected a tuple, got {type(value).__name__}")
-        return value
+def read_call_id(data: bytes, pos: int) -> tuple[GlobalCallId, int]:
+    """A call id: machine, process, component, sequence number."""
+    try:
+        start = pos + 4
+        pos = start + _U32.unpack_from(data, pos)[0]
+        if pos > len(data):
+            raise truncated(data, start, pos - start)
+        machine = data[start:pos].decode()
+        start = pos + 1
+        pos = start + data[pos]
+        if pos > len(data):
+            raise truncated(data, start, pos - start)
+        process_lid = int.from_bytes(data[start:pos], "little", signed=True)
+        start = pos + 1
+        pos = start + data[pos]
+        if pos > len(data):
+            raise truncated(data, start, pos - start)
+        component_lid = int.from_bytes(data[start:pos], "little", signed=True)
+        start = pos + 1
+        pos = start + data[pos]
+        if pos > len(data):
+            raise truncated(data, start, pos - start)
+        seq = int.from_bytes(data[start:pos], "little", signed=True)
+    except IndexError:
+        raise truncated(data, pos, 1) from None
+    except struct.error:
+        raise truncated(data, pos, 4) from None
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(start, exc) from None
+    return GlobalCallId(machine, process_lid, component_lid, seq), pos
 
-    # -- composite wire types -------------------------------------------
-    def call_id(self) -> GlobalCallId:
-        return GlobalCallId(
-            self.text(), self.signed(), self.signed(), self.signed()
-        )
 
-    def optional_call_id(self) -> GlobalCallId | None:
-        return self.call_id() if self.u8() else None
+def read_sender_info(data: bytes, pos: int) -> tuple[SenderInfo, int]:
+    """A sender attachment: component type, URI, knows-receiver flag."""
+    try:
+        start = pos + 4
+        pos = start + _U32.unpack_from(data, pos)[0]
+        if pos > len(data):
+            raise truncated(data, start, pos - start)
+        wire = data[start:pos].decode()
+        component_type = _COMPONENT_TYPES.get(wire)
+        if component_type is None:
+            raise LogCorruptionError(
+                f"unknown component type {wire!r} at {pos}"
+            )
+        start = pos + 4
+        pos = start + _U32.unpack_from(data, pos)[0]
+        if pos > len(data):
+            raise truncated(data, start, pos - start)
+        uri = data[start:pos].decode()
+        knows_receiver = data[pos] != 0
+    except IndexError:
+        raise truncated(data, pos, 1) from None
+    except struct.error:
+        raise truncated(data, pos, 4) from None
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(start, exc) from None
+    return SenderInfo(component_type, uri, knows_receiver), pos + 1
 
-    def sender_info(self) -> SenderInfo:
-        return SenderInfo(self.component_type(), self.text(), self.flag())
 
-    def optional_sender_info(self) -> SenderInfo | None:
-        return self.sender_info() if self.u8() else None
-
-    def method_call(self) -> MethodCallMessage:
-        target_uri = self.text()
-        method = self.text()
-        call_id = self.optional_call_id()
-        sender = self.optional_sender_info()
-        method_read_only = self.flag()
-        args = self.tuple_value()
-        kwargs = self.tuple_value()
+def read_method_call(data: bytes, pos: int) -> tuple[MethodCallMessage, int]:
+    """A method-call message, from its first field (past the tag)."""
+    try:
+        start = pos + 4
+        pos = start + _U32.unpack_from(data, pos)[0]
+        if pos > len(data):
+            raise truncated(data, start, pos - start)
+        target_uri = data[start:pos].decode()
+        start = pos + 4
+        pos = start + _U32.unpack_from(data, pos)[0]
+        if pos > len(data):
+            raise truncated(data, start, pos - start)
+        method = data[start:pos].decode()
+        if data[pos]:
+            call_id, pos = read_call_id(data, pos + 1)
+        else:
+            call_id = None
+            pos += 1
+        if data[pos]:
+            sender, pos = read_sender_info(data, pos + 1)
+        else:
+            sender = None
+            pos += 1
+        method_read_only = data[pos] != 0
+        pos += 1
+    except IndexError:
+        raise truncated(data, pos, 1) from None
+    except struct.error:
+        raise truncated(data, pos, 4) from None
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(start, exc) from None
+    args, pos = read_value(data, pos)
+    if type(args) is not tuple:
+        raise not_a_tuple(args, pos)
+    if data[pos:pos + 5] == _NO_KWARGS:  # what nearly every call has
+        kwargs = ()
+        pos += 5
+    else:
+        kwargs, pos = read_value(data, pos)
+        if type(kwargs) is not tuple:
+            raise not_a_tuple(kwargs, pos)
         for pair in kwargs:
             if type(pair) is not tuple or len(pair) != 2:
-                raise self._malformed("keyword argument is not a pair")
-        return MethodCallMessage(
-            target_uri, method, args, kwargs, call_id, sender,
-            method_read_only,
-        )
+                raise LogCorruptionError(
+                    f"keyword argument is not a pair at {pos}"
+                )
+    return MethodCallMessage(
+        target_uri, method, args, kwargs, call_id, sender, method_read_only
+    ), pos
 
-    def reply(self) -> ReplyMessage:
-        call_id = self.optional_call_id()
-        is_exception = self.flag()
-        exception_message = self.text()
-        sender = self.optional_sender_info()
-        method_read_only = self.flag()
-        return ReplyMessage(
-            call_id, self.value(), is_exception, exception_message, sender,
-            method_read_only,
-        )
+
+def read_reply(data: bytes, pos: int) -> tuple[ReplyMessage, int]:
+    """A reply message, from its first field (past the tag)."""
+    try:
+        if data[pos]:
+            call_id, pos = read_call_id(data, pos + 1)
+        else:
+            call_id = None
+            pos += 1
+        is_exception = data[pos] != 0
+        pos += 1
+        start = pos + 4
+        pos = start + _U32.unpack_from(data, pos)[0]
+        if pos > len(data):
+            raise truncated(data, start, pos - start)
+        exception_message = data[start:pos].decode()
+        if data[pos]:
+            sender, pos = read_sender_info(data, pos + 1)
+        else:
+            sender = None
+            pos += 1
+        method_read_only = data[pos] != 0
+        pos += 1
+    except IndexError:
+        raise truncated(data, pos, 1) from None
+    except struct.error:
+        raise truncated(data, pos, 4) from None
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(start, exc) from None
+    value, pos = read_value(data, pos)
+    return ReplyMessage(
+        call_id, value, is_exception, exception_message, sender,
+        method_read_only,
+    ), pos
 
 
 def encode_value(obj: object) -> bytes:
@@ -531,12 +611,9 @@ def encode_value(obj: object) -> bytes:
 
 
 def decode_value(data: bytes) -> object:
-    reader = Reader(data)
-    obj = reader.value()
-    if not reader.at_end():
-        raise LogCorruptionError(
-            f"{len(data) - reader.position} trailing bytes after value"
-        )
+    obj, pos = read_value(data, 0)
+    if pos < len(data):
+        raise LogCorruptionError(f"{len(data) - pos} trailing bytes after value")
     return obj
 
 
@@ -801,8 +878,8 @@ class FramedFile:
         return torn
 
     def replay(self, decode) -> list:
-        """Walk and repair the file, then ``decode(Reader(payload))``
-        each frame it keeps, in order.  A force wrote every kept frame
+        """Walk and repair the file, then ``decode(payload)`` each frame
+        it keeps, in order.  A force wrote every kept frame
         whole, so one that does not decode is damage, last or not: it
         raises :meth:`corruption` at its index."""
         walk = data, starts, stop = self.walk()
@@ -811,7 +888,7 @@ class FramedFile:
         records = []
         for index, (start, end) in enumerate(zip(starts, starts[1:] + [stop])):
             try:
-                records.append(decode(Reader(data[start + header:end])))
+                records.append(decode(data[start + header:end]))
             except LogCorruptionError as exc:
                 raise self.corruption(index, exc) from None
         return records

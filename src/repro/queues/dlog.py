@@ -17,10 +17,11 @@ from ..errors import PartialWriteError
 from ..faults import plane as faultplane
 from ..log.serialization import (
     FramedFile,
-    Reader,
     Writer,
     begin_frame,
     end_frame,
+    read_text,
+    read_value,
 )
 from ..sim.machine import Machine
 
@@ -90,5 +91,6 @@ class DurableLog:
         yield from self._file.replay(_decode) if records is None else records
 
 
-def _decode(reader: Reader) -> tuple[str, object]:
-    return reader.text(), reader.value()
+def _decode(payload: bytes) -> tuple[str, object]:
+    tag, pos = read_text(payload, 0)
+    return tag, read_value(payload, pos)[0]

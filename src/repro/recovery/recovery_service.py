@@ -24,6 +24,8 @@ from ..log.serialization import (
     Writer,
     begin_frame,
     end_frame,
+    read_signed,
+    read_text,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,9 +54,7 @@ class RecoveryService:
     def _load_table(self) -> None:
         # A machine crash can tear the force-write of a registration
         # mid-frame; repair before reading, exactly like a process log.
-        for name, pid in self._file.replay(
-            lambda reader: (reader.text(), reader.signed())
-        ):
+        for name, pid in self._file.replay(_decode_registration):
             self._table[name] = pid
             self._next_pid = max(self._next_pid, pid + 1)
 
@@ -121,3 +121,8 @@ class RecoveryService:
             process.crash()
             raise
         process.finish_recovery()
+
+
+def _decode_registration(payload: bytes) -> tuple[str, int]:
+    name, pos = read_text(payload, 0)
+    return name, read_signed(payload, pos)[0]

@@ -39,6 +39,32 @@ class TestContextCrash:
         # 11 calls; elapsed stays well under a full process recovery
         assert runtime.now - before < runtime.costs.runtime_init
 
+    def test_context_recovery_reads_a_state_record_still_buffered(self):
+        """``save_context_state`` appends without forcing, and a context
+        crash leaves the log buffer alive: the record the context table
+        points at must still be found by the recovery that follows."""
+        from repro import PhoenixRuntime
+
+        def run(crash: bool) -> tuple[int, int, int]:
+            runtime = PhoenixRuntime()
+            runtime.external_client_machine = "alpha"
+            process = runtime.spawn_process("p", machine="alpha")
+            counter = process.create_component(Counter)
+            for __ in range(4):
+                counter.increment()
+            context = process.find_context(1)
+            save_context_state(context)
+            log = process.log
+            state_lsn = process.incarnation.context_table[1].state_record_lsn
+            assert log.stable_lsn <= state_lsn < log.end_lsn
+            if crash:
+                runtime.crash_context(context)
+            reply = counter.increment()
+            count = process.incarnation.component_table[1].instance.count
+            return reply, count, process.recovery_count
+
+        assert run(crash=True) == run(crash=False) == (5, 5, 0)
+
     def test_context_recovery_rebuilds_subordinates(self, runtime):
         process = runtime.spawn_process("p", machine="alpha")
         owner = process.create_component(TallyOwner)
