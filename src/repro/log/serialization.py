@@ -669,32 +669,6 @@ def frame_overhead() -> int:
     return _FRAME_HEADER.size
 
 
-def read_frame_incremental(fetch, offset: int, size: int):
-    """Read one frame using an incremental ``fetch(offset, length)``.
-
-    Same contract and failure modes as :func:`read_frame` against a file
-    of ``size`` bytes, but fetches only the frame's own bytes (header,
-    then payload) instead of requiring the whole file in memory.  The
-    log manager uses it for point reads that miss its LSN index.
-    """
-    if offset == size:
-        return None
-    if offset + _FRAME_HEADER.size > size:
-        raise LogCorruptionError(f"torn frame header at offset {offset}")
-    header = fetch(offset, _FRAME_HEADER.size)
-    magic, length, crc = _FRAME_HEADER.unpack(header)
-    if magic != _FRAME_MAGIC:
-        raise LogCorruptionError(f"bad frame magic at offset {offset}")
-    start = offset + _FRAME_HEADER.size
-    end = start + length
-    if end > size:
-        raise LogCorruptionError(f"torn frame payload at offset {offset}")
-    payload = fetch(start, length)
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-        raise LogCorruptionError(f"CRC mismatch at offset {offset}")
-    return payload, end
-
-
 _HEADER_PLACEHOLDER = bytes(_FRAME_HEADER.size)
 
 
@@ -783,7 +757,7 @@ def iter_frames(
         offset = next_offset
 
 
-def _frame_error(data: bytes, offset: int) -> LogCorruptionError | None:
+def frame_error(data: bytes, offset: int) -> LogCorruptionError | None:
     """What :func:`read_frame` raises at ``offset``, or ``None`` if a
     whole, CRC-valid frame starts there."""
     try:
@@ -854,14 +828,14 @@ class FramedFile:
         position = len(starts) if self.log is None else origin + stop
         magic, length, __ = _FRAME_HEADER.unpack_from(data, stop)
         if magic != _FRAME_MAGIC or stop + _FRAME_HEADER.size + length <= size:
-            raise self.corruption(position, _frame_error(data, stop))
+            raise self.corruption(position, frame_error(data, stop))
         indexed = [
             lsn - origin
             for lsn in boundaries[bisect_right(boundaries, origin + stop):]
             if lsn - origin < size
         ]
         candidates = indexed or self._magic_offsets(data, stop + 1)
-        if not any(_frame_error(data, at) is None for at in candidates):
+        if not any(frame_error(data, at) is None for at in candidates):
             return stop
         # A whole frame follows, so a payload running past the data is a
         # bad length field, not a torn write.
